@@ -280,8 +280,8 @@ def fit_emission_trace(times: Sequence[float], values: Sequence[float],
         try:
             res = least_squares(resid, p0, bounds=(lo, hi), method="trf",
                                 jac="3-point", max_nfev=4000)
-        except Exception:
-            continue
+        except (ValueError, np.linalg.LinAlgError):
+            continue  # least_squares rejects this start (e.g. non-finite residuals)
         if not res.success and not np.isfinite(res.cost):
             continue
         tau1_fit = res.x[1]

@@ -18,6 +18,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, load_config
 from .core import ParameterError
@@ -35,8 +37,9 @@ EXIT_PARTIAL = 4
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    # repr of a numpy float64 is "np.float64(...)"; write the plain float
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -142,7 +142,10 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
                                             detuning=sub.detuning - laser_detuning,
                                             compute_counts=peak_mode == "counts")
                 per[i, j] = res.peak_counts if peak_mode == "counts" else res.peak_instant
-            except Exception as exc:  # pragma: no cover - defensive
+            # the block solver's own failures: CapabilityError and ParameterError
+            # (both ValueErrors), expm_multiply's ValueError on a non-finite
+            # generator, and LinAlgError from the dense expm
+            except (ValueError, np.linalg.LinAlgError) as exc:
                 failures.append((i, j, str(exc)))
                 per[i, j] = np.nan
     # canonical summation order: the total is independent of entry order

@@ -79,10 +79,12 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     ens = _spectrum_ensemble(cfg)
     powers = _resolve_powers(cfg)
     tables = []
+    fallbacks = []
     for i, p in enumerate(powers):
         mu = _mu_of(cfg, p)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cfg.model.cavity,
                                              cfg.model.decoherence)
+        fallbacks.append(int(spec.picard.sum()))
         rows = [(f, float(r.real), float(r.imag), float(refl), float(ph), int(ok))
                 for f, r, refl, ph, ok in zip(grid_hz, spec.r_complex, spec.reflectance,
                                               spec.phase, spec.converged)]
@@ -91,7 +93,8 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
                                      "phase_rad", "converged"),
                             rows=rows))
     meta = {"powers_w": [float(p) for p in powers],
-            "mu": [float(_mu_of(cfg, p)) for p in powers]}
+            "mu": [float(_mu_of(cfg, p)) for p in powers],
+            "picard_fallbacks": fallbacks}
     return ExperimentResult(tables=tables, metadata=meta)
 
 
@@ -105,9 +108,11 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                                      dir_max=1.0)
     rows = []
     fitted = []
+    fallbacks = []
     for p in powers:
         mu = _mu_of(cfg, p)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cav, cfg.model.decoherence)
+        fallbacks.append(int(spec.picard.sum()))
         fit = analysis.fit_lorentzian_dip(spec, norm)
         if fit is None:
             rows.append((float(p), float(mu), math.nan, math.nan, math.nan, math.nan, math.nan))
@@ -116,7 +121,7 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append((float(p), float(mu), angular_to_hz(fit.width),
                          angular_to_hz(fit.stderr["width"]), fit.depth,
                          fit.stderr["depth"], angular_to_hz(fit.center)))
-    meta: dict = {}
+    meta: dict = {"picard_fallbacks": fallbacks}
     if len(fitted) >= 5:
         try:
             law = analysis.fit_cit_power_laws([p for p, _ in fitted],

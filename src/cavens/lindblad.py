@@ -484,13 +484,12 @@ def mean_field_ode_steady_state(ens: EmitterEnsemble, mu: float, omega_l: float,
         return (-1j * np.sum(gs * sm) + drive) / (1j * dc + 0.5 * kap)
 
     def rhs(_t, y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sm = y[:n] + 1j * y[n:2 * n]
-            sz = y[2 * n:]
-            a = a_of(sm)
-            dsm = -(1j * deltas + gamma) * sm + 1j * gs * sz * a
-            dsz = -4.0 * gs * np.imag(np.conj(a) * sm) - gamma_s * (1.0 + sz)
-            return np.concatenate([dsm.real, dsm.imag, dsz])
+        sm = y[:n] + 1j * y[n:2 * n]
+        sz = y[2 * n:]
+        a = a_of(sm)
+        dsm = -(1j * deltas + gamma) * sm + 1j * gs * sz * a
+        dsz = -4.0 * gs * np.imag(np.conj(a) * sm) - gamma_s * (1.0 + sz)
+        return np.concatenate([dsm.real, dsm.imag, dsz])
 
     y = np.concatenate([np.zeros(2 * n), -np.ones(n)])
     rate = gamma_s + 4.0 * float(np.min(gs) ** 2) / kap

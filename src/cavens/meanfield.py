@@ -8,7 +8,7 @@ spectra, and the analytic transparency width/depth/center expressions.
 
 from __future__ import annotations
 
-import cmath
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,13 +42,15 @@ class CitThresholdError(ValueError):
 class Spectrum:
     """Reflection spectrum on a laser-detuning grid (relative to the
     ensemble center).  ``phase`` is the unwrapped argument of the
-    intracavity field <a>; ``converged`` flags per-point solver success."""
+    intracavity field <a>; ``converged`` flags per-point solver success;
+    ``picard`` flags the points solved by the damped-Picard continuation."""
 
     freqs: np.ndarray
     r_complex: np.ndarray
     reflectance: np.ndarray
     phase: np.ndarray
     converged: np.ndarray
+    picard: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
@@ -56,15 +58,19 @@ class Spectrum:
         object.__setattr__(self, "reflectance", np.asarray(self.reflectance, dtype=float))
         object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
         object.__setattr__(self, "converged", np.asarray(self.converged, dtype=bool))
+        object.__setattr__(self, "picard", np.asarray(self.picard, dtype=bool))
 
 
 def _make_spectrum(freqs: np.ndarray, r: np.ndarray, a_field: np.ndarray,
-                   converged: Optional[np.ndarray] = None) -> Spectrum:
+                   converged: Optional[np.ndarray] = None,
+                   picard: Optional[np.ndarray] = None) -> Spectrum:
     if converged is None:
         converged = np.ones(len(freqs), dtype=bool)
+    if picard is None:
+        picard = np.zeros(len(freqs), dtype=bool)
     phase = np.unwrap(np.angle(a_field))
     return Spectrum(freqs=freqs, r_complex=r, reflectance=np.abs(r) ** 2,
-                    phase=phase, converged=converged)
+                    phase=phase, converged=converged, picard=picard)
 
 
 @dataclass(frozen=True)
@@ -146,77 +152,120 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
 # ---------------------------------------------------------------------------
 
 
-def _lorentzian_response_integral(gamma: float, y: float, half_width: float,
-                                  laser_offset: float) -> complex:
-    """Exact integral over a unit-mass Lorentzian emitter distribution:
+class _Response:
+    """Ensemble response x at every point of a laser-detuning grid.
 
-    I = \\int rho(w) (gamma - i(w - w_L)) / (gamma^2 + y + (w - w_L)^2) dw
+    x depends on itself only through t = |1 + x|^2 (t = 1 is the weak limit),
+    so the self-consistent solve is a root-find in t.  Each row is a grid
+    point with its own cavity detuning ``delta_c``, which sets the cavity
+    factor and the effective drive mu_eff = mu / (1 + (2 delta_c / kappa)^2).
+    Explicit ensembles sum over their emitters.  Parametric Lorentzian lines
+    sum over coupling levels, each integrated over the line by residues:
 
-    with rho a Lorentzian of HWHM ``half_width`` centred at 0 and
-    ``laser_offset`` = w_L - w_0.  Evaluated in closed form by residues.
+        I = \\int rho(w) (gamma - i(w - w_L)) / (gamma^2 + y + (w - w_L)^2) dw
+          = (gamma (G + h) / G + i d) / ((G + h)^2 + d^2),  G = sqrt(gamma^2 + y)
+
+    with rho the line's Lorentzian of HWHM h, d = w_L - w_0 the laser
+    offset and y = sat mu_eff / t.
     """
-    gy = math.sqrt(gamma**2 + y)
-    h = half_width
-    d = laser_offset
-    term1 = (gamma + h + 1j * d) / (gy**2 + (1j * h - d) ** 2)
-    term2 = (h / gy) * (gamma + gy) / (h**2 + (d + 1j * gy) ** 2)
-    return term1 + term2
 
-
-class _ResponseMap:
-    """F(x) for the implicit equation x = F(x); F depends on x only through
-    t = |1 + x|^2, so the map is evaluated from t directly."""
-
-    def __init__(self, ens: EmitterEnsemble, omega_l: float, cavity: CavityParams,
-                 dec: DecoherenceParams, delta_c: Optional[float] = None):
-        self.gamma = dec.gamma
-        self.gamma_s = dec.gamma_s
-        dc = cavity.delta_c if delta_c is None else delta_c
-        self.kappa_eff = cavity.kappa + 2j * dc
-        self.mu_scale = 1.0 / (1.0 + (2.0 * dc / cavity.kappa) ** 2)
+    def __init__(self, ens: EmitterEnsemble, offsets: np.ndarray, cavity: CavityParams,
+                 dec: DecoherenceParams, delta_c: np.ndarray):
+        self.gamma, self.gamma_s = dec.gamma, dec.gamma_s
         self.parametric = ens.is_parametric
+        self.offset = offsets[:, None]  # laser minus ensemble center
+        kappa_eff = (cavity.kappa + 2j * delta_c)[:, None]
+        self.mu_scale = 1.0 / (1.0 + (2.0 * delta_c / cavity.kappa) ** 2)
         if self.parametric:
             assert ens.delta_inh is not None
             self.half_width = 0.5 * ens.delta_inh
-            self.laser_offset = omega_l - ens.center
             if ens.g is not None:
-                self.levels = [(ens.n * 1.0, ens.g)]
+                weights, gs = np.array([ens.n * 1.0]), np.array([ens.g])
             else:
                 assert ens.g_hist is not None
-                self.levels = [(ens.n * p, g) for g, p in ens.g_hist if p > 0]
+                weights, gs = np.array([(ens.n * p, g) for g, p in ens.g_hist if p > 0]).T
+            self.coef = weights * (2.0 * gs**2 / kappa_eff)
+            sat = 4.0 * gs**2 * self.gamma / self.gamma_s if self.gamma_s > 0 else 0.0 * gs
+            self.sat = np.broadcast_to(sat, self.coef.shape)
         else:
-            deltas = ens.detunings() + ens.center - omega_l
+            deltas = ens.detunings() - self.offset  # emitter minus laser
             gs = ens.couplings()
-            self.base = 2.0 * gs**2 / (self.kappa_eff * (self.gamma + 1j * deltas))
+            self.coef = 2.0 * gs**2 / (kappa_eff * (self.gamma + 1j * deltas))
             denom = self.gamma_s * (self.gamma**2 + deltas**2)
             self.sat = np.divide(4.0 * gs**2 * self.gamma, denom,
                                  out=np.zeros_like(denom), where=denom > 0)
 
-    def weak_limit(self, mu: float) -> complex:
-        return self.evaluate(mu=0.0, t=1.0)
+    def row(self, i: int) -> "_Response":
+        """The response at grid point i alone, evaluated at a scalar t."""
+        one = copy.copy(self)
+        for name in ("offset", "mu_scale", "coef", "sat"):
+            setattr(one, name, getattr(self, name)[i])
+        return one
+
+    def x_of_t(self, mu: float, t, slope: bool = False):
+        """x at each row's t; with ``slope``, the pair (x, dx/dt)."""
+        m = mu * self.mu_scale / t  # mu_eff / t
+        if self.mu_scale.ndim:
+            m = m[:, None]
+        if self.parametric:
+            gamma, h, d = self.gamma, self.half_width, self.offset
+            y = self.sat * m
+            width = np.sqrt(gamma**2 + y)  # G, the saturated homogeneous HWHM
+            s = width + h
+            num = gamma * s / width + 1j * d
+            den = s * s + d * d
+            x = (self.coef * (num / den)).sum(-1)
+            if not slope:
+                return x
+            # dI/dG, and dG/dt = -y / (2 G t)
+            di = -gamma * h / (width**2 * den) - 2.0 * s * num / den**2
+            return x, -(self.coef * di * y / (2.0 * width)).sum(-1) / t
+        damp = 1.0 + self.sat * m
+        x = (self.coef / damp).sum(-1)
+        if not slope:
+            return x
+        # dx/dt = sum coef sat m / (t damp^2), and sat m = damp - 1
+        w = damp - 1.0
+        w /= damp
+        w /= damp
+        return x, (self.coef * w).sum(-1) / t
 
     def saturation_scale(self) -> float:
         """Largest saturation coefficient at mu = 1, t = 1 (for continuation)."""
         if self.gamma_s <= 0 or self.gamma <= 0:
             return math.inf
+        peak = float(np.max(self.sat)) if self.sat.size else 0.0
         if self.parametric:
-            return max(4.0 * g**2 * self.mu_scale / (self.gamma * self.gamma_s) for _, g in self.levels)
-        return float(np.max(self.sat)) * self.mu_scale if len(self.sat) else 0.0
+            peak /= self.gamma**2  # the explicit kind's sat for an emitter at zero detuning
+        return peak * self.mu_scale
 
-    def evaluate(self, mu: float, t: float) -> complex:
-        mu_eff = mu * self.mu_scale
-        if self.parametric:
-            x = 0.0 + 0.0j
-            for weight, g in self.levels:
-                if self.gamma_s > 0 and mu_eff > 0:
-                    y = 4.0 * g**2 * mu_eff * self.gamma / (t * self.gamma_s)
-                else:
-                    y = 0.0
-                integral = _lorentzian_response_integral(self.gamma, y, self.half_width, self.laser_offset)
-                x += weight * (2.0 * g**2 / self.kappa_eff) * integral
-            return complex(x)
-        damp = 1.0 + self.sat * (mu_eff / t)
-        return complex(np.sum(self.base / damp))
+
+def _picard(resp: _Response, mu: float, *, tol: float, max_iter: int, relaxation: float,
+            steps_per_decade: int) -> complex:
+    """Damped Picard continuation in mu on one row of ``resp`` (see
+    :func:`solve_selfconsistent_x`)."""
+    x = complex(resp.x_of_t(0.0, 1.0))
+    if mu == 0:
+        return x
+    if resp.gamma_s == 0:
+        # no relaxation closure: any finite drive fully saturates, sigma_z -> 0
+        return complex(0.0)
+    sat = resp.saturation_scale()
+    mu_start = min(mu, 1e-3 / sat) if sat > 0 else mu
+    n_steps = max(1, math.ceil(steps_per_decade * math.log10(mu / mu_start))) if mu > mu_start else 1
+    mus = np.geomspace(mu_start, mu, n_steps + 1) if mu > mu_start else np.array([mu])
+    for mu_k in mus:
+        residual = math.inf
+        for _ in range(max_iter):
+            xn = complex(resp.x_of_t(mu_k, abs(1.0 + x) ** 2))
+            residual = abs(xn - x)
+            x = (1.0 - relaxation) * x + relaxation * xn
+            if residual < tol * (1.0 + abs(x)):
+                break
+        else:
+            raise SelfConsistencyError(
+                f"no convergence after {max_iter} iterations at mu={mu_k:.3e}", residual)
+    return x
 
 
 def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
@@ -233,29 +282,32 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
     """
     if mu < 0:
         raise ParameterError("mu must be >= 0")
-    fmap = _ResponseMap(ens, omega_l, cavity, dec, delta_c=delta_c)
-    x = fmap.weak_limit(mu)
-    if mu == 0:
-        return x
-    if dec.gamma_s == 0:
-        # no relaxation closure: any finite drive fully saturates, sigma_z -> 0
-        return complex(0.0)
-    sat = fmap.saturation_scale()
-    mu_start = min(mu, 1e-3 / sat) if sat > 0 else mu
-    n_steps = max(1, math.ceil(steps_per_decade * math.log10(mu / mu_start))) if mu > mu_start else 1
-    mus = np.geomspace(mu_start, mu, n_steps + 1) if mu > mu_start else np.array([mu])
-    for mu_k in mus:
-        residual = math.inf
-        for _ in range(max_iter):
-            xn = fmap.evaluate(mu_k, abs(1.0 + x) ** 2)
-            residual = abs(xn - x)
-            x = (1.0 - relaxation) * x + relaxation * xn
-            if residual < tol * (1.0 + abs(x)):
-                break
-        else:
-            raise SelfConsistencyError(
-                f"no convergence after {max_iter} iterations at mu={mu_k:.3e}", residual)
-    return x
+    dc = cavity.delta_c if delta_c is None else delta_c
+    resp = _Response(ens, np.array([omega_l - ens.center]), cavity, dec, np.array([dc]))
+    return _picard(resp.row(0), mu, tol=tol, max_iter=max_iter, relaxation=relaxation,
+                   steps_per_decade=steps_per_decade)
+
+
+def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on h(t) = t - |1+x(t)|^2 at every grid point at once, seeded
+    from the weak-excitation t (largest-t root, the weak-connected branch).
+    Returns x and a flag for each point whose residual on x misses tol."""
+    t = np.abs(1.0 + x_weak) ** 2
+    for _ in range(60):
+        x, dx = resp.x_of_t(mu, t, slope=True)
+        h = t - np.abs(1.0 + x) ** 2
+        hp = 1.0 - 2.0 * np.real(np.conj(1.0 + x) * dx)
+        step = np.where(np.abs(hp) > 1e-300, h / np.where(hp == 0, 1.0, hp), 0.0)
+        t_new = t - step
+        t_new = np.where(t_new <= 0, 0.5 * t, t_new)  # keep t positive
+        converged = np.abs(t_new - t) <= 1e-13 * (1.0 + np.abs(t_new))
+        t = t_new
+        if converged.all():
+            break
+    x = resp.x_of_t(mu, t)
+    resid = np.abs(x - resp.x_of_t(mu, np.abs(1.0 + x) ** 2))
+    return x, ~(resid < tol * (1.0 + np.abs(x)))
 
 
 def reflection_from_x(x: complex | np.ndarray, cavity: CavityParams,
@@ -279,98 +331,39 @@ def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
     is tracked exactly.  Non-converged points are flagged and set to NaN
     rather than aborting the scan.
 
-    ``method="newton"`` (default) runs the fast scalar Newton solve on
-    t = |1+x|^2 per point, falling back to the damped-Picard continuation
-    where it fails; ``method="picard"`` forces the continuation path
-    everywhere.  Both land on the branch continuously connected to the
-    weak-excitation solution (cross-checked in the test suite).
+    ``method="newton"`` (default) solves t = |1+x|^2 by Newton at every grid
+    point at once, for explicit emitter lists and parametric (closed-form)
+    lines alike, and runs the damped-Picard continuation of
+    :func:`solve_selfconsistent_x` only where the residual on x misses
+    ``tol``; ``Spectrum.picard`` flags those points.  ``method="picard"``
+    runs the continuation everywhere.  Both land on the branch continuously
+    connected to the weak-excitation solution (cross-checked in the test
+    suite).
     """
     freqs = np.asarray(grid, dtype=float)
     if method not in ("newton", "picard"):
         raise ParameterError("method must be 'newton' or 'picard'")
-    if not ens.is_parametric and method == "newton":
-        return _reflection_spectrum_newton(ens, mu, freqs, cavity, dec, tol=tol,
-                                           max_iter=max_iter, relaxation=relaxation,
-                                           steps_per_decade=steps_per_decade)
-    r = np.empty(len(freqs), dtype=complex)
-    a = np.empty(len(freqs), dtype=complex)
-    ok = np.ones(len(freqs), dtype=bool)
-    for i, f in enumerate(freqs):
-        omega_l = ens.center + f
-        dc_point = cavity.delta_c - f
-        try:
-            x = solve_selfconsistent_x(ens, mu, omega_l, cavity, dec, tol=tol,
-                                       max_iter=max_iter, relaxation=relaxation,
-                                       steps_per_decade=steps_per_decade, delta_c=dc_point)
-            r[i], a[i] = reflection_from_x(x, cavity, delta_c=dc_point)
-        except SelfConsistencyError:
-            r[i], a[i], ok[i] = np.nan, np.nan, False
-    return _make_spectrum(freqs, r, a, ok)
-
-
-def _reflection_spectrum_newton(ens: EmitterEnsemble, mu: float, freqs: np.ndarray,
-                                cavity: CavityParams, dec: DecoherenceParams, *,
-                                tol: float, max_iter: int, relaxation: float,
-                                steps_per_decade: int) -> Spectrum:
-    """Vectorized-over-grid Newton solve on t = |1+x|^2 (explicit ensembles).
-
-    x depends on itself only through t, so each grid point reduces to one
-    real root-find h(t) = t - |1+x(t)|^2 = 0, seeded from the
-    weak-excitation value (largest-t root, the weak-connected branch)."""
-    gamma, gamma_s = dec.gamma, dec.gamma_s
-    deltas = ens.detunings()[None, :] - freqs[:, None]  # emitter-minus-laser
-    gs = ens.couplings()[None, :]
+    if mu < 0:
+        raise ParameterError("mu must be >= 0")
     dc = cavity.delta_c - freqs
-    kappa_eff = (cavity.kappa + 2j * dc)[:, None]
-    mu_eff_vec = mu / (1.0 + (2.0 * dc / cavity.kappa) ** 2)
-    base = 2.0 * gs**2 / (kappa_eff * (gamma + 1j * deltas))
-    x_weak = np.sum(base, axis=1)
-    n_pts = len(freqs)
-    ok = np.ones(n_pts, dtype=bool)
-
-    if mu == 0:
-        x = x_weak
-    elif gamma_s == 0:
-        x = np.zeros(n_pts, dtype=complex)  # fully saturated ensemble
-    else:
-        sat = 4.0 * gs**2 * gamma / (gamma_s * (gamma**2 + deltas**2))
-        sat_mu = sat * mu_eff_vec[:, None]
-
-        def x_of_t(t):
-            return np.sum(base / (1.0 + sat_mu / t[:, None]), axis=1)
-
-        def h_of_t(t):
-            return t - np.abs(1.0 + x_of_t(t)) ** 2
-
-        t = np.abs(1.0 + x_weak) ** 2
-        converged = np.zeros(n_pts, dtype=bool)
-        for _ in range(60):
-            h = h_of_t(t)
-            dt_fd = 1e-6 * t
-            hp = (h_of_t(t + dt_fd) - h) / dt_fd
-            step = np.where(np.abs(hp) > 1e-300, h / np.where(hp == 0, 1.0, hp), 0.0)
-            t_new = t - step
-            t_new = np.where(t_new <= 0, 0.5 * t, t_new)  # keep t positive
-            converged = np.abs(t_new - t) <= 1e-13 * (1.0 + np.abs(t_new))
-            t = t_new
-            if converged.all():
-                break
-        x = x_of_t(t)
-        # spec convergence criterion on x itself; fall back where violated
-        resid = np.abs(x - x_of_t(np.abs(1.0 + x) ** 2))
-        bad = ~(resid < tol * (1.0 + np.abs(x)))
-        for i in np.where(bad)[0]:
-            try:
-                x[i] = solve_selfconsistent_x(
-                    ens, mu, ens.center + freqs[i], cavity, dec, tol=tol,
-                    max_iter=max_iter, relaxation=relaxation,
-                    steps_per_decade=steps_per_decade, delta_c=dc[i])
-            except SelfConsistencyError:
-                ok[i] = False
+    resp = _Response(ens, freqs, cavity, dec, dc)
+    x = resp.x_of_t(0.0, np.ones(len(freqs)))  # weak limit
+    picard = np.full(len(freqs), method == "picard")
+    if mu > 0 and dec.gamma_s == 0:
+        x = np.zeros(len(freqs), dtype=complex)  # fully saturated ensemble
+    elif mu > 0 and method == "newton":
+        x, picard = _newton(resp, mu, x, tol)
+    ok = np.ones(len(freqs), dtype=bool)
+    for i in np.flatnonzero(picard):
+        try:
+            x[i] = _picard(resp.row(i), mu, tol=tol, max_iter=max_iter,
+                           relaxation=relaxation, steps_per_decade=steps_per_decade)
+        except SelfConsistencyError:
+            ok[i] = False
     r, a = reflection_from_x(x, cavity, delta_c=dc)
     r[~ok] = np.nan
     a = np.where(ok, a, np.nan)
-    return _make_spectrum(freqs, r, a, ok)
+    return _make_spectrum(freqs, r, a, ok, picard)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,19 @@ drive.pulse_length_s = 20e-6
 """
 
 
+# the paper-like Lorentzian line of acceptance 03 (cooperativity 12)
+LINE_MODEL = """
+cavity.kappa_hz = 44e9
+cavity.kappa_c_hz = 8.8e9
+decoherence.gamma_s_hz = 600
+decoherence.gamma_d_hz = 6000
+ensemble.kind = lorentzian
+ensemble.n_ions = 1000
+ensemble.delta_inh_hz = 150e6
+ensemble.g_hz = 140.7e6
+"""
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -149,6 +162,57 @@ grid.power.scale = log
             header, rows = read_csv(tmp_path / f"rs_spectrum_{i:03d}.csv")
             assert header[0] == "freq_hz" and len(rows) == 41
             assert all(0.0 <= float(r[3]) <= 1.0 + 1e-9 for r in rows)
+        meta = json.loads((tmp_path / "rs_metadata.json").read_text())
+        assert meta["picard_fallbacks"] == [0, 0, 0]
+
+    def test_reflection_spectrum_counts_picard_fallbacks(self, tmp_path):
+        # the 1000-quantile line at mu = 3e-7 leaves two points to Picard
+        cfg = LINE_MODEL + """
+experiment = reflection-spectrum
+ensemble.explicit_quantiles = 1000
+grid.freq.start_hz = -90e6
+grid.freq.stop_hz = 90e6
+grid.freq.num = 361
+drive.mu = 3e-7
+"""
+        assert self._run(tmp_path, cfg, "fb.cfg", "fb") == 0
+        meta = json.loads((tmp_path / "fb_metadata.json").read_text())
+        assert meta["picard_fallbacks"] == [2]
+        _header, rows = read_csv(tmp_path / "fb_spectrum_000.csv")
+        assert all(r[5] == "1" for r in rows)
+
+    def test_csv_cells_parse_as_floats(self, tmp_path):
+        """numpy float64 values (fitted widths, bin detunings, grid points) are
+        written as plain floats that float() reads back."""
+        cit = LINE_MODEL + """
+experiment = cit-power-sweep
+grid.freq.start_hz = -90e6
+grid.freq.stop_hz = 90e6
+grid.freq.num = 181
+grid.power.start_w = 2e-14
+grid.power.stop_w = 3e-13
+grid.power.num = 5
+grid.power.scale = log
+"""
+        binned = BASE_MODEL.replace("ensemble.kind = identical", "ensemble.kind = lorentzian") \
+            .replace("ensemble.n_ions = 4", "ensemble.n_ions = 9") + """
+ensemble.delta_inh_hz = 150e6
+experiment = s-curve
+bins.n = 3
+bins.width_hz = 50e6
+drive.pulse_length_s = 5e-6
+grid.power.start_w = 1e-13
+grid.power.stop_w = 1e-11
+grid.power.num = 2
+grid.power.scale = log
+"""
+        assert self._run(tmp_path, cit, "cit.cfg", "cit") == 0
+        assert self._run(tmp_path, binned, "bin.cfg", "bin") == 0
+        meta = json.loads((tmp_path / "cit_metadata.json").read_text())
+        assert meta["picard_fallbacks"] == [0] * 5
+        for name in ("cit_cit_power_sweep.csv", "bin_s_curve_subensembles.csv"):
+            _header, rows = read_csv(tmp_path / name)
+            assert rows and all(math.isfinite(float(c)) for r in rows for c in r)
 
     def test_rate_map_csv(self, tmp_path):
         cfg = BASE_MODEL + "experiment = rate-map\n"

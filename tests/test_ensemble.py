@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import cavens.ensemble as ensemble_mod
 from cavens.core import DecoherenceParams, DerivedRates, EmitterEnsemble, ParameterError, SystemModel
+from cavens.dicke import CapabilityError
 from cavens.ensemble import (
     SubensembleSet,
     bin_lorentzian,
@@ -70,6 +72,36 @@ class TestIncoherentSCurve:
         inc = incoherent_scurve(subs, powers, 50e-6, model)
         ref = scurve(5, powers, 50e-6, model)
         assert np.allclose(inc.total, ref.peaks, rtol=1e-12)
+
+    @pytest.mark.parametrize("error", [CapabilityError, ParameterError, np.linalg.LinAlgError])
+    def test_solver_error_recorded(self, cavity, g35, monkeypatch, error):
+        """A block-solver error at one bin and power becomes a recorded
+        failure with a NaN peak, and the other bins still count."""
+        from cavens.ensemble import Subensemble
+
+        def pulse(n, *args, **kwargs):
+            if n == 3:
+                raise error("solver failed")
+            return real_pulse(n, *args, **kwargs)
+
+        real_pulse = ensemble_mod.pulsed_block_emission
+        monkeypatch.setattr(ensemble_mod, "pulsed_block_emission", pulse)
+        subs = SubensembleSet(entries=(Subensemble(0.0, 3, g35), Subensemble(1e6, 2, g35)))
+        res = incoherent_scurve(subs, [1e-13], 5e-6, self._model(cavity, g35))
+        assert res.failures == ((0, 0, "solver failed"),)
+        assert np.isnan(res.per_subensemble[0, 0])
+        assert res.total[0] == res.per_subensemble[0, 1] > 0
+
+    def test_other_errors_propagate(self, cavity, g35, monkeypatch):
+        from cavens.ensemble import Subensemble
+
+        def pulse(*args, **kwargs):
+            raise TypeError("a bug, not a solver failure")
+
+        monkeypatch.setattr(ensemble_mod, "pulsed_block_emission", pulse)
+        subs = SubensembleSet(entries=(Subensemble(0.0, 3, g35),))
+        with pytest.raises(TypeError):
+            incoherent_scurve(subs, [1e-13], 5e-6, self._model(cavity, g35))
 
     def test_permutation_invariance_bit_identical(self, cavity, g35):
         from cavens.ensemble import Subensemble

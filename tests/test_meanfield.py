@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cavens.analysis import DipNormalization, fit_lorentzian_dip
-from cavens.core import DecoherenceParams, EmitterEnsemble, SystemModel
+from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
 from cavens.lindblad import mean_field_ode_steady_state
 from cavens.meanfield import (
     CitThresholdError,
+    _Response,
     TransitionLine,
     cit_analytics,
     cit_center,
@@ -155,6 +156,96 @@ class TestReflectionSpectrum:
             s_picard = reflection_spectrum(ens, mu, grid, cavity, decoherence,
                                            method="picard")
             assert np.max(np.abs(s_newton.r_complex - s_picard.r_complex)) < 1e-8
+
+    @pytest.mark.parametrize("delta_c_hz", [0.0, 3e9])
+    def test_newton_matches_picard_parametric(self, decoherence, delta_inh, delta_c_hz):
+        """Parametric twin of test_newton_matches_picard: a uniform-g and a
+        g-histogram Lorentzian line, with the cavity on and off the line."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, delta_c_hz)
+        g = coupling_for_cooperativity(12.0, cav, delta_inh, 200)
+        uniform = EmitterEnsemble.lorentzian(n_ions=200, delta_inh=delta_inh, g=g)
+        hist = EmitterEnsemble.lorentzian(n_ions=200, delta_inh=delta_inh,
+                                          g_hist=((0.6 * g, 0.4), (1.2 * g, 0.6)))
+        grid = np.array([-40e6, -5e6, 0.0, 2e6, 60e6]) * TWO_PI
+        for ens in (uniform, hist):
+            for mu in (1e-7, 1e-5, 1e-3):
+                s_newton = reflection_spectrum(ens, mu, grid, cav, decoherence)
+                s_picard = reflection_spectrum(ens, mu, grid, cav, decoherence,
+                                               method="picard")
+                assert not s_newton.picard.any() and s_picard.picard.all()
+                assert np.max(np.abs(s_newton.r_complex - s_picard.r_complex)) < 1e-8
+
+    def test_parametric_zero_drive_and_no_relaxation(self, cavity, decoherence, delta_inh):
+        """On a parametric line, mu = 0 gives the weak-excitation spectrum, and
+        gamma_s = 0 saturates every emitter at any drive (x = 0, bare cavity)."""
+        ens = paper_like_ensemble(cavity, delta_inh)
+        grid = np.linspace(-100e6, 100e6, 21) * TWO_PI
+        line = TransitionLine(ens.total_coupling, 0.0, decoherence.gamma, delta_inh)
+        weak = reflection_weak_excitation(grid, [line], cavity)
+        no_relaxation = DecoherenceParams.from_hz(0.0, 6000)
+        bare = 1.0 - 2.0 * cavity.kappa_c / (cavity.kappa + 2j * (cavity.delta_c - grid))
+        for method in ("newton", "picard"):
+            spec = reflection_spectrum(ens, 0.0, grid, cavity, decoherence, method=method)
+            assert np.max(np.abs(spec.r_complex - weak.r_complex)) < 1e-12
+            spec = reflection_spectrum(ens, 1e-6, grid, cavity, no_relaxation, method=method)
+            assert np.max(np.abs(spec.r_complex - bare)) < 1e-15
+            assert spec.converged.all()
+
+    @pytest.mark.parametrize("kind", ["explicit", "parametric"])
+    def test_response_slope_matches_central_difference(self, cavity, decoherence, delta_inh,
+                                                       kind):
+        ens = paper_like_ensemble(cavity, delta_inh, n=200)
+        if kind == "explicit":
+            ens = ens.to_explicit()
+        freqs = np.array([-40e6, 0.0, 3e6, 70e6]) * TWO_PI
+        resp = _Response(ens, freqs, cavity, decoherence, cavity.delta_c - freqs)
+        for mu in (1e-7, 1e-5, 1e-3):
+            for t0 in (0.05, 1.0, 30.0):
+                t = np.full(len(freqs), t0)
+                _, slope = resp.x_of_t(mu, t, slope=True)
+                dt = 1e-4 * t0
+                central = (resp.x_of_t(mu, t + dt) - resp.x_of_t(mu, t - dt)) / (2.0 * dt)
+                assert np.all(np.abs(slope - central) <= 1e-6 * np.abs(slope))
+
+    def test_parametric_response_matches_quadrature(self, cavity, decoherence, delta_inh):
+        """The closed-form line integral of the parametric response against
+        quadrature over the Lorentzian line, at drives that saturate it."""
+        from scipy.integrate import quad
+
+        ens = paper_like_ensemble(cavity, delta_inh)
+        gamma, h = decoherence.gamma, 0.5 * delta_inh
+        freqs = np.array([0.0, 7e6, -60e6]) * TWO_PI
+        dc = cavity.delta_c - freqs
+        resp = _Response(ens, freqs, cavity, decoherence, dc)
+        t = np.array([0.3, 2.0, 40.0])
+        for mu in (1e-7, 1e-4):
+            x = resp.x_of_t(mu, t)
+            mu_eff = mu / (1.0 + (2.0 * dc / cavity.kappa) ** 2)
+            y = 4.0 * ens.g**2 * mu_eff * gamma / (decoherence.gamma_s * t)
+            for k, d in enumerate(freqs):
+                def part(theta, re):  # w = h tan(theta) maps the line to a uniform measure
+                    w = h * math.tan(theta)
+                    v = (gamma - 1j * (w - d)) / (gamma**2 + y[k] + (w - d) ** 2) / math.pi
+                    return v.real if re else v.imag
+                scale = 1.0 / (h + math.sqrt(gamma**2 + y[k]))  # |I| at the line center
+                kw = dict(points=[math.atan(d / h)], epsabs=1e-13 * scale, epsrel=1e-12,
+                          limit=400)
+                line = (quad(part, -0.5 * math.pi, 0.5 * math.pi, args=(True,), **kw)[0]
+                        + 1j * quad(part, -0.5 * math.pi, 0.5 * math.pi, args=(False,), **kw)[0])
+                ref = ens.n * 2.0 * ens.g**2 / (cavity.kappa + 2j * dc[k]) * line
+                assert abs(x[k] - ref) < 1e-9 * abs(ref)
+
+    def test_picard_fallbacks_flagged(self, cavity, decoherence, delta_inh):
+        """Spectrum.picard flags the points left to the Picard continuation.
+        On the 1000-quantile line at mu = 3e-7, Newton misses the tolerance at
+        grid points 129 and 231; the continuum line needs no fallback."""
+        parametric = paper_like_ensemble(cavity, delta_inh, n=1000)
+        grid = np.linspace(-90e6, 90e6, 361) * TWO_PI
+        quantile = reflection_spectrum(parametric.to_explicit(), 3e-7, grid, cavity,
+                                       decoherence)
+        assert np.flatnonzero(quantile.picard).tolist() == [129, 231]
+        assert quantile.converged.all()
+        assert not reflection_spectrum(parametric, 3e-7, grid, cavity, decoherence).picard.any()
 
     def test_low_power_shows_dir_no_dip(self, cavity, decoherence, delta_inh):
         # continuum ensemble: a weak scan sees the broad reflectivity peak only
