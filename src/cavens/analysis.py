@@ -9,7 +9,6 @@ Jacobians, the stretched-exponential fits use central differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -19,8 +18,7 @@ from scipy.optimize import least_squares
 
 from .core import ParameterError
 from .meanfield import Spectrum
-
-TWO_PI = 2.0 * math.pi
+from .units import TWO_PI
 
 
 class FitError(RuntimeError):
@@ -48,8 +46,6 @@ class DipFit:
     baseline: float
     stderr: dict
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -216,9 +212,6 @@ class BiexpFit:
     stderr: dict
     residual: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     def model(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return (self.a1 * np.exp(-np.power(t / self.tau1, self.x1))
@@ -329,8 +322,6 @@ class BeatFit:
     peak_height: float
     stderr: dict
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def beat_spectrum(times: Sequence[float], coherent_amp: Sequence[complex],
@@ -404,8 +395,6 @@ class SCurveFeatures:
     boundary_ii_iii: Optional[float]
     n_regimes: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def extract_scurve_features(powers: Sequence[float], peaks: Sequence[float],
@@ -439,12 +428,6 @@ def extract_scurve_features(powers: Sequence[float], peaks: Sequence[float],
                           boundary_ii_iii=b23, n_regimes=n_regimes)
 
 
-def fits_to_json(fits: Sequence, path: str) -> None:
-    """Dump a list of fit result dataclasses to structured JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([f.as_dict() for f in fits], fh, indent=2, sort_keys=True)
-
-
 __all__ = [
     "FitError",
     "DipFit",
@@ -458,5 +441,4 @@ __all__ = [
     "beat_spectrum",
     "SCurveFeatures",
     "extract_scurve_features",
-    "fits_to_json",
 ]

@@ -23,10 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config
 from .core import ParameterError
-from .dicke import CapabilityError as DickeCapabilityError
-from .experiments import ExperimentResult, SolverFailure, Table, run_experiment, run_sweep
-from .lindblad import CapabilityError, IntegrationError
-from .meanfield import SelfConsistencyError
+from .experiments import SOLVER_ERRORS, ExperimentResult, Table, run_experiment, run_sweep
 
 CSV_SCHEMA = 1
 
@@ -103,8 +100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverFailure, SelfConsistencyError, IntegrationError, CapabilityError,
-            DickeCapabilityError, ParameterError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     extra = {

@@ -7,14 +7,14 @@ seconds; conversion to internal angular units happens here.
 
 from __future__ import annotations
 
-import math
+import csv
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
+from .core import CavityParams, DecoherenceParams, EmitterEnsemble, ParameterError, SystemModel
 from .units import hz_to_angular
 
 EXPERIMENTS = (
@@ -175,19 +175,16 @@ class ExperimentConfig:
     resolved: dict = field(default_factory=dict, compare=False)
 
 
-def _read_emitters_csv(path: str) -> list[tuple[float, float]]:
-    import csv
-
-    rows = []
+def read_csv_columns(path: str, columns: tuple[str, ...],
+                     error: type[Exception]) -> list[tuple[float, ...]]:
+    """Float rows of the named columns of a CSV file with a header line;
+    lines starting with ``#`` are skipped.  A missing column raises
+    ``error``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or "detuning_hz" not in reader.fieldnames \
-                or "g_hz" not in reader.fieldnames:
-            raise ConfigError(f"{path}: need columns detuning_hz, g_hz")
-        for rec in reader:
-            rows.append((hz_to_angular(float(rec["detuning_hz"])),
-                         hz_to_angular(float(rec["g_hz"]))))
-    return rows
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise error(f"{path}: need columns {', '.join(columns)}")
+        return [tuple(float(rec[c]) for c in columns) for rec in reader]
 
 
 def _build_ensemble(view: KeyView, base_dir: str) -> EmitterEnsemble:
@@ -203,23 +200,22 @@ def _build_ensemble(view: KeyView, base_dir: str) -> EmitterEnsemble:
         center = view.get_float("ensemble.center_hz", 0.0)
         hist_file = view.get_str("ensemble.g_histogram_file")
         if hist_file is not None:
-            from .ensemble import read_g_histogram_csv
+            from .ensemble import read_g_histogram_csv, truncate_g_histogram
 
             path = os.path.join(base_dir, hist_file)
             if not os.path.exists(path):
                 raise ConfigError(f"histogram file not found: {path}", key="ensemble.g_histogram_file")
-            rows = read_g_histogram_csv(path)
+            g, p = np.array(read_g_histogram_csv(path)).reshape(-1, 2).T
             cutoff = view.get_float("ensemble.g_cutoff_hz")
             if cutoff is not None:
-                kept = [(g, p) for g, p in rows if g >= hz_to_angular(cutoff)]
-                if not kept:
+                try:
+                    g, p, _kept = truncate_g_histogram(g, p, hz_to_angular(cutoff))
+                except ParameterError:
                     raise ConfigError("no histogram mass above ensemble.g_cutoff_hz",
-                                      key="ensemble.g_cutoff_hz")
-                total = sum(p for _, p in kept)
-                rows = [(g, p / total) for g, p in kept]
+                                      key="ensemble.g_cutoff_hz") from None
             return EmitterEnsemble.lorentzian(n_ions=n, delta_inh=hz_to_angular(dinh),
                                               center=hz_to_angular(center),
-                                              g_hist=tuple(rows))
+                                              g_hist=tuple(zip(g, p)))
         g = view.get_float("ensemble.g_hz", _REQUIRED)
         return EmitterEnsemble.lorentzian(n_ions=n, delta_inh=hz_to_angular(dinh),
                                           g=hz_to_angular(g), center=hz_to_angular(center))
@@ -228,7 +224,8 @@ def _build_ensemble(view: KeyView, base_dir: str) -> EmitterEnsemble:
         path = os.path.join(base_dir, fname)
         if not os.path.exists(path):
             raise ConfigError(f"emitter file not found: {path}", key="ensemble.file")
-        return EmitterEnsemble.explicit(_read_emitters_csv(path))
+        rows = read_csv_columns(path, ("detuning_hz", "g_hz"), ConfigError)
+        return EmitterEnsemble.explicit([(hz_to_angular(d), hz_to_angular(g)) for d, g in rows])
     raise ConfigError(f"unknown ensemble.kind '{kind}'", line=view.line("ensemble.kind"))
 
 
@@ -319,6 +316,7 @@ __all__ = [
     "parse_kv_text",
     "KeyView",
     "GridSpec",
+    "read_csv_columns",
     "ExperimentConfig",
     "load_config",
     "build_config",

@@ -1,4 +1,5 @@
-"""Parameter containers, derived rates, and validity checks.
+"""Parameter containers, derived rates, validity checks, and the one
+propagator and pulse protocol that both dynamics layers share.
 
 All rates are angular frequencies (rad/s).  Containers are frozen
 dataclasses: they validate on construction, are immutable afterwards and
@@ -18,6 +19,10 @@ from .units import HBAR, TWO_PI, hz_to_angular
 
 class ParameterError(ValueError):
     """A parameter bundle violates one of its invariants."""
+
+
+class CapabilityError(ValueError):
+    """Requested system size exceeds a solver's capability limit."""
 
 
 @dataclass(frozen=True)
@@ -407,8 +412,84 @@ def validate_assumptions(model: SystemModel, drive: DriveParams, ratio: float = 
     return AssumptionReport(checks=tuple(checks), threshold=ratio)
 
 
+# ---------------------------------------------------------------------------
+# Propagation and the pulsed-emission protocol
+# ---------------------------------------------------------------------------
+
+#: Generators up to this dimension are exponentiated densely (one expm per
+#: distinct step); larger ones use Krylov ``expm_multiply`` per step.
+DENSE_DIM_MAX = 1000
+
+#: Detection window integrated after switch-off (one 128 ns bin).
+PEAK_WINDOW = 128e-9
+
+
+def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
+    """exp(matrix t) vec at each of the non-decreasing ``times`` (measured
+    from the present), for a sparse time-independent generator."""
+    from scipy.linalg import expm
+    from scipy.sparse.linalg import expm_multiply
+
+    dense = matrix.shape[0] <= DENSE_DIM_MAX
+    lv = matrix.toarray() if dense else None
+    steps: dict[float, np.ndarray] = {}
+    out = []
+    t_prev = 0.0
+    for tk in np.asarray(times, dtype=float):
+        dt = tk - t_prev
+        if dt > 0:
+            if not dense:
+                vec = expm_multiply(matrix * dt, vec)
+            else:
+                if dt not in steps:
+                    steps[dt] = expm(lv * dt)
+                vec = steps[dt] @ vec
+            t_prev = tk
+        out.append(vec)
+    return out
+
+
+@dataclass(frozen=True)
+class PulseRun:
+    """States at the observe times and at pulse end, and the two peaks."""
+
+    observed: list
+    end: np.ndarray
+    peak_instant: float
+    peak_counts: float
+
+
+def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
+                   jpjm_row: np.ndarray, purcell: float,
+                   observe_times: Sequence[float] = (),
+                   compute_counts: bool = True) -> PulseRun:
+    """Drive from ``vec0`` under ``gen_on`` for ``pulse_length``, then under
+    ``gen_off`` (needed only for counts or later observe times).
+    ``peak_instant`` is Gamma_c <J+J-> at pulse end, with <J+J-> =
+    jpjm_row . vec; ``peak_counts`` integrates it over the 9-point
+    PEAK_WINDOW after switch-off (NaN without ``compute_counts``)."""
+    if pulse_length <= 0:
+        raise ParameterError("pulse_length must be positive")
+    times = np.asarray(observe_times, dtype=float)
+    during = times <= pulse_length
+    on = propagate(gen_on, vec0, np.append(times[during], pulse_length))
+    end = on[-1]
+    after = times[~during] - pulse_length
+    observed = on[:-1] + (propagate(gen_off, end, after) if len(after) else [])
+    peak_instant = purcell * float(np.real(jpjm_row @ end))
+    peak_counts = math.nan
+    if compute_counts:
+        window = np.linspace(0.0, PEAK_WINDOW, 9)
+        vals = [peak_instant] + [purcell * float(np.real(jpjm_row @ v))
+                                 for v in propagate(gen_off, end, window[1:])]
+        peak_counts = float(np.trapezoid(vals, window))
+    return PulseRun(observed=observed, end=end, peak_instant=peak_instant,
+                    peak_counts=peak_counts)
+
+
 __all__ = [
     "ParameterError",
+    "CapabilityError",
     "CavityParams",
     "DecoherenceParams",
     "EmitterEnsemble",
@@ -422,4 +503,9 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "validate_assumptions",
+    "DENSE_DIM_MAX",
+    "PEAK_WINDOW",
+    "propagate",
+    "PulseRun",
+    "pulse_protocol",
 ]

@@ -22,22 +22,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm as dense_expm
-from scipy.sparse.linalg import expm_multiply
 
-from .core import CavityParams, DecoherenceParams, ParameterError, SystemModel, mu_from_power
+from .core import (
+    CapabilityError,
+    CavityParams,
+    DecoherenceParams,
+    ParameterError,
+    SystemModel,
+    mu_from_power,
+    propagate,
+    pulse_protocol,
+)
 
 BASIS_N_MAX = 64
 
 BLOCK_TRACE_TOL = 1e-10
 BLOCK_POSITIVITY_TOL = 1e-8
-
-#: Dense matrix exponentials below this block-space dimension.
-_DENSE_DIM_MAX = 2600
-
-
-class CapabilityError(ValueError):
-    """Requested emitter count exceeds the solver capability."""
 
 
 @dataclass(frozen=True)
@@ -315,29 +315,8 @@ def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
                  times: Sequence[float]) -> list[DickeBlockState]:
     """Propagate through the time-independent block generator at the given
     times (non-decreasing, measured from the state's present)."""
-    t = np.asarray(times, dtype=float)
-    vec = state.to_vec()
-    out = []
-    if gen.dim <= _DENSE_DIM_MAX:
-        lv = gen.matrix.toarray()
-        t_prev = 0.0
-        prop_cache: dict[float, np.ndarray] = {}
-        for tk in t:
-            dt = tk - t_prev
-            if dt > 0:
-                if dt not in prop_cache:
-                    prop_cache[dt] = dense_expm(lv * dt)
-                vec = prop_cache[dt] @ vec
-                t_prev = tk
-            out.append(DickeBlockState.from_vec(gen.n, vec))
-    else:
-        t_prev = 0.0
-        for tk in t:
-            if tk > t_prev:
-                vec = expm_multiply(gen.matrix * (tk - t_prev), vec)
-                t_prev = tk
-            out.append(DickeBlockState.from_vec(gen.n, vec))
-    return out
+    return [DickeBlockState.from_vec(gen.n, v)
+            for v in propagate(gen.matrix, state.to_vec(), times)]
 
 
 def block_observables(gen: BlockLiouvillian) -> dict:
@@ -362,9 +341,6 @@ def block_observables(gen: BlockLiouvillian) -> dict:
 # Pulsed protocol and S-curves
 # ---------------------------------------------------------------------------
 
-PEAK_WINDOW = 128e-9
-
-
 @dataclass(frozen=True)
 class BlockPulseResult:
     peak_instant: float
@@ -375,29 +351,21 @@ class BlockPulseResult:
 
 def pulsed_block_emission(n: int, g: float, mu: float, cavity: CavityParams,
                           dec: DecoherenceParams, pulse_length: float,
-                          detuning: float = 0.0, peak_window: float = PEAK_WINDOW,
+                          detuning: float = 0.0,
                           compute_counts: bool = True) -> BlockPulseResult:
     """Drive n identical emitters from the ground state for ``pulse_length``;
     report Gamma_c <J+J-> at pulse end (instant) and its integral over the
     detection window after switch-off (counts; skipped when
-    ``compute_counts`` is false)."""
-    if pulse_length <= 0:
-        raise ParameterError("pulse_length must be positive")
+    ``compute_counts`` is false).  See :func:`cavens.core.pulse_protocol`."""
     gen_on = build_block_generator(n, g, mu, cavity, dec, detuning=detuning)
-    q0 = DickeBlockState.all_ground(n)
-    q_end = block_evolve(gen_on, q0, [pulse_length])[0]
-    obs = block_observables(gen_on)
-    peak_instant = gen_on.purcell * float(np.real(obs["jpjm"] @ q_end.to_vec()))
-    if compute_counts:
-        gen_off = build_block_generator(n, g, 0.0, cavity, dec, detuning=detuning)
-        wtimes = np.linspace(0.0, peak_window, 9)
-        wstates = block_evolve(gen_off, q_end, wtimes[1:])
-        vals = [peak_instant] + [gen_off.purcell * float(np.real(obs["jpjm"] @ s.to_vec()))
-                                 for s in wstates]
-        peak_counts = float(np.trapezoid(vals, wtimes))
-    else:
-        peak_counts = math.nan
-    return BlockPulseResult(peak_instant=peak_instant, peak_counts=peak_counts,
+    off = build_block_generator(n, g, 0.0, cavity, dec, detuning=detuning).matrix \
+        if compute_counts else None
+    run = pulse_protocol(gen_on.matrix, off,
+                         DickeBlockState.all_ground(n).to_vec(), pulse_length,
+                         block_observables(gen_on)["jpjm"], gen_on.purcell,
+                         compute_counts=compute_counts)
+    q_end = DickeBlockState.from_vec(n, run.end)
+    return BlockPulseResult(peak_instant=run.peak_instant, peak_counts=run.peak_counts,
                             weights=q_end.subspace_weights(), state_end=q_end)
 
 

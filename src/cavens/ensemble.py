@@ -8,15 +8,16 @@ back-of-envelope estimators.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CavityParams, DecoherenceParams, DerivedRates, ParameterError, SystemModel, mu_from_power
+from .config import read_csv_columns
+from .core import DerivedRates, ParameterError, SystemModel, mu_from_power
 from .dicke import pulsed_block_emission
+from .units import hz_to_angular
 
 
 @dataclass(frozen=True)
@@ -203,34 +204,32 @@ def ingest_g_histogram(rows: Sequence[tuple[float, float]], cutoff: Optional[flo
     if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-12):
         raise ParameterError(f"probabilities must sum to 1 (got {total!r})")
     g2_full = float(np.sum(p * g**2))
+    g, p, kept_prob = truncate_g_histogram(g, p, cutoff)
+    g2 = float(np.sum(p * g**2))
+    omega = math.sqrt(n_ions * g2) if n_ions is not None else None
+    return GStats(g_mean=float(np.sum(p * g)), g_rms=math.sqrt(g2), total_coupling=omega,
+                  retained_probability=kept_prob,
+                  retained_coupling_fraction=math.sqrt(kept_prob * g2 / g2_full),
+                  cutoff=cutoff)
+
+
+def truncate_g_histogram(g: np.ndarray, p: np.ndarray,
+                         cutoff: Optional[float]) -> tuple[np.ndarray, np.ndarray, float]:
+    """Drop the bins below ``cutoff`` (none when it is None) and renormalize;
+    returns (g, p, retained probability)."""
     if cutoff is not None:
         keep = g >= cutoff
         if not keep.any():
             raise ParameterError("no histogram mass above the cutoff")
         g, p = g[keep], p[keep]
-    kept_prob = float(p.sum())
-    g2_kept_unnorm = float(np.sum(p * g**2))
-    p = p / kept_prob
-    g_mean = float(np.sum(p * g))
-    g_rms = float(math.sqrt(np.sum(p * g**2)))
-    omega = math.sqrt(n_ions * g_rms**2) if n_ions is not None else None
-    return GStats(g_mean=g_mean, g_rms=g_rms, total_coupling=omega,
-                  retained_probability=kept_prob,
-                  retained_coupling_fraction=math.sqrt(g2_kept_unnorm / g2_full),
-                  cutoff=cutoff)
+    kept = float(p.sum())
+    return g, p / kept, kept
 
 
 def read_g_histogram_csv(path: str) -> list[tuple[float, float]]:
     """Columns ``g_hz, probability``; g is converted to rad/s."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or "g_hz" not in reader.fieldnames \
-                or "probability" not in reader.fieldnames:
-            raise ParameterError(f"{path}: need columns g_hz, probability")
-        for rec in reader:
-            rows.append((2.0 * math.pi * float(rec["g_hz"]), float(rec["probability"])))
-    return rows
+    return [(hz_to_angular(g), p)
+            for g, p in read_csv_columns(path, ("g_hz", "probability"), ParameterError)]
 
 
 def estimate_superradiant_n(tau_measured: float, rms_g: float, kappa: float) -> float:
@@ -265,6 +264,7 @@ __all__ = [
     "incoherent_scurve",
     "GStats",
     "ingest_g_histogram",
+    "truncate_g_histogram",
     "read_g_histogram_csv",
     "estimate_superradiant_n",
     "SuperradianceThreshold",

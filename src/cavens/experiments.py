@@ -17,8 +17,10 @@ import numpy as np
 from . import analysis, dicke, ensemble as ensemble_mod, lindblad, meanfield
 from .config import ConfigError, ExperimentConfig
 from .core import (
+    CapabilityError,
     DriveParams,
     EmitterEnsemble,
+    ParameterError,
     derive_rates,
     mu_from_power,
     power_from_mu,
@@ -29,6 +31,10 @@ from .units import TWO_PI, angular_to_hz
 
 class SolverFailure(RuntimeError):
     """An experiment's solver failed outright."""
+
+
+#: The failures a run reports as a solver failure rather than a bug.
+SOLVER_ERRORS = (SolverFailure, meanfield.SelfConsistencyError, CapabilityError, ParameterError)
 
 
 @dataclass
@@ -144,10 +150,7 @@ def run_emission_trace(cfg: ExperimentConfig) -> ExperimentResult:
     if len(power) != 1:
         raise ConfigError("emission-trace takes a single power (drive.power_w or drive.mu)")
     mu = _mu_of(cfg, power[0])
-    try:
-        res = lindblad.pulsed_emission(cfg.model, mu, pulse, times)
-    except lindblad.IntegrationError as exc:
-        raise SolverFailure(str(exc))
+    res = lindblad.pulsed_emission(cfg.model, mu, pulse, times)
     tr = res.trace
     rows = [(float(t), float(j), float(ind), float(corr), float(c.real), float(c.imag),
              float(cp))
@@ -350,7 +353,7 @@ def _sweep_point(args: tuple) -> tuple[int, Optional[ExperimentResult], Optional
     index, cfg, axis, value = args
     try:
         return index, run_experiment(_apply_axis(cfg, axis, value)), None
-    except Exception as exc:
+    except (ConfigError,) + SOLVER_ERRORS as exc:
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -400,6 +403,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 __all__ = [
     "SolverFailure",
+    "SOLVER_ERRORS",
     "Table",
     "ExperimentResult",
     "run_experiment",

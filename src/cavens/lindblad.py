@@ -5,8 +5,15 @@ Builds the many-body generator
     drho/dt = -i[H_at, rho] + L_col + L_em + L_deph
 
 for an explicit list of emitters (capability-limited, default N <= 8),
-evolves it, runs the pulsed-emission protocol, and projects states onto the
-coupled angular-momentum basis.
+evolves it by matrix exponentials, runs the pulsed-emission protocol, and
+projects states onto the coupled angular-momentum basis.  Propagation and
+the pulse protocol are the ones the block solver uses
+(:func:`cavens.core.propagate`, :func:`cavens.core.pulse_protocol`).
+
+ODE stepping is kept only as independent test oracles: :func:`evolve`
+(DOP853 on the matrix-free generator) and
+:func:`mean_field_ode_steady_state`.  Both import ``scipy.integrate`` when
+called, so no production run loads it.
 
 Conventions pinned by tests:
 
@@ -25,10 +32,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
 
-from .core import CavityParams, DecoherenceParams, EmitterEnsemble, ParameterError, SystemModel
+from .core import (
+    CapabilityError,
+    CavityParams,
+    DecoherenceParams,
+    EmitterEnsemble,
+    ParameterError,
+    SystemModel,
+    propagate,
+    pulse_protocol,
+)
 from .meanfield import single_ion_steady_state
 
 #: Scale applied to the written dephasing form gamma_d (sz rho sz - rho);
@@ -42,12 +56,8 @@ POSITIVITY_TOL = 1e-8
 DEFAULT_N_MAX = 8
 
 
-class CapabilityError(ValueError):
-    """Requested system size exceeds the full-space capability limit."""
-
-
 class IntegrationError(RuntimeError):
-    """The trajectory integrator failed (e.g. step-size underflow)."""
+    """An ODE oracle's integrator failed (e.g. step-size underflow)."""
 
 
 @dataclass(frozen=True)
@@ -240,7 +250,10 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
 
 def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float], *,
            rtol: float = 1e-8, atol: float = 1e-10, method: str = "DOP853") -> list[DensityState]:
-    """Trajectory at the requested times (strictly increasing from 0)."""
+    """ODE trajectory at the requested times (strictly increasing from 0).
+    Test oracle for :func:`evolve_expm`; no production path calls it."""
+    from scipy.integrate import solve_ivp
+
     t = np.asarray(times, dtype=float)
     if len(t) == 0 or t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ParameterError("times must be strictly increasing and start at >= 0")
@@ -258,34 +271,12 @@ def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float], *,
     return states
 
 
-_DENSE_EXPM_MAX = 1100  # superoperator side length for the dense-expm path
-
-
 def evolve_expm(state0: DensityState, gen: Liouvillian, times: Sequence[float]) -> list[DensityState]:
-    """Exponential-propagator trajectory for the time-independent generator;
-    tighter than ODE stepping, used by oracle comparisons.
-
-    Uses dense scaling-and-squaring for small superoperators (robust at any
-    horizon) and Krylov ``expm_multiply`` for larger ones.
-    """
-    from scipy.linalg import expm as dense_expm
-
-    t = np.asarray(times, dtype=float)
-    lv = gen.superoperator()
-    dense = lv.shape[0] <= _DENSE_EXPM_MAX
-    lv_dense = lv.toarray() if dense else None
-    out = []
-    vec = state0.matrix.reshape(-1)
-    t_prev = 0.0
-    for tk in t:
-        if tk > t_prev:
-            if dense:
-                vec = dense_expm(lv_dense * (tk - t_prev)) @ vec
-            else:
-                vec = expm_multiply(lv * (tk - t_prev), vec)
-            t_prev = tk
-        out.append(DensityState(gen.dim, vec.reshape(gen.dim, gen.dim)))
-    return out
+    """Exponential-propagator trajectory for the time-independent generator
+    at non-decreasing times (:func:`cavens.core.propagate`)."""
+    d = gen.dim
+    return [DensityState(d, v.reshape(d, d))
+            for v in propagate(gen.superoperator(), state0.matrix.reshape(-1), times)]
 
 
 @dataclass(frozen=True)
@@ -297,64 +288,36 @@ class PulsedEmission:
     final_state: DensityState
 
 
-def _emission_trace(states: Sequence[DensityState], times: np.ndarray, n: int,
-                    purcell: float) -> EmissionTrace:
-    ops = collective_operators(n)
-    jpjm = np.array([s.expect(ops["jpjm"]).real for s in states])
-    individual = np.array([s.expect(ops["individual"]).real for s in states])
-    correlation = np.array([s.expect(ops["correlation"]).real for s in states])
-    coherent = np.array([s.expect(ops["jm"]) for s in states])
-    return EmissionTrace(times=times, jpjm=jpjm, individual=individual,
-                         correlation=correlation, coherent_amp=coherent,
-                         cavity_pop=purcell * jpjm)
-
-
-PEAK_WINDOW = 128e-9
-
-
 def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
-                    observe_times: Sequence[float], *, state0: Optional[DensityState] = None,
-                    rtol: float = 1e-8, atol: float = 1e-10, use_expm: bool = False,
-                    peak_window: float = PEAK_WINDOW) -> PulsedEmission:
-    """Drive on for ``pulse_length`` from all-ground, then drive off.
+                    observe_times: Sequence[float], *, use_expm: bool = True) -> PulsedEmission:
+    """Drive on for ``pulse_length`` from all-ground, then drive off, by
+    matrix exponentials (:func:`cavens.core.pulse_protocol`).
 
     ``peak_instant`` is Gamma_c <J+J-> right at pulse end; ``peak_counts``
-    integrates it over the first ``peak_window`` seconds after the pulse
-    (the default matches a 128 ns detection bin).
+    integrates it over the 128 ns detection window after the pulse.
+    ``use_expm=False`` raises ParameterError: ODE stepping survives only as
+    the test oracle :func:`evolve`.
     """
-    if pulse_length <= 0:
-        raise ParameterError("pulse_length must be positive")
+    if not use_expm:
+        raise ParameterError("pulsed_emission propagates by matrix exponentials only; "
+                             "lindblad.evolve is the ODE oracle")
     times = np.asarray(observe_times, dtype=float)
-    ens = model.ensemble if not model.ensemble.is_parametric else model.ensemble.to_explicit()
-    n = ens.n
-    gen_on = build_generator(ens, mu, model.cavity, model.decoherence)
-    gen_off = build_generator(ens, 0.0, model.cavity, model.decoherence)
-    rho0 = DensityState.ground(n) if state0 is None else state0
-
-    stepper = evolve_expm if use_expm else (
-        lambda s, g, ts: evolve(s, g, ts, rtol=rtol, atol=atol))
-
-    on_times = times[times <= pulse_length]
-    if len(on_times) == 0 or on_times[-1] < pulse_length:
-        on_times = np.concatenate([on_times, [pulse_length]])
-    on_states = stepper(rho0, gen_on, on_times)
-    state_end = on_states[-1]
-    off_times = times[times > pulse_length] - pulse_length
-    off_states = stepper(state_end, gen_off, off_times) if len(off_times) else []
-
-    n_on = int(np.sum(times <= pulse_length))
-    all_states = on_states[:n_on] + off_states
-    trace = _emission_trace(all_states, times, n, gen_on.purcell)
-
-    ops = collective_operators(n)
-    peak_instant = gen_on.purcell * state_end.expect(ops["jpjm"]).real
-    window_times = np.linspace(0.0, peak_window, 9)
-    wstates = stepper(state_end, gen_off, window_times[1:])
-    wvals = [peak_instant] + [gen_on.purcell * s.expect(ops["jpjm"]).real for s in wstates]
-    peak_counts = float(np.trapezoid(wvals, window_times))
-    return PulsedEmission(trace=trace, peak_instant=float(peak_instant),
-                          peak_counts=peak_counts, pulse_length=pulse_length,
-                          final_state=state_end)
+    n, d = model.ensemble.n, 2**model.ensemble.n
+    gen_on = build_generator(model.ensemble, mu, model.cavity, model.decoherence)
+    gen_off = build_generator(model.ensemble, 0.0, model.cavity, model.decoherence)
+    # weight rows w with <op> = tr(op rho) = w . vec(rho), row-major vec
+    rows = {name: op.T.toarray().reshape(-1) for name, op in collective_operators(n).items()}
+    run = pulse_protocol(gen_on.superoperator(), gen_off.superoperator(),
+                         DensityState.ground(n).matrix.reshape(-1), pulse_length,
+                         rows["jpjm"], gen_on.purcell, times)
+    obs = np.array(run.observed, dtype=complex).reshape(len(times), d * d)
+    jpjm = (obs @ rows["jpjm"]).real
+    trace = EmissionTrace(times=times, jpjm=jpjm, individual=(obs @ rows["individual"]).real,
+                          correlation=(obs @ rows["correlation"]).real,
+                          coherent_amp=obs @ rows["jm"], cavity_pop=gen_on.purcell * jpjm)
+    return PulsedEmission(trace=trace, peak_instant=run.peak_instant,
+                          peak_counts=run.peak_counts, pulse_length=pulse_length,
+                          final_state=DensityState(d, run.end.reshape(d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +428,7 @@ def mean_field_ode_steady_state(ens: EmitterEnsemble, mu: float, omega_l: float,
     ground state into the steady-state basin, then polish the fixed point by
     root-finding on the full equation set; independent route to the
     self-consistent response x."""
+    from scipy.integrate import solve_ivp
     from scipy.optimize import root
 
     if mu <= 0:

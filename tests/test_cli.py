@@ -7,6 +7,7 @@ import pytest
 
 from cavens.cli import main
 from cavens.config import ConfigError, build_config, load_config, parse_kv_text
+from cavens.units import hz_to_angular
 
 BASE_MODEL = """
 cavity.kappa_hz = 44e9
@@ -86,6 +87,29 @@ ensemble.file = does_not_exist.csv
 """
         with pytest.raises(ConfigError):
             build_config(cfg, base_dir=str(tmp_path))
+
+    def test_g_histogram_cutoff(self, tmp_path):
+        (tmp_path / "hist.csv").write_text("# comment\ng_hz,probability\n1e6,0.25\n2e6,0.75\n")
+        text = LINE_MODEL.replace("ensemble.g_hz = 140.7e6",
+                                  "ensemble.g_histogram_file = hist.csv\n"
+                                  "ensemble.g_cutoff_hz = 1.5e6") + "experiment = phase-map\n"
+        cfg = build_config(text, base_dir=str(tmp_path))
+        assert cfg.model.ensemble.g_hist == ((hz_to_angular(2e6), 1.0),)
+        with pytest.raises(ConfigError, match="ensemble.g_cutoff_hz"):
+            build_config(text.replace("1.5e6", "3e6"), base_dir=str(tmp_path))
+
+    def test_emitter_file_columns(self, tmp_path):
+        (tmp_path / "em.csv").write_text("# comment\ndetuning_hz,g_hz\n0,35e6\n5e6,30e6\n")
+        (tmp_path / "bad.csv").write_text("detuning_hz,coupling_hz\n0,35e6\n")
+        text = BASE_MODEL.replace("ensemble.kind = identical\nensemble.n_ions = 4\n"
+                                  "ensemble.g_hz = 35e6\n",
+                                  "ensemble.kind = explicit\nensemble.file = em.csv\n") \
+            + "experiment = phase-map\n"
+        cfg = build_config(text, base_dir=str(tmp_path))
+        assert cfg.model.ensemble.emitters == ((0.0, hz_to_angular(35e6)),
+                                               (hz_to_angular(5e6), hz_to_angular(30e6)))
+        with pytest.raises(ConfigError, match="need columns detuning_hz, g_hz"):
+            build_config(text.replace("em.csv", "bad.csv"), base_dir=str(tmp_path))
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -259,6 +283,37 @@ grid.freq.num = 21
                              "--jobs", jobs]) == 0
                 payloads.append((out.parent / f"{out.name}_sweep_s-curve.csv").read_bytes())
         assert len(set(payloads)) == 1
+
+    def test_sweep_point_bug_propagates(self, monkeypatch):
+        """A bug inside a sweep point (here a TypeError) leaves run_sweep
+        instead of becoming a recorded partial failure (exit code 4)."""
+        from cavens import experiments
+
+        def broken(_cfg):
+            raise TypeError("bug in a sweep point")
+
+        monkeypatch.setattr(experiments, "run_experiment", broken)
+        cfg = build_config(SCURVE_CFG + "sweep.axis = n_ions\nsweep.values = 3, 4\n")
+        with pytest.raises(TypeError, match="bug in a sweep point"):
+            experiments.run_sweep(cfg, jobs=1)
+
+    def test_sweep_point_solver_error_recorded(self, monkeypatch):
+        from cavens import experiments
+        from cavens.core import CapabilityError
+
+        real = experiments.run_experiment
+
+        def capped(cfg):
+            if cfg.model.ensemble.n == 3:
+                raise CapabilityError("too many emitters")
+            return real(cfg)
+
+        monkeypatch.setattr(experiments, "run_experiment", capped)
+        cfg = build_config(SCURVE_CFG + "sweep.axis = n_ions\nsweep.values = 3, 4\n")
+        res = experiments.run_sweep(cfg, jobs=1)
+        assert res.failures == [{"axis_value": 3.0,
+                                 "error": "CapabilityError: too many emitters"}]
+        assert len(res.tables[0].rows) == 5
 
     def test_detuning_sweep_shifts_scurve(self, tmp_path):
         cfg = SCURVE_CFG + "sweep.axis = detuning_hz\nsweep.values = 0, 3e6\n"

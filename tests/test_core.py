@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
+from cavens import core, dicke, lindblad
 from cavens.core import (
     AssumptionReport,
     CavityParams,
@@ -17,6 +19,7 @@ from cavens.core import (
     ensemble_cooperativity,
     mu_from_power,
     power_from_mu,
+    propagate,
     validate_assumptions,
 )
 from cavens.units import TWO_PI, angular_to_hz, hz_to_angular
@@ -187,3 +190,38 @@ class TestValidateAssumptions:
         d = report.as_dict()
         assert set(d["checks"]) >= {"high_cooperativity", "power_lower", "power_upper",
                                     "inhomogeneity"}
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("layer", ["block", "full"])
+    def test_dense_and_krylov_agree(self, layer, cavity, decoherence, g35, monkeypatch):
+        """One 1 us step on each side of the cutoff: the n = 16 block
+        generator (dimension 969, dense by default) and the n = 5 full-space
+        superoperator (dimension 1024, Krylov by default)."""
+        mu = 1e-6
+        if layer == "block":
+            gen = dicke.build_block_generator(16, g35, mu, cavity, decoherence,
+                                              detuning=hz_to_angular(20e6))
+            matrix, vec = gen.matrix, dicke.DickeBlockState.all_ground(16).to_vec()
+        else:
+            ens = EmitterEnsemble.explicit([(hz_to_angular(d), g35 * s) for d, s in
+                                            ((0.0, 1.0), (3e6, 0.8), (-5e6, 1.2),
+                                             (1e6, 0.9), (8e6, 1.1))])
+            matrix = lindblad.build_generator(ens, mu, cavity, decoherence).superoperator()
+            vec = lindblad.DensityState.ground(5).matrix.reshape(-1)
+        assert matrix.shape[0] == (969 if layer == "block" else 1024)
+        assert (matrix.shape[0] <= core.DENSE_DIM_MAX) == (layer == "block")
+        monkeypatch.setattr(core, "DENSE_DIM_MAX", 10**6)
+        dense = core.propagate(matrix, vec, [1e-6])[0]
+        monkeypatch.setattr(core, "DENSE_DIM_MAX", 0)
+        krylov = core.propagate(matrix, vec, [1e-6])[0]
+        assert np.max(np.abs(dense - vec)) > 1e-3  # the step moves the state
+        assert np.max(np.abs(dense - krylov)) <= 1e-10
+
+    def test_repeated_and_zero_steps(self):
+        """A zero or repeated time returns the present vector unchanged."""
+        decay = csr_matrix(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        out = propagate(decay, np.array([1.0, 0.0]), [0.0, 0.5, 0.5, 1.0])
+        pops = [v[0] for v in out]
+        assert pops[0] == 1.0 and pops[1] == pops[2]
+        assert math.isclose(pops[3], math.exp(-1.0), rel_tol=1e-12)

@@ -196,6 +196,12 @@ class TestGHistogram:
         stats = ingest_g_histogram(rows)
         assert math.isclose(stats.g_mean, hz_to_angular(1.75e6))
 
+    def test_csv_missing_column(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        path.write_text("g_hz,weight\n1e6,1.0\n")
+        with pytest.raises(ParameterError, match="need columns g_hz, probability"):
+            read_g_histogram_csv(str(path))
+
 
 class TestEstimators:
     def test_neff_paper_values(self, cavity):

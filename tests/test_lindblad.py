@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavens.core import DecoherenceParams, EmitterEnsemble, ParameterError, SystemModel
+from cavens.core import PEAK_WINDOW, DecoherenceParams, EmitterEnsemble, ParameterError, SystemModel
 from cavens.lindblad import (
     CapabilityError,
     DensityState,
@@ -203,6 +203,39 @@ class TestPulsedEmission:
         post = tr.times > 50e-6
         rate = -np.polyfit(tr.times[post] - 50e-6, np.log(tr.jpjm[post]), 1)[0]
         assert math.isclose(rate, n * gc, rel_tol=0.03)
+
+
+    def test_matches_ode_oracle(self, cavity, g35):
+        """3 inhomogeneous ions, observe times on both sides of the pulse
+        end: the exponential protocol against DOP853 at rtol 1e-10."""
+        dec = DecoherenceParams.from_hz(6000, 600)
+        ens = EmitterEnsemble.explicit([(0.0, g35), (hz_to_angular(3e6), 0.8 * g35),
+                                        (hz_to_angular(-5e6), 1.2 * g35)])
+        model = SystemModel(cavity, dec, ens)
+        mu, pulse = 1e-6, 10e-6
+        times = np.array([2e-6, 6e-6, 10e-6, 10.05e-6, 10.4e-6])
+        res = pulsed_emission(model, mu, pulse, times)
+
+        ode = dict(rtol=1e-10, atol=1e-13)
+        gen_on = build_generator(ens, mu, cavity, dec)
+        gen_off = build_generator(ens, 0.0, cavity, dec)
+        jpjm = collective_operators(3)["jpjm"]
+        on = evolve(DensityState.ground(3), gen_on, times[:3], **ode)
+        off = evolve(on[-1], gen_off, times[3:] - pulse, **ode)
+        ref = np.array([s.expect(jpjm).real for s in on + off])
+        window = np.linspace(0.0, PEAK_WINDOW, 9)
+        counts = [s.expect(jpjm).real for s in [on[-1]] + evolve(on[-1], gen_off, window[1:], **ode)]
+        ref_counts = gen_on.purcell * np.trapezoid(counts, window)
+
+        assert np.all(ref > 1e-4)
+        assert np.allclose(res.trace.jpjm, ref, rtol=1e-7, atol=0.0)
+        assert math.isclose(res.peak_instant, gen_on.purcell * ref[2], rel_tol=1e-7)
+        assert math.isclose(res.peak_counts, ref_counts, rel_tol=1e-7)
+
+    def test_ode_stepping_rejected(self, cavity, decoherence, g35):
+        model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(2, g35))
+        with pytest.raises(ParameterError, match="lindblad.evolve"):
+            pulsed_emission(model, 1e-6, 10e-6, [10e-6], use_expm=False)
 
 
 class TestDickeProjection:
