@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                         help="parallel workers for sweep points")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="override the config seed; recorded in the metadata for "
+                             "provenance only (no solver draws random numbers)")
     parser.add_argument("--experiment", default=None,
                         help="override the experiment named in the config")
     return parser

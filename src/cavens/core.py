@@ -462,12 +462,18 @@ class PulseRun:
 def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
                    jpjm_row: np.ndarray, purcell: float,
                    observe_times: Sequence[float] = (),
-                   compute_counts: bool = True) -> PulseRun:
+                   compute_counts: bool = True,
+                   off_sector: np.ndarray | slice = slice(None)) -> PulseRun:
     """Drive from ``vec0`` under ``gen_on`` for ``pulse_length``, then under
     ``gen_off`` (needed only for counts or later observe times).
     ``peak_instant`` is Gamma_c <J+J-> at pulse end, with <J+J-> =
     jpjm_row . vec; ``peak_counts`` integrates it over the 9-point
-    PEAK_WINDOW after switch-off (NaN without ``compute_counts``)."""
+    PEAK_WINDOW after switch-off (NaN without ``compute_counts``).
+
+    ``gen_off`` acts on the entries ``off_sector`` of the state (the whole
+    space by default): a sector that the drive-off generator leaves
+    invariant and outside which ``jpjm_row`` vanishes.  States observed
+    after switch-off hold those entries only."""
     if pulse_length <= 0:
         raise ParameterError("pulse_length must be positive")
     times = np.asarray(observe_times, dtype=float)
@@ -475,13 +481,14 @@ def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
     on = propagate(gen_on, vec0, np.append(times[during], pulse_length))
     end = on[-1]
     after = times[~during] - pulse_length
-    observed = on[:-1] + (propagate(gen_off, end, after) if len(after) else [])
+    observed = on[:-1] + (propagate(gen_off, end[off_sector], after) if len(after) else [])
     peak_instant = purcell * float(np.real(jpjm_row @ end))
     peak_counts = math.nan
     if compute_counts:
         window = np.linspace(0.0, PEAK_WINDOW, 9)
-        vals = [peak_instant] + [purcell * float(np.real(jpjm_row @ v))
-                                 for v in propagate(gen_off, end, window[1:])]
+        row = jpjm_row[off_sector]
+        vals = [peak_instant] + [purcell * float(np.real(row @ v))
+                                 for v in propagate(gen_off, end[off_sector], window[1:])]
         peak_counts = float(np.trapezoid(vals, window))
     return PulseRun(observed=observed, end=end, peak_instant=peak_instant,
                     peak_counts=peak_counts)

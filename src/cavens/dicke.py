@@ -11,6 +11,17 @@ couple J to J' in {J-1, J, J+1} with coefficient functions of (N, J, M)
 that factorize into per-side amplitudes; the complete coefficient table is
 hard-verified against the full-space solver for N = 2..6 in the test suite
 (the load-bearing oracle-equivalence check).
+
+The generator is affine in the emitter-minus-laser detuning and in the drive
+amplitude g sqrt(mu), so :func:`block_parts` assembles three sparse parts
+once per (n, g, cavity, decoherence) and caches them with the observable
+rows; :func:`build_block_generator` only sums them.  ``cavity.delta_c`` is
+taken as configured.  With the drive off, every term keeps m - m' fixed, so
+the populations (m = m') form an invariant sector on which <J+J-> lives:
+the detection window after a pulse runs on the population rate matrix of
+dimension sum_J (2J+1), which depends on neither detuning.  At delta_c = 0
+the emission is even in the detuning, which lets
+:func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
 """
 
 from __future__ import annotations
@@ -182,22 +193,40 @@ def _block_index(basis: DickeBasis) -> dict:
     return {j: k for k, j in enumerate(basis.j_values)}
 
 
-@lru_cache(maxsize=512)
-def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
-                          dec: DecoherenceParams, detuning: float = 0.0,
-                          n_max: int = BASIS_N_MAX) -> BlockLiouvillian:
-    """Generator for n identical emitters (coupling g, common detuning).
+@dataclass(frozen=True)
+class BlockParts:
+    """The pieces of the block generator for one (n, g, cavity,
+    decoherence): L = l0 + detuning * lz + g sqrt(mu) * ld.
+
+    ``l0`` holds the dissipators and the exchange term, ``lz`` the J_z
+    commutator and ``ld`` the commutator with -(J+ + J-) at unit drive.
+    ``window`` is ``l0`` restricted to the ``populations`` (the m = m'
+    entries of every block): with the drive off, no entry couples
+    populations and coherences and the population block depends on neither
+    detuning, so the detection window runs on this rate matrix.
+    ``observables`` holds the :func:`block_observables` rows.
+    """
+
+    l0: sp.csr_matrix
+    lz: sp.csr_matrix
+    ld: sp.csr_matrix
+    purcell: float
+    populations: np.ndarray
+    window: sp.csr_matrix
+    observables: dict
+
+
+@lru_cache(maxsize=128)
+def block_parts(n: int, g: float, cavity: CavityParams,
+                dec: DecoherenceParams) -> BlockParts:
+    """Assemble the three generator parts for n identical emitters
+    (coupling g).
 
     Drive and collective decay are block-local; local emission and dephasing
     move weight between neighbouring J blocks with (N, J, M) coefficients in
     the per-copy convention (folded rates scaled by d_src/d_dest).  Results
-    are cached (callers must not mutate them); sweeps sharing the drive-off
-    generator reuse it.
+    are cached (callers must not mutate them).
     """
-    if n > n_max:
-        raise CapabilityError(f"block solver limited to {n_max} emitters, got {n}")
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
     basis = dicke_basis(n)
     dims = basis.block_dims()
     offsets = np.cumsum([0] + [d * d for d in dims])
@@ -208,22 +237,28 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
     denom = (0.5 * cavity.kappa) ** 2 + dc**2
     rate_col = cavity.kappa * g**2 / denom  # Gamma_c at delta_c = 0
     exch = dc * g**2 / denom
-    drive = g * math.sqrt(mu)
     y_l = dec.gamma_s
     y_d = 2.0 * dec.gamma_d  # rate of D[sz/2] matching (gamma_d/2)(sz rho sz - rho)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    # per part: row, column and value arrays of its COO triplets
+    l0: tuple[list, list, list] = ([], [], [])
+    lz: tuple[list, list, list] = ([], [], [])
+    ld: tuple[list, list, list] = ([], [], [])
 
-    def add_kron(dst: int, src: int, a: np.ndarray, b: np.ndarray, coeff: complex) -> None:
+    def add_kron(part, dst: int, src: int, a: np.ndarray, b: np.ndarray,
+                 coeff: complex) -> None:
         """coeff * kron(a, b) into the (dst block, src block) superop slot;
         row-major vec convention: vec(A q B^T) = kron(A, B) vec(q)."""
         term = sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="coo") * coeff
         if term.nnz:
-            rows.append(term.row + offsets[dst])
-            cols.append(term.col + offsets[src])
-            vals.append(term.data)
+            part[0].append(term.row + offsets[dst])
+            part[1].append(term.col + offsets[src])
+            part[2].append(term.data)
+
+    def add_commutator(part, k: int, h: np.ndarray, eye: np.ndarray) -> None:
+        """-i[h, q] within block k."""
+        add_kron(part, k, k, h, eye, -1j)
+        add_kron(part, k, k, eye, h.T, 1j)
 
     half_n = n / 2.0
     for k, j in enumerate(basis.j_values):
@@ -232,27 +267,27 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
         b = dims[k]
         eye = np.eye(b)
 
-        h = detuning * jz + exch * (jp @ jm) - drive * (jp + jm)
-        add_kron(k, k, h, eye, -1j)
-        add_kron(k, k, eye, h.T, 1j)
+        add_commutator(l0, k, exch * (jp @ jm), eye)
+        add_commutator(lz, k, jz, eye)
+        add_commutator(ld, k, -(jp + jm), eye)
 
         if rate_col:
-            add_kron(k, k, jm, jm, rate_col)
+            add_kron(l0, k, k, jm, jm, rate_col)
             jpjm = jp @ jm
-            add_kron(k, k, jpjm, eye, -0.5 * rate_col)
-            add_kron(k, k, eye, jpjm.T, -0.5 * rate_col)
+            add_kron(l0, k, k, jpjm, eye, -0.5 * rate_col)
+            add_kron(l0, k, k, eye, jpjm.T, -0.5 * rate_col)
 
         if y_l:
-            add_kron(k, k, np.diag(half_n + mvals), eye, -0.5 * y_l)
-            add_kron(k, k, eye, np.diag(half_n + mvals), -0.5 * y_l)
+            add_kron(l0, k, k, np.diag(half_n + mvals), eye, -0.5 * y_l)
+            add_kron(l0, k, k, eye, np.diag(half_n + mvals), -0.5 * y_l)
             if j > 0:
                 e0 = (half_n + 1.0) / (2.0 * j * (j + 1.0))
-                add_kron(k, k, jm, jm, y_l * e0)
+                add_kron(l0, k, k, jm, jm, y_l * e0)
         if y_d:
-            add_kron(k, k, eye, eye, -y_d * half_n / 2.0)
+            add_kron(l0, k, k, eye, eye, -y_d * half_n / 2.0)
             if j > 0:
                 d0 = (half_n + 1.0) / (2.0 * j * (j + 1.0))
-                add_kron(k, k, jz, jz, y_d * d0)
+                add_kron(l0, k, k, jz, jz, y_d * d0)
 
         # transfers from the j+1 block (if present)
         j_src = j + 1.0
@@ -267,14 +302,14 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
                 src_col = np.round(j_src - (m_dst + 1.0)).astype(int)
                 kmat[np.arange(b), src_col] = amp
                 c3 = y_l * (j + 2.0 + half_n) / (2.0 * (j + 1.0) * (2.0 * j + 3.0))
-                add_kron(k, ks, kmat, kmat, c3 * deg_ratio)
+                add_kron(l0, k, ks, kmat, kmat, c3 * deg_ratio)
             if y_d:
                 amp = np.sqrt((j_src - m_dst) * (j_src + m_dst))
                 kmat = np.zeros((b, b_src))
                 src_col = np.round(j_src - m_dst).astype(int)
                 kmat[np.arange(b), src_col] = amp
                 c5 = y_d * (j + 2.0 + half_n) / (2.0 * (j + 1.0) * (2.0 * j + 3.0))
-                add_kron(k, ks, kmat, kmat, c5 * deg_ratio)
+                add_kron(l0, k, ks, kmat, kmat, c5 * deg_ratio)
 
         # transfers from the j-1 block (if present)
         j_src = j - 1.0
@@ -291,7 +326,7 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
                 src_col = np.round(j_src - (m_dst[rows_i] + 1.0)).astype(int)
                 kmat[rows_i, src_col] = amp[rows_i]
                 c4 = y_l * (half_n - j + 1.0) / (2.0 * j * (2.0 * j - 1.0))
-                add_kron(k, ks, kmat, kmat, c4 * deg_ratio)
+                add_kron(l0, k, ks, kmat, kmat, c4 * deg_ratio)
             if y_d:
                 amp = np.sqrt(np.clip((j - m_dst) * (j + m_dst), 0.0, None))
                 valid = np.abs(m_dst) <= j_src + 1e-9
@@ -300,15 +335,45 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
                 src_col = np.round(j_src - m_dst[rows_i]).astype(int)
                 kmat[rows_i, src_col] = amp[rows_i]
                 c6 = y_d * (half_n - j + 1.0) / (2.0 * j * (2.0 * j - 1.0))
-                add_kron(k, ks, kmat, kmat, c6 * deg_ratio)
+                add_kron(l0, k, ks, kmat, kmat, c6 * deg_ratio)
 
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim)).tocsr()
-    else:
-        mat = sp.csr_matrix((dim, dim), dtype=complex)
-    return BlockLiouvillian(n, mat, purcell=4.0 * g**2 / cavity.kappa)
+    def to_csr(part) -> sp.csr_matrix:
+        rows, cols, vals = part
+        if not rows:
+            return sp.csr_matrix((dim, dim), dtype=complex)
+        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(dim, dim)).tocsr()
+
+    mat0 = to_csr(l0)
+    pops = np.concatenate([off + np.arange(d) * (d + 1) for off, d in zip(offsets[:-1], dims)])
+    purcell = 4.0 * g**2 / cavity.kappa
+    return BlockParts(l0=mat0, lz=to_csr(lz), ld=to_csr(ld), purcell=purcell,
+                      populations=pops, window=mat0[pops][:, pops].tocsr(),
+                      observables=block_observables(BlockLiouvillian(n, mat0, purcell)))
+
+
+def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
+                          dec: DecoherenceParams, detuning: float = 0.0,
+                          n_max: int = BASIS_N_MAX) -> BlockLiouvillian:
+    """Generator for n identical emitters (coupling g) at ``detuning``
+    (emitter minus laser), summed from the cached :func:`block_parts`:
+    l0 + detuning * lz + g sqrt(mu) * ld.  ``cavity.delta_c`` is taken as
+    configured."""
+    if n > n_max:
+        raise CapabilityError(f"block solver limited to {n_max} emitters, got {n}")
+    if mu < 0:
+        raise ParameterError("mu must be >= 0")
+    parts = block_parts(n, g, cavity, dec)
+    mat = parts.l0
+    if detuning:
+        mat = mat + detuning * parts.lz
+    if mu:
+        mat = mat + (g * math.sqrt(mu)) * parts.ld
+    return BlockLiouvillian(n, mat, purcell=parts.purcell)
+
+
+# The generator cache is the parts cache: its misses count the assemblies.
+build_block_generator.cache_info = block_parts.cache_info  # type: ignore[attr-defined]
 
 
 def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
@@ -353,17 +418,18 @@ def pulsed_block_emission(n: int, g: float, mu: float, cavity: CavityParams,
                           dec: DecoherenceParams, pulse_length: float,
                           detuning: float = 0.0,
                           compute_counts: bool = True) -> BlockPulseResult:
-    """Drive n identical emitters from the ground state for ``pulse_length``;
-    report Gamma_c <J+J-> at pulse end (instant) and its integral over the
-    detection window after switch-off (counts; skipped when
-    ``compute_counts`` is false).  See :func:`cavens.core.pulse_protocol`."""
+    """Drive n identical emitters at ``detuning`` (emitter minus laser) from
+    the ground state for ``pulse_length``; report Gamma_c <J+J-> at pulse
+    end (instant) and its integral over the detection window after
+    switch-off (counts; skipped when ``compute_counts`` is false).  The
+    window runs on the population rate matrix of :class:`BlockParts`.  See
+    :func:`cavens.core.pulse_protocol`."""
     gen_on = build_block_generator(n, g, mu, cavity, dec, detuning=detuning)
-    off = build_block_generator(n, g, 0.0, cavity, dec, detuning=detuning).matrix \
-        if compute_counts else None
-    run = pulse_protocol(gen_on.matrix, off,
+    parts = block_parts(n, g, cavity, dec)
+    run = pulse_protocol(gen_on.matrix, parts.window,
                          DickeBlockState.all_ground(n).to_vec(), pulse_length,
-                         block_observables(gen_on)["jpjm"], gen_on.purcell,
-                         compute_counts=compute_counts)
+                         parts.observables["jpjm"], gen_on.purcell,
+                         compute_counts=compute_counts, off_sector=parts.populations)
     q_end = DickeBlockState.from_vec(n, run.end)
     return BlockPulseResult(peak_instant=run.peak_instant, peak_counts=run.peak_counts,
                             weights=q_end.subspace_weights(), state_end=q_end)
@@ -505,6 +571,8 @@ __all__ = [
     "spin_block",
     "DickeBlockState",
     "BlockLiouvillian",
+    "BlockParts",
+    "block_parts",
     "build_block_generator",
     "block_evolve",
     "block_observables",

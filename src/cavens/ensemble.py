@@ -125,30 +125,40 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
                       peak_mode: str = "counts", power_scale: float = 1.0,
                       laser_detuning: float = 0.0) -> IncoherentSCurve:
     """Pulsed peak emission per power, incoherently summed over detuned
-    subensembles (each evolved at its own detuning with the common on-
-    resonance drive amplitude).  Per-subensemble failures are recorded and
-    skipped rather than aborting the sweep."""
+    subensembles (each evolved at its own detuning minus the laser's, with
+    the common on-resonance drive amplitude).
+
+    Subensembles with equal (n_ions, g, detuning) are solved once.  At
+    ``cavity.delta_c == 0`` the emission is even in the detuning (the
+    exchange term that breaks the symmetry vanishes), so mirror bins at
+    +-detuning share one solve at |detuning|.  A failed solve is recorded
+    for every subensemble mapped to it and skipped rather than aborting the
+    sweep."""
     powers = np.asarray(power_grid, dtype=float)
     mus = np.array([mu_from_power(power_scale * p, model.cavity) for p in powers])
     entries = [e for e in subensembles.entries]
     per = np.zeros((len(powers), len(entries)))
     failures: list[tuple[int, int, str]] = []
+    mirror = model.cavity.delta_c == 0.0
+    solves: dict[tuple[int, float, float], list[int]] = {}
     for j, sub in enumerate(entries):
-        if sub.n_ions == 0:
-            continue
+        if sub.n_ions:
+            d = sub.detuning - laser_detuning
+            solves.setdefault((sub.n_ions, sub.g, abs(d) if mirror else d), []).append(j)
+    for (n, g, d), js in solves.items():
         for i, mu in enumerate(mus):
             try:
-                res = pulsed_block_emission(sub.n_ions, sub.g, mu, model.cavity,
-                                            model.decoherence, pulse_length,
-                                            detuning=sub.detuning - laser_detuning,
+                res = pulsed_block_emission(n, g, mu, model.cavity, model.decoherence,
+                                            pulse_length, detuning=d,
                                             compute_counts=peak_mode == "counts")
-                per[i, j] = res.peak_counts if peak_mode == "counts" else res.peak_instant
+                per[i, js] = res.peak_counts if peak_mode == "counts" else res.peak_instant
             # the block solver's own failures: CapabilityError and ParameterError
             # (both ValueErrors), expm_multiply's ValueError on a non-finite
             # generator, and LinAlgError from the dense expm
             except (ValueError, np.linalg.LinAlgError) as exc:
-                failures.append((i, j, str(exc)))
-                per[i, j] = np.nan
+                failures.extend((i, j, str(exc)) for j in js)
+                per[i, js] = np.nan
+    failures.sort(key=lambda f: (f[1], f[0]))
     # canonical summation order: the total is independent of entry order
     canon = sorted(range(len(entries)),
                    key=lambda j: (entries[j].detuning, entries[j].n_ions, entries[j].g))

@@ -150,7 +150,8 @@ def run_emission_trace(cfg: ExperimentConfig) -> ExperimentResult:
     if len(power) != 1:
         raise ConfigError("emission-trace takes a single power (drive.power_w or drive.mu)")
     mu = _mu_of(cfg, power[0])
-    res = lindblad.pulsed_emission(cfg.model, mu, pulse, times)
+    res = lindblad.pulsed_emission(cfg.model, mu, pulse, times,
+                                   laser_detuning=cfg.laser_detuning * TWO_PI)
     tr = res.trace
     rows = [(float(t), float(j), float(ind), float(corr), float(c.real), float(c.imag),
              float(cp))
@@ -177,11 +178,26 @@ def _identical_count_and_g(cfg: ExperimentConfig) -> tuple[int, float]:
     return ens.n, float(gs[0])
 
 
+def _identical_detuning(cfg: ExperimentConfig) -> float:
+    """Emitter-minus-laser detuning (rad/s) of an identical group: its
+    detuning from the center (a parametric line's group sits at the
+    center), plus the center, minus ``drive.laser_detuning_hz``.
+    ``cavity.delta_c`` is taken as configured."""
+    ens = cfg.model.ensemble
+    offset = 0.0
+    if not ens.is_parametric:
+        ds = ens.detunings()
+        if np.ptp(ds) > 0:
+            raise ConfigError("this experiment needs emitters at one detuning "
+                              "(ensemble.kind = identical)")
+        offset = float(ds[0])
+    return offset + ens.center - cfg.laser_detuning * TWO_PI
+
+
 def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
     pulse = _need(cfg.pulse_length, "drive.pulse_length_s")
     powers = _need(cfg.power_grid, "grid.power.start_w").values()
     n, g = _identical_count_and_g(cfg)
-    detuning = cfg.laser_detuning * TWO_PI
     if cfg.bins_n is not None:
         ens = cfg.model.ensemble
         if ens.delta_inh is None:
@@ -194,7 +210,7 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
         res = ensemble_mod.incoherent_scurve(subs, powers, pulse, cfg.model,
                                              peak_mode=cfg.peak_mode,
                                              power_scale=cfg.power_scale,
-                                             laser_detuning=detuning)
+                                             laser_detuning=cfg.laser_detuning * TWO_PI)
         rows = [(float(p), float(mu), float(tot))
                 for p, mu, tot in zip(res.powers, res.mu, res.total)]
         tables = [Table("s_curve", ("power_w", "mu", "peak"), rows)]
@@ -211,7 +227,7 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
                                 metadata={"bin_counts": [e.n_ions for e in subs.entries],
                                           "bin_width_hz": angular_to_hz(width)},
                                 failures=failures)
-    res = dicke.scurve(n, powers, pulse, cfg.model, detuning=detuning,
+    res = dicke.scurve(n, powers, pulse, cfg.model, detuning=_identical_detuning(cfg),
                        peak_mode=cfg.peak_mode, power_scale=cfg.power_scale)
     rows = [(float(p), float(mu), float(pk), float(pi_), float(gr), float(la), float(su))
             for p, mu, pk, pi_, gr, la, su in zip(res.powers, res.mu, res.peaks,
@@ -230,7 +246,7 @@ def run_dicke_populations(cfg: ExperimentConfig) -> ExperimentResult:
     n, g = _identical_count_and_g(cfg)
     mu = _mu_of(cfg, power[0])
     res = dicke.pulsed_block_emission(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
-                                      pulse, detuning=cfg.laser_detuning * TWO_PI)
+                                      pulse, detuning=_identical_detuning(cfg))
     pops = res.state_end.jm_populations()
     rows = [(j, m, float(p)) for (j, m), p in sorted(pops.items(), reverse=True)]
     table = Table("dicke_populations", ("j", "m", "population"), rows)
@@ -261,8 +277,11 @@ def run_beat_note(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("beat-note takes a single power")
     n, g = _identical_count_and_g(cfg)
     mu = _mu_of(cfg, power[0])
-    gen_on = dicke.build_block_generator(n, g, mu, cfg.model.cavity, cfg.model.decoherence)
-    gen_off = dicke.build_block_generator(n, g, 0.0, cfg.model.cavity, cfg.model.decoherence)
+    detuning = _identical_detuning(cfg)
+    gen_on = dicke.build_block_generator(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
+                                         detuning=detuning)
+    gen_off = dicke.build_block_generator(n, g, 0.0, cfg.model.cavity, cfg.model.decoherence,
+                                          detuning=detuning)
     obs = dicke.block_observables(gen_on)
     q_end = dicke.block_evolve(gen_on, dicke.DickeBlockState.all_ground(n),
                                [pulse])[0]

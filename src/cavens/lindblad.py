@@ -203,14 +203,17 @@ class Liouvillian:
 
 
 def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
-                    dec: DecoherenceParams, n_max: int = DEFAULT_N_MAX) -> Liouvillian:
+                    dec: DecoherenceParams, n_max: int = DEFAULT_N_MAX,
+                    laser_detuning: float = 0.0) -> Liouvillian:
     """Adiabatically eliminated generator for an explicit ensemble.
 
     H_at = (Delta_c/((kappa/2)^2 + Delta_c^2)) Jg+ Jg- + (1/2) sum Delta_j sz_j
            - sum g_j sqrt(mu) (sp_j + sm_j),
     L_col = (kappa/((kappa/2)^2 + Delta_c^2)) D[Jg-],  Jg- = sum g_j sm_j,
     plus local emission gamma_s D[sm_j] and the dephasing channel (see module
-    docstring).  Emitter detunings are laser-relative here (laser frame).
+    docstring).  Delta_j is emitter j's detuning plus the ensemble center,
+    minus ``laser_detuning`` (laser frame); ``cavity.delta_c`` is taken as
+    configured.
     """
     expl = ens.to_explicit() if ens.is_parametric else ens
     n = expl.n
@@ -218,7 +221,7 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
         raise CapabilityError(f"full-space generator limited to {n_max} emitters, got {n}")
     if mu < 0:
         raise ParameterError("mu must be >= 0")
-    deltas = expl.detunings() + expl.center
+    deltas = expl.detunings() + expl.center - laser_detuning
     gs = expl.couplings()
     dc = cavity.delta_c
     denom = (0.5 * cavity.kappa) ** 2 + dc**2
@@ -289,13 +292,15 @@ class PulsedEmission:
 
 
 def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
-                    observe_times: Sequence[float], *, use_expm: bool = True) -> PulsedEmission:
+                    observe_times: Sequence[float], *, use_expm: bool = True,
+                    laser_detuning: float = 0.0) -> PulsedEmission:
     """Drive on for ``pulse_length`` from all-ground, then drive off, by
     matrix exponentials (:func:`cavens.core.pulse_protocol`).
 
     ``peak_instant`` is Gamma_c <J+J-> right at pulse end; ``peak_counts``
     integrates it over the 128 ns detection window after the pulse.
-    ``use_expm=False`` raises ParameterError: ODE stepping survives only as
+    ``laser_detuning`` is subtracted from every emitter's detuning (see
+    :func:`build_generator`).  ``use_expm=False`` raises ParameterError: ODE stepping survives only as
     the test oracle :func:`evolve`.
     """
     if not use_expm:
@@ -303,8 +308,10 @@ def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
                              "lindblad.evolve is the ODE oracle")
     times = np.asarray(observe_times, dtype=float)
     n, d = model.ensemble.n, 2**model.ensemble.n
-    gen_on = build_generator(model.ensemble, mu, model.cavity, model.decoherence)
-    gen_off = build_generator(model.ensemble, 0.0, model.cavity, model.decoherence)
+    gen_on = build_generator(model.ensemble, mu, model.cavity, model.decoherence,
+                             laser_detuning=laser_detuning)
+    gen_off = build_generator(model.ensemble, 0.0, model.cavity, model.decoherence,
+                              laser_detuning=laser_detuning)
     # weight rows w with <op> = tr(op rho) = w . vec(rho), row-major vec
     rows = {name: op.T.toarray().reshape(-1) for name, op in collective_operators(n).items()}
     run = pulse_protocol(gen_on.superoperator(), gen_off.superoperator(),

@@ -162,6 +162,25 @@ grid.time.num = 7
         _header, rows = read_csv(tmp_path / "em_emission_trace.csv")
         assert all(float(r[1]) == 0.0 for r in rows)
 
+    def test_emission_trace_detuning_sweep(self, tmp_path):
+        cfg = BASE_MODEL + """
+experiment = emission-trace
+drive.mu = 1e-6
+drive.pulse_length_s = 10e-6
+grid.time.start_s = 1e-6
+grid.time.stop_s = 30e-6
+grid.time.num = 4
+sweep.axis = detuning_hz
+sweep.values = 0, 20e6
+"""
+        assert self._run(tmp_path, cfg, "ems.cfg", "ems") == 0
+        _header, rows = read_csv(tmp_path / "ems_sweep_emission-trace.csv")
+        on = [r[1:] for r in rows if float(r[0]) == 0.0]
+        off = [r[1:] for r in rows if float(r[0]) != 0.0]
+        assert len(on) == len(off) == 4
+        assert all(a[0] == b[0] for a, b in zip(on, off))
+        assert all(a[1] != b[1] for a, b in zip(on, off))
+
     def test_reflection_spectrum_csv_per_power(self, tmp_path):
         cfg = """
 experiment = reflection-spectrum
@@ -323,3 +342,57 @@ grid.freq.num = 21
         off = np.array([float(r[3]) for r in rows if float(r[0]) != 0.0])
         # detuned drive needs more power: emission at low powers drops
         assert off[1] < on[1]
+
+
+class TestDetuningConvention:
+    """Every dynamics experiment evolves the emitters at emitter minus laser
+    detuning and takes cavity.delta_c as configured."""
+
+    CFG = SCURVE_CFG.replace("grid.power.num = 5", "grid.power.num = 3") + \
+        "cavity.delta_c_hz = 1e9\n"
+
+    def _peaks(self, text):
+        from cavens.experiments import run_experiment
+
+        table = run_experiment(build_config(text)).tables[0]
+        return np.array([row[2] for row in table.rows])
+
+    def test_unbinned_scurve_matches_one_bin(self):
+        from cavens.ensemble import Subensemble, SubensembleSet, incoherent_scurve
+
+        cfg = build_config(self.CFG + "ensemble.detuning_hz = 5e6\n"
+                           "drive.laser_detuning_hz = 2e6\n")
+        unbinned = self._peaks(self.CFG + "ensemble.detuning_hz = 5e6\n"
+                               "drive.laser_detuning_hz = 2e6\n")
+        g = hz_to_angular(35e6)
+        one_bin = incoherent_scurve(SubensembleSet(entries=(Subensemble(hz_to_angular(5e6), 4, g),)),
+                                    cfg.power_grid.values(), 20e-6, cfg.model,
+                                    laser_detuning=hz_to_angular(2e6))
+        assert np.array_equal(unbinned, one_bin.total)
+        shifted = self._peaks(self.CFG + "ensemble.detuning_hz = 3e6\n")
+        assert np.allclose(unbinned, shifted, rtol=1e-9, atol=0.0)
+        assert not np.allclose(unbinned, self._peaks(self.CFG), rtol=1e-3, atol=0.0)
+
+    def test_dicke_populations_matches_scurve(self):
+        from cavens.experiments import run_experiment
+
+        extra = "cavity.delta_c_hz = 1e9\nensemble.detuning_hz = 5e6\n" \
+                "drive.laser_detuning_hz = 2e6\n"
+        scurve = self._peaks(self.CFG + extra.split("\n", 1)[1])
+        power = float(build_config(self.CFG).power_grid.values()[1])
+        pops = run_experiment(build_config(
+            BASE_MODEL + extra + "experiment = dicke-populations\n"
+            f"drive.pulse_length_s = 20e-6\ndrive.power_w = {power!r}\n"))
+        assert pops.metadata["peak_counts"] == scurve[1]
+
+    def test_spread_detunings_rejected(self, tmp_path):
+        (tmp_path / "em.csv").write_text("detuning_hz,g_hz\n0,35e6\n5e6,35e6\n")
+        cfg = SCURVE_CFG.replace("ensemble.kind = identical", "ensemble.kind = explicit") \
+            .replace("ensemble.n_ions = 4\n", "").replace("ensemble.g_hz = 35e6\n",
+                                                           "ensemble.file = em.csv\n")
+        path = tmp_path / "spread.cfg"
+        path.write_text(cfg)
+        from cavens.experiments import run_experiment
+
+        with pytest.raises(ConfigError, match="emitters at one detuning"):
+            run_experiment(load_config(str(path)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cavens import core
 from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
 from cavens import lindblad as lb
 from cavens.dicke import (
@@ -11,6 +12,7 @@ from cavens.dicke import (
     DickeBlockState,
     block_evolve,
     block_observables,
+    block_parts,
     build_block_generator,
     dicke_basis,
     pulsed_block_emission,
@@ -93,6 +95,36 @@ class TestBlockGenerator:
                 jpjm_b = [float(np.real(obs["jpjm"] @ q.to_vec())) for q in blocks]
                 assert np.max(np.abs(np.array(jpjm_f) - jpjm_b)) < 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("delta_c", [0.0, 300.0])
+    def test_oracle_equivalence_detuned(self, n, delta_c):
+        """Block against full space at nonzero emitter and cavity detunings:
+        pins the J_z part and the exchange part of the generator."""
+        g = 10.0
+        cav = CavityParams(kappa=1000.0, kappa_c=200.0, delta_c=delta_c, omega=1e15)
+        dec = DecoherenceParams(gamma_s=0.25, gamma_d=0.3)
+        times = np.linspace(0.5, 12.0, 6)
+        for detuning in (0.0, 3.0, -3.0):
+            genf = lb.build_generator(EmitterEnsemble.identical(n, g, detuning=detuning),
+                                      0.04, cav, dec)
+            opsf = lb.collective_operators(n)
+            full = lb.evolve_expm(lb.DensityState.ground(n), genf, times)
+            genb = build_block_generator(n, g, 0.04, cav, dec, detuning=detuning)
+            obs = block_observables(genb)
+            blocks = block_evolve(genb, DickeBlockState.all_ground(n), times)
+            for name in ("jpjm", "jz", "jm"):
+                ref = np.array([s.expect(opsf[name]) for s in full])
+                got = np.array([obs[name] @ q.to_vec() for q in blocks])
+                assert np.max(np.abs(ref - got)) < 1e-8
+
+    def test_parts_sum_to_generator(self, cavity, decoherence, g35):
+        parts = block_parts(5, g35, cavity, decoherence)
+        gen = build_block_generator(5, g35, 1e-6, cavity, decoherence, detuning=2.0e7)
+        ref = parts.l0 + 2.0e7 * parts.lz + g35 * math.sqrt(1e-6) * parts.ld
+        assert abs(gen.matrix - ref).max() == 0.0
+        off = build_block_generator(5, g35, 0.0, cavity, decoherence).matrix
+        assert abs(off - parts.l0).max() == 0.0
+
     def test_block_state_quality_along_trajectory(self, cavity, decoherence, g35):
         gen = build_block_generator(5, g35, 1e-5, cavity, decoherence)
         for q in block_evolve(gen, DickeBlockState.all_ground(5),
@@ -155,11 +187,77 @@ class TestRateMap:
         with pytest.raises(CapabilityError):
             rate_map(13, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("mix", ["collective", "emission", "dephasing", "all"])
+    def test_matches_generator_population_block(self, n, mix):
+        """The drive-off population block, folded by d_to/d_from, holds the
+        rate-map rates off the diagonal and minus the out-rates on it."""
+        kappa, g = 1000.0, 10.0
+        cav = CavityParams(kappa=kappa, kappa_c=200.0, omega=1e15)
+        g_use = g if mix in ("collective", "all") else 0.0
+        gs = 0.25 if mix in ("emission", "all") else 0.0
+        gd = 0.3 if mix in ("dephasing", "all") else 0.0
+        parts = block_parts(n, g_use, cav, DecoherenceParams(gamma_s=gs, gamma_d=gd))
+        rm = rate_map(n, gamma_c=4.0 * g_use**2 / kappa, gamma_s=gs, gamma_d=gd)
+        basis = dicke_basis(n)
+        levels, degs = [], []
+        for j, d in zip(basis.j_values, basis.degeneracies):
+            for m in j - np.arange(int(round(2 * j)) + 1):
+                levels.append((j, float(m)))
+                degs.append(d)
+        degs = np.array(degs, dtype=float)
+        folded = parts.window.toarray() * degs[:, None] / degs[None, :]
+        assert np.all(folded.imag == 0)
+        folded = folded.real
+        expect = np.zeros_like(folded)
+        where = {lv: k for k, lv in enumerate(levels)}
+        for e in rm.entries:
+            expect[where[(e.j_to, e.m_to)], where[(e.j_from, e.m_from)]] += e.rate
+        for k, (j, m) in enumerate(levels):
+            expect[k, k] = -rm.out_rates(j, m)
+        scale = max(1.0, np.abs(expect).max())
+        assert np.max(np.abs(folded - expect)) <= 1e-13 * scale
+
     def test_csv_rows(self, cavity, g35):
         rm = rate_map(2, gamma_c=4 * g35**2 / cavity.kappa, gamma_s=1.0, gamma_d=1.0)
         rows = rm.to_rows()
         assert all(len(r) == 6 for r in rows)
         assert {r[5] for r in rows} == {"collective", "emission", "dephasing"}
+
+
+class TestPopulationWindow:
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_window_on_populations_matches_full(self, n, dc_hz, decoherence, g35):
+        """With the drive off no entry couples populations and coherences,
+        and the counts of the population window match the full window."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        det = hz_to_angular(3e6)
+        parts = block_parts(n, g35, cav, decoherence)
+        off = build_block_generator(n, g35, 0.0, cav, decoherence, detuning=det).matrix
+        pops = parts.populations
+        coh = np.setdiff1d(np.arange(off.shape[0]), pops)
+        assert off[pops][:, coh].count_nonzero() == 0
+        assert off[coh][:, pops].count_nonzero() == 0
+        assert abs(off[pops][:, pops] - parts.window).max() == 0.0
+        assert np.all(parts.observables["jpjm"][coh] == 0)
+
+        mu = 1e-6
+        reduced = pulsed_block_emission(n, g35, mu, cav, decoherence, 20e-6, detuning=det)
+        gen_on = build_block_generator(n, g35, mu, cav, decoherence, detuning=det)
+        full = core.pulse_protocol(gen_on.matrix, off, DickeBlockState.all_ground(n).to_vec(),
+                                   20e-6, parts.observables["jpjm"], parts.purcell)
+        assert reduced.peak_counts > 0
+        assert abs(reduced.peak_counts / full.peak_counts - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_population_block_independent_of_detuning(self, dc_hz, decoherence, g35):
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        parts = block_parts(6, g35, cav, decoherence)
+        pops = parts.populations
+        for det in (0.0, hz_to_angular(3e6), hz_to_angular(-40e6)):
+            off = build_block_generator(6, g35, 0.0, cav, decoherence, detuning=det).matrix
+            assert abs(off[pops][:, pops] - parts.window).max() == 0.0
 
 
 class TestSCurve:

@@ -92,6 +92,54 @@ class TestIncoherentSCurve:
         assert np.isnan(res.per_subensemble[0, 0])
         assert res.total[0] == res.per_subensemble[0, 1] > 0
 
+    @pytest.mark.parametrize("dc_hz", [0.0, 3e9])
+    def test_mirror_bins(self, dc_hz, g35, monkeypatch):
+        """At delta_c = 0 the bins at +-delta are solved once and are
+        bit-equal; the exchange term at delta_c = 3 GHz separates them."""
+        from cavens.core import CavityParams
+        from cavens.ensemble import Subensemble
+
+        calls = []
+
+        def pulse(*args, **kwargs):
+            calls.append(kwargs["detuning"])
+            return real_pulse(*args, **kwargs)
+
+        real_pulse = ensemble_mod.pulsed_block_emission
+        monkeypatch.setattr(ensemble_mod, "pulsed_block_emission", pulse)
+        det = hz_to_angular(20e6)
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600),
+                            EmitterEnsemble.identical(5, g35))
+        subs = SubensembleSet(entries=(Subensemble(-det, 5, g35), Subensemble(det, 5, g35)))
+        res = incoherent_scurve(subs, [1e-12], 50e-6, model)
+        lo, hi = res.per_subensemble[0]
+        assert lo > 0 and hi > 0
+        if dc_hz == 0.0:
+            assert calls == [det]
+            assert lo == hi
+        else:
+            assert sorted(calls) == [-det, det]
+            assert abs(lo / hi - 1.0) > 1e-3
+
+    def test_failure_recorded_for_every_mapped_bin(self, cavity, g35, monkeypatch):
+        from cavens.ensemble import Subensemble
+
+        def pulse(n, *args, **kwargs):
+            if n == 3:
+                raise ParameterError("solver failed")
+            return real_pulse(n, *args, **kwargs)
+
+        real_pulse = ensemble_mod.pulsed_block_emission
+        monkeypatch.setattr(ensemble_mod, "pulsed_block_emission", pulse)
+        det = hz_to_angular(2e6)
+        subs = SubensembleSet(entries=(Subensemble(-det, 3, g35), Subensemble(0.0, 2, g35),
+                                       Subensemble(det, 3, g35)))
+        res = incoherent_scurve(subs, [1e-13, 1e-12], 5e-6, self._model(cavity, g35))
+        assert res.failures == tuple((i, j, "solver failed") for j in (0, 2) for i in (0, 1))
+        assert np.all(np.isnan(res.per_subensemble[:, [0, 2]]))
+        assert np.all(res.total == res.per_subensemble[:, 1])
+
     def test_other_errors_propagate(self, cavity, g35, monkeypatch):
         from cavens.ensemble import Subensemble
 
