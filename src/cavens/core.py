@@ -424,11 +424,27 @@ DENSE_DIM_MAX = 1000
 PEAK_WINDOW = 128e-9
 
 
+def _krylov_step(a, vec: np.ndarray) -> np.ndarray:
+    """exp(a) vec by ``expm_multiply``, the same bits on every run.
+
+    Its norm estimates (``onenormest``) draw random sign vectors from numpy's
+    global random state.  The state is seeded with 0 for the call and
+    restored after it, so the result does not depend on what ran before,
+    and the caller's random stream is left as it was."""
+    from scipy.sparse.linalg import expm_multiply
+
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(a, vec)
+    finally:
+        np.random.set_state(state)
+
+
 def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
     """exp(matrix t) vec at each of the non-decreasing ``times`` (measured
     from the present), for a sparse time-independent generator."""
     from scipy.linalg import expm
-    from scipy.sparse.linalg import expm_multiply
 
     dense = matrix.shape[0] <= DENSE_DIM_MAX
     lv = matrix.toarray() if dense else None
@@ -439,7 +455,7 @@ def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarra
         dt = tk - t_prev
         if dt > 0:
             if not dense:
-                vec = expm_multiply(matrix * dt, vec)
+                vec = _krylov_step(matrix * dt, vec)
             else:
                 if dt not in steps:
                     steps[dt] = expm(lv * dt)

@@ -24,14 +24,19 @@ from .core import (
     SystemModel,
     ensemble_cooperativity,
 )
+from .units import angular_to_hz
 
 
 class SelfConsistencyError(RuntimeError):
-    """The fixed-point solve for the ensemble response did not converge."""
+    """The self-consistent solve for the ensemble response did not converge.
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
+    Names the point (``offset``, the laser detuning from the ensemble
+    center in rad/s), the ``method`` and the ``residual`` on x."""
+
+    def __init__(self, message: str, *, offset: float, method: str, residual: float):
+        super().__init__(f"{method} solve at laser offset {angular_to_hz(offset):.6g} Hz "
+                         f"from the ensemble center: {message} (residual {residual:.3e})")
+        self.offset, self.method, self.residual = offset, method, residual
 
 
 class CitThresholdError(ValueError):
@@ -195,12 +200,13 @@ class _Response:
             self.sat = np.divide(4.0 * gs**2 * self.gamma, denom,
                                  out=np.zeros_like(denom), where=denom > 0)
 
-    def row(self, i: int) -> "_Response":
-        """The response at grid point i alone, evaluated at a scalar t."""
-        one = copy.copy(self)
+    def rows(self, index) -> "_Response":
+        """The response at the grid points ``index`` alone: an integer gives
+        one point, evaluated at a scalar t; an index array a smaller grid."""
+        sub = copy.copy(self)
         for name in ("offset", "mu_scale", "coef", "sat"):
-            setattr(one, name, getattr(self, name)[i])
-        return one
+            setattr(sub, name, getattr(self, name)[index])
+        return sub
 
     def x_of_t(self, mu: float, t, slope: bool = False):
         """x at each row's t; with ``slope``, the pair (x, dx/dt)."""
@@ -220,15 +226,17 @@ class _Response:
             # dI/dG, and dG/dt = -y / (2 G t)
             di = -gamma * h / (width**2 * den) - 2.0 * s * num / den**2
             return x, -(self.coef * di * y / (2.0 * width)).sum(-1) / t
-        damp = 1.0 + self.sat * m
-        x = (self.coef / damp).sum(-1)
+        # u = 1 / (1 + sat m), in place; the row sums take no grid-by-emitter temporary
+        u = self.sat * m
+        u += 1.0
+        np.reciprocal(u, out=u)
+        x = np.einsum("...j,...j->...", self.coef, u)
         if not slope:
             return x
-        # dx/dt = sum coef sat m / (t damp^2), and sat m = damp - 1
-        w = damp - 1.0
-        w /= damp
-        w /= damp
-        return x, (self.coef * w).sum(-1) / t
+        # dx/dt = sum coef sat m / (t (1 + sat m)^2) = sum coef u (1 - u) / t
+        w = 1.0 - u
+        w *= u
+        return x, np.einsum("...j,...j->...", self.coef, w) / t
 
     def saturation_scale(self) -> float:
         """Largest saturation coefficient at mu = 1, t = 1 (for continuation)."""
@@ -264,7 +272,8 @@ def _picard(resp: _Response, mu: float, *, tol: float, max_iter: int, relaxation
                 break
         else:
             raise SelfConsistencyError(
-                f"no convergence after {max_iter} iterations at mu={mu_k:.3e}", residual)
+                f"no convergence after {max_iter} iterations at mu={mu_k:.3e}",
+                offset=resp.offset.item(), method="picard", residual=residual)
     return x
 
 
@@ -284,27 +293,66 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
         raise ParameterError("mu must be >= 0")
     dc = cavity.delta_c if delta_c is None else delta_c
     resp = _Response(ens, np.array([omega_l - ens.center]), cavity, dec, np.array([dc]))
-    return _picard(resp.row(0), mu, tol=tol, max_iter=max_iter, relaxation=relaxation,
+    return _picard(resp.rows(0), mu, tol=tol, max_iter=max_iter, relaxation=relaxation,
                    steps_per_decade=steps_per_decade)
 
 
 def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
             tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on h(t) = t - |1+x(t)|^2 at every grid point at once, seeded
-    from the weak-excitation t (largest-t root, the weak-connected branch).
+    """Safeguarded Newton on h(t) = t - |1+x(t)|^2 at every grid point at
+    once (``rtsafe``, Press et al., Numerical Recipes, 3rd ed., sec. 9.4).
+
+    Each point keeps a bracket t_lo < t_hi with h(t_lo) < 0 < h(t_hi);
+    every evaluation of h moves one end of it to the iterate.  h -> -1 as
+    t -> 0 (full saturation), so t_lo starts at 0.  The iterate starts at
+    the weak-excitation t and is raised by factors of 4 until h > 0, which
+    sets t_hi; from there Newton comes down from above.  Where h is convex
+    above its largest root, no step passes that root, so where h has three
+    roots the solve lands on the largest, the branch connected to the
+    weak-excitation solution (the tests check this against a root scan at
+    bistable points).  A Newton step that leaves the bracket is
+    replaced by bisection, unless the step has converged (below 1e-13
+    relative), which may put it just past the edge it converged on.
+
+    A point is done once its step is below that bound.  Once at most half
+    of the rows being iterated are still open, the response is cut down to
+    those rows (:meth:`_Response.rows`), so no copy is ever larger than half
+    the grid-by-emitter arrays; until then done rows go on taking steps
+    below the bound.  Points still open after 100 iterations are left to
+    the residual check.
+
     Returns x and a flag for each point whose residual on x misses tol."""
     t = np.abs(1.0 + x_weak) ** 2
-    for _ in range(60):
-        x, dx = resp.x_of_t(mu, t, slope=True)
-        h = t - np.abs(1.0 + x) ** 2
-        hp = 1.0 - 2.0 * np.real(np.conj(1.0 + x) * dx)
-        step = np.where(np.abs(hp) > 1e-300, h / np.where(hp == 0, 1.0, hp), 0.0)
-        t_new = t - step
-        t_new = np.where(t_new <= 0, 0.5 * t, t_new)  # keep t positive
-        converged = np.abs(t_new - t) <= 1e-13 * (1.0 + np.abs(t_new))
-        t = t_new
-        if converged.all():
-            break
+    rows = np.arange(len(t))  # grid indices of the rows of ``sub``
+    sub, tv = resp, t
+    lo, hi = np.zeros_like(t), np.full_like(t, np.nan)  # hi: NaN until some h > 0
+    for _ in range(100):
+        x, dx = sub.x_of_t(mu, tv, slope=True)
+        x += 1.0
+        h = tv - np.abs(x) ** 2
+        hp = 1.0 - 2.0 * np.real(np.conj(x) * dx)
+        np.copyto(lo, tv, where=h < 0)
+        np.copyto(hi, tv, where=h > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = h / hp  # hp = 0 gives a step that fails the bracket test
+        eps = 1e-13 * (1.0 + tv)
+        done = np.abs(dt) <= eps
+        step = tv - dt
+        out = ~(done | ((step > lo) & (step < hi)))
+        if out.any():  # bisect, or raise t while no h > 0 has been seen
+            mid = 0.5 * (lo[out] + hi[out])
+            step[out] = np.where(np.isnan(mid), 4.0 * tv[out], mid)
+            done[out] = np.abs(step[out] - tv[out]) <= eps[out]
+        tv = step
+        n_open = len(tv) - np.count_nonzero(done)
+        if 2 * n_open <= len(tv):
+            t[rows] = tv
+            if n_open == 0:
+                break
+            keep = np.flatnonzero(~done)
+            sub, rows, tv, lo, hi = sub.rows(keep), rows[keep], tv[keep], lo[keep], hi[keep]
+    else:
+        t[rows] = tv
     x = resp.x_of_t(mu, t)
     resid = np.abs(x - resp.x_of_t(mu, np.abs(1.0 + x) ** 2))
     return x, ~(resid < tol * (1.0 + np.abs(x)))
@@ -331,14 +379,18 @@ def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
     is tracked exactly.  Non-converged points are flagged and set to NaN
     rather than aborting the scan.
 
-    ``method="newton"`` (default) solves t = |1+x|^2 by Newton at every grid
-    point at once, for explicit emitter lists and parametric (closed-form)
-    lines alike, and runs the damped-Picard continuation of
-    :func:`solve_selfconsistent_x` only where the residual on x misses
-    ``tol``; ``Spectrum.picard`` flags those points.  ``method="picard"``
-    runs the continuation everywhere.  Both land on the branch continuously
-    connected to the weak-excitation solution (cross-checked in the test
-    suite).
+    ``method="newton"`` (default) solves h(t) = t - |1+x(t)|^2 = 0 at every
+    grid point at once, for explicit emitter lists and parametric
+    (closed-form) lines alike, by the safeguarded Newton of :func:`_newton`:
+    each point keeps a bracket on which h changes sign and bisects when a
+    step leaves it, only the points not yet converged are iterated, and the
+    iterate comes down from above the weak-excitation t, so it lands on the
+    largest-t root where h has three (the branch connected to the
+    weak-excitation solution).  The damped-Picard continuation of
+    :func:`solve_selfconsistent_x` runs only where the residual on x still
+    misses ``tol``; ``Spectrum.picard`` flags those points.
+    ``method="picard"`` runs the continuation everywhere; it lands on the same
+    branch (cross-checked in the test suite).
     """
     freqs = np.asarray(grid, dtype=float)
     if method not in ("newton", "picard"):
@@ -356,7 +408,7 @@ def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
     ok = np.ones(len(freqs), dtype=bool)
     for i in np.flatnonzero(picard):
         try:
-            x[i] = _picard(resp.row(i), mu, tol=tol, max_iter=max_iter,
+            x[i] = _picard(resp.rows(i), mu, tol=tol, max_iter=max_iter,
                            relaxation=relaxation, steps_per_decade=steps_per_decade)
         except SelfConsistencyError:
             ok[i] = False

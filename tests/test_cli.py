@@ -181,6 +181,28 @@ sweep.values = 0, 20e6
         assert all(a[0] == b[0] for a, b in zip(on, off))
         assert all(a[1] != b[1] for a, b in zip(on, off))
 
+    def test_emission_trace_krylov_reproducible(self, tmp_path):
+        """5 inhomogeneous ions (dimension 1024) take the Krylov path; two runs
+        write the same bytes, whatever numpy's global random state was."""
+        (tmp_path / "ions.csv").write_text(
+            "detuning_hz,g_hz\n0,35e6\n0,35e6\n0,35e6\n5e6,35e6\n5e6,35e6\n")
+        cfg = BASE_MODEL.replace("ensemble.kind = identical\nensemble.n_ions = 4\n"
+                                 "ensemble.g_hz = 35e6\n",
+                                 "ensemble.kind = explicit\nensemble.file = ions.csv\n") + """
+experiment = emission-trace
+drive.power_w = 3e-12
+drive.pulse_length_s = 20e-6
+grid.time.start_s = 10e-6
+grid.time.stop_s = 30e-6
+grid.time.num = 3
+"""
+        bodies = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            assert self._run(tmp_path, cfg, "kr.cfg", f"kr{seed}") == 0
+            bodies.append((tmp_path / f"kr{seed}_emission_trace.csv").read_bytes())
+        assert bodies[0] == bodies[1]
+
     def test_reflection_spectrum_csv_per_power(self, tmp_path):
         cfg = """
 experiment = reflection-spectrum
@@ -208,8 +230,9 @@ grid.power.scale = log
         meta = json.loads((tmp_path / "rs_metadata.json").read_text())
         assert meta["picard_fallbacks"] == [0, 0, 0]
 
-    def test_reflection_spectrum_counts_picard_fallbacks(self, tmp_path):
-        # the 1000-quantile line at mu = 3e-7 leaves two points to Picard
+    def test_reflection_spectrum_counts_picard_fallbacks(self, tmp_path, monkeypatch):
+        # the 1000-quantile line at mu = 3e-7 leaves no point to Picard; where
+        # Newton misses the tolerance (forced at two points), the sidecar counts it
         cfg = LINE_MODEL + """
 experiment = reflection-spectrum
 ensemble.explicit_quantiles = 1000
@@ -218,10 +241,23 @@ grid.freq.stop_hz = 90e6
 grid.freq.num = 361
 drive.mu = 3e-7
 """
+        from cavens import meanfield
+
         assert self._run(tmp_path, cfg, "fb.cfg", "fb") == 0
         meta = json.loads((tmp_path / "fb_metadata.json").read_text())
+        assert meta["picard_fallbacks"] == [0]
+        newton = meanfield._newton
+
+        def missing_two(*args):
+            x, missed = newton(*args)
+            missed[[129, 231]] = True
+            return x, missed
+
+        monkeypatch.setattr(meanfield, "_newton", missing_two)
+        assert self._run(tmp_path, cfg, "fb.cfg", "forced") == 0
+        meta = json.loads((tmp_path / "forced_metadata.json").read_text())
         assert meta["picard_fallbacks"] == [2]
-        _header, rows = read_csv(tmp_path / "fb_spectrum_000.csv")
+        _header, rows = read_csv(tmp_path / "forced_spectrum_000.csv")
         assert all(r[5] == "1" for r in rows)
 
     def test_csv_cells_parse_as_floats(self, tmp_path):

@@ -193,6 +193,16 @@ class TestValidateAssumptions:
 
 
 class TestPropagate:
+    @staticmethod
+    def _five_ions(mu, cavity, decoherence, g35):
+        """Full-space superoperator of 5 inhomogeneous ions (dimension 1024,
+        Krylov by default) and the ground state."""
+        ens = EmitterEnsemble.explicit([(hz_to_angular(d), g35 * s) for d, s in
+                                        ((0.0, 1.0), (3e6, 0.8), (-5e6, 1.2),
+                                         (1e6, 0.9), (8e6, 1.1))])
+        matrix = lindblad.build_generator(ens, mu, cavity, decoherence).superoperator()
+        return matrix, lindblad.DensityState.ground(5).matrix.reshape(-1)
+
     @pytest.mark.parametrize("layer", ["block", "full"])
     def test_dense_and_krylov_agree(self, layer, cavity, decoherence, g35, monkeypatch):
         """One 1 us step on each side of the cutoff: the n = 16 block
@@ -204,11 +214,7 @@ class TestPropagate:
                                               detuning=hz_to_angular(20e6))
             matrix, vec = gen.matrix, dicke.DickeBlockState.all_ground(16).to_vec()
         else:
-            ens = EmitterEnsemble.explicit([(hz_to_angular(d), g35 * s) for d, s in
-                                            ((0.0, 1.0), (3e6, 0.8), (-5e6, 1.2),
-                                             (1e6, 0.9), (8e6, 1.1))])
-            matrix = lindblad.build_generator(ens, mu, cavity, decoherence).superoperator()
-            vec = lindblad.DensityState.ground(5).matrix.reshape(-1)
+            matrix, vec = self._five_ions(mu, cavity, decoherence, g35)
         assert matrix.shape[0] == (969 if layer == "block" else 1024)
         assert (matrix.shape[0] <= core.DENSE_DIM_MAX) == (layer == "block")
         monkeypatch.setattr(core, "DENSE_DIM_MAX", 10**6)
@@ -217,6 +223,20 @@ class TestPropagate:
         krylov = core.propagate(matrix, vec, [1e-6])[0]
         assert np.max(np.abs(dense - vec)) > 1e-3  # the step moves the state
         assert np.max(np.abs(dense - krylov)) <= 1e-10
+
+    def test_krylov_reproducible(self, cavity, decoherence, g35):
+        """Krylov propagation gives the same bits whatever numpy's global
+        random state was before it, and leaves that state as it was."""
+        matrix, vec = self._five_ions(1e-6, cavity, decoherence, g35)
+        assert matrix.shape[0] > core.DENSE_DIM_MAX
+        runs = []
+        for seed in (1, 2):
+            np.random.seed(seed)
+            runs.append(core.propagate(matrix, vec, [1e-6, 3e-6]))
+            drawn = np.random.random()
+            np.random.seed(seed)
+            assert drawn == np.random.random()  # the caller's stream is untouched
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
     def test_repeated_and_zero_steps(self):
         """A zero or repeated time returns the present vector unchanged."""

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cavens import meanfield
 from cavens.analysis import DipNormalization, fit_lorentzian_dip
 from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
 from cavens.lindblad import mean_field_ode_steady_state
 from cavens.meanfield import (
     CitThresholdError,
+    SelfConsistencyError,
     _Response,
     TransitionLine,
     cit_analytics,
@@ -28,6 +30,38 @@ from conftest import coupling_for_cooperativity
 def paper_like_ensemble(cavity, delta_inh, n=400, c=12.0):
     g = coupling_for_cooperativity(c, cavity, delta_inh, n)
     return EmitterEnsemble.lorentzian(n_ions=n, delta_inh=delta_inh, g=g)
+
+
+def _largest_root_reflection(ens, mu, laser, cavity, dec):
+    """(r, number of roots) at one laser detuning, from the largest root of
+    h(t) = t - |1 + x(t)|^2 with x summed directly over the emitters:
+    x = sum 2 g^2 (gamma - i D) / (kappa_eff (gamma^2 + D^2 + 4 g^2 gamma n / gamma_s)),
+    D = emitter minus laser, n = mu_eff / t.  h is scanned on a log grid
+    below a top where it is positive, and each sign change is refined by brentq."""
+    from scipy.optimize import brentq
+
+    kappa_eff = cavity.kappa + 2j * (cavity.delta_c - laser)
+    mu_eff = mu / abs(kappa_eff / cavity.kappa) ** 2
+    d = ens.detunings() - laser
+    g2 = ens.couplings() ** 2
+    gamma = dec.gamma
+
+    def x_of(t):
+        y = 4.0 * g2 * gamma * mu_eff / (dec.gamma_s * np.asarray(t)[..., None])
+        return np.sum(2.0 * g2 * (gamma - 1j * d) / (gamma**2 + d**2 + y), axis=-1) / kappa_eff
+
+    def h(t):
+        return t - np.abs(1.0 + x_of(t)) ** 2
+
+    top = 4.0 * max(1.0, abs(1.0 + x_of(np.inf)) ** 2)
+    while h(top) <= 0.0:
+        top *= 4.0
+    ts = np.geomspace(1e-12 * top, top, 400)
+    hs = h(ts)
+    roots = [brentq(h, ts[k], ts[k + 1], xtol=1e-300)
+             for k in np.flatnonzero(np.sign(hs[:-1]) != np.sign(hs[1:]))]
+    x = x_of(max(roots))
+    return 1.0 - 2.0 * cavity.kappa_c / (kappa_eff * (1.0 + x)), len(roots)
 
 
 class TestWeakExcitation:
@@ -88,6 +122,18 @@ class TestSelfConsistentX:
         assert x != 0  # weak response present
         tiny = EmitterEnsemble.explicit([(0.0, 1e-12)])
         assert abs(solve_selfconsistent_x(tiny, 1e-6, 0.0, cavity, decoherence)) < 1e-20
+
+    def test_error_names_point_method_and_residual(self, cavity, decoherence, delta_inh):
+        ens = paper_like_ensemble(cavity, delta_inh, n=200).to_explicit()
+        with pytest.raises(SelfConsistencyError) as err:
+            solve_selfconsistent_x(ens, 1e-5, hz_to_angular(2.5e6), cavity, decoherence,
+                                   max_iter=1)
+        e = err.value
+        assert (e.method, e.offset) == ("picard", hz_to_angular(2.5e6))
+        assert e.residual > 0
+        assert str(e).startswith("picard solve at laser offset 2.5e+06 Hz from the "
+                                 "ensemble center: no convergence after 1 iterations")
+        assert str(e).endswith(f"(residual {e.residual:.3e})")
 
     def test_weak_limit_matches_weak_excitation(self, cavity, decoherence, delta_inh):
         ens = paper_like_ensemble(cavity, delta_inh)
@@ -235,17 +281,82 @@ class TestReflectionSpectrum:
                 ref = ens.n * 2.0 * ens.g**2 / (cavity.kappa + 2j * dc[k]) * line
                 assert abs(x[k] - ref) < 1e-9 * abs(ref)
 
-    def test_picard_fallbacks_flagged(self, cavity, decoherence, delta_inh):
-        """Spectrum.picard flags the points left to the Picard continuation.
-        On the 1000-quantile line at mu = 3e-7, Newton misses the tolerance at
-        grid points 129 and 231; the continuum line needs no fallback."""
+    def test_picard_fallbacks_flagged(self, cavity, decoherence, delta_inh, monkeypatch):
+        """Newton leaves no point of the 1000-quantile line at mu = 3e-7 to the
+        Picard continuation, nor of the continuum line.  Where Newton misses
+        the tolerance (forced here at grid points 129 and 231),
+        Spectrum.picard flags the point and the continuation solves it."""
         parametric = paper_like_ensemble(cavity, delta_inh, n=1000)
+        explicit = parametric.to_explicit()
         grid = np.linspace(-90e6, 90e6, 361) * TWO_PI
-        quantile = reflection_spectrum(parametric.to_explicit(), 3e-7, grid, cavity,
-                                       decoherence)
-        assert np.flatnonzero(quantile.picard).tolist() == [129, 231]
+        quantile = reflection_spectrum(explicit, 3e-7, grid, cavity, decoherence)
+        assert not quantile.picard.any()
         assert quantile.converged.all()
         assert not reflection_spectrum(parametric, 3e-7, grid, cavity, decoherence).picard.any()
+        newton = meanfield._newton
+
+        def missing_two(*args):
+            x, missed = newton(*args)
+            missed[[129, 231]] = True
+            return x, missed
+
+        monkeypatch.setattr(meanfield, "_newton", missing_two)
+        forced = reflection_spectrum(explicit, 3e-7, grid, cavity, decoherence)
+        assert np.flatnonzero(forced.picard).tolist() == [129, 231]
+        assert forced.converged.all()
+        assert np.max(np.abs(forced.r_complex - quantile.r_complex)) < 1e-8
+
+    def test_largest_root_at_bistable_points(self, cavity, decoherence, delta_inh):
+        """On the 1000-quantile line at mu = 3e-7, h(t) has three roots at six
+        grid points.  There, and at every other point, the spectrum is the
+        largest-t root of an independent direct sum, found by scanning h on a
+        log grid and refining each sign change with brentq."""
+        ens = paper_like_ensemble(cavity, delta_inh, n=1000).to_explicit()
+        grid = np.linspace(-90e6, 90e6, 361) * TWO_PI
+        mu = 3e-7
+        spec = reflection_spectrum(ens, mu, grid, cavity, decoherence)
+        n_roots = np.zeros(len(grid), dtype=int)
+        for k, laser in enumerate(grid):
+            r, n_roots[k] = _largest_root_reflection(ens, mu, laser, cavity, decoherence)
+            assert abs(spec.r_complex[k] - r) < 1e-9
+        assert np.flatnonzero(n_roots == 3).tolist() == [77, 117, 132, 228, 243, 283]
+        assert set(n_roots) == {1, 3}
+
+    def test_quantile_powers_without_fallback(self, cavity, decoherence, delta_inh):
+        """Over the 20 powers mu = 3e-7 ... 1e-3 of the 1000-quantile line on
+        361 points, no point falls back to Picard, and Newton agrees with
+        Picard to 1e-8 at 13 grid points per power (among them points where
+        an unbracketed Newton step used to leave the root)."""
+        ens = paper_like_ensemble(cavity, delta_inh, n=1000).to_explicit()
+        grid = np.linspace(-90e6, 90e6, 361) * TWO_PI
+        some = [22, 44, 65, 86, 129, 167, 180, 193, 231, 274, 295, 316, 340]
+        for mu in np.geomspace(3e-7, 1e-3, 20):
+            s_newton = reflection_spectrum(ens, mu, grid, cavity, decoherence)
+            assert not s_newton.picard.any() and s_newton.converged.all()
+            s_picard = reflection_spectrum(ens, mu, grid[some], cavity, decoherence,
+                                           method="picard")
+            assert np.max(np.abs(s_newton.r_complex[some] - s_picard.r_complex)) < 1e-8
+
+    def test_deep_saturation(self, cavity, decoherence, delta_inh):
+        """At mu = 0.1 and 10 both ensemble kinds converge by Newton alone,
+        match Picard to 1e-8, and approach the bare cavity as mu grows; so
+        saturated, the quantile stand-in and the continuum line coincide."""
+        parametric = paper_like_ensemble(cavity, delta_inh, n=1000)
+        grid = np.array([-40e6, -5e6, 0.0, 2e6, 60e6]) * TWO_PI
+        bare = 1.0 - 2.0 * cavity.kappa_c / (cavity.kappa + 2j * (cavity.delta_c - grid))
+        off_bare = {}
+        for mu in (1e-1, 1e1):
+            r = {}
+            for ens in (parametric, parametric.to_explicit()):
+                s_newton = reflection_spectrum(ens, mu, grid, cavity, decoherence)
+                s_picard = reflection_spectrum(ens, mu, grid, cavity, decoherence,
+                                               method="picard")
+                assert not s_newton.picard.any() and s_newton.converged.all()
+                assert np.max(np.abs(s_newton.r_complex - s_picard.r_complex)) < 1e-8
+                r[ens.is_parametric] = s_newton.r_complex
+            assert np.max(np.abs(r[True] - r[False])) < 1e-9
+            off_bare[mu] = np.max(np.abs(r[True] - bare))
+        assert off_bare[1e1] < 0.1 * off_bare[1e-1]
 
     def test_low_power_shows_dir_no_dip(self, cavity, decoherence, delta_inh):
         # continuum ensemble: a weak scan sees the broad reflectivity peak only
