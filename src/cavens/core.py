@@ -8,9 +8,12 @@ safe to share between concurrent tasks.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -417,11 +420,78 @@ def validate_assumptions(model: SystemModel, drive: DriveParams, ratio: float = 
 # ---------------------------------------------------------------------------
 
 #: Generators up to this dimension are exponentiated densely (one expm per
-#: distinct step); larger ones use Krylov ``expm_multiply`` per step.
+#: distinct step), on one BLAS thread (:func:`one_blas_thread`).  More
+#: threads would split the sums by the core count, so the last bits would
+#: depend on the machine; and up to a few hundred rows, the binned S-curve's
+#: blocks, their start-up and synchronisation cost more than they save.
+#: Larger generators use Krylov ``expm_multiply`` per step.
 DENSE_DIM_MAX = 1000
 
 #: Detection window integrated after switch-off (one 128 ns bin).
 PEAK_WINDOW = 128e-9
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS builds that numpy
+    and scipy bundle, for each one this process has loaded; empty when none
+    is found.  Looked up once per process."""
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
+    controls = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+            try:  # RTLD_NOLOAD: find a library already loaded, load none
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return tuple(controls)
+
+
+class _BlasPin:
+    """Process-wide count of open :func:`one_blas_thread` blocks, and the
+    thread counts to restore when the last one closes."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved: tuple = ()
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block on one thread of each OpenBLAS library numpy and scipy
+    loaded, then restore their previous thread counts.
+
+    Blocks nest, also across threads: the first to open saves the counts
+    and sets them to 1, the last to close restores them.  Without a library
+    whose thread count can be set, the block runs as it is."""
+    controls = _openblas_thread_controls()
+    with _BlasPin.lock:
+        if _BlasPin.depth == 0:
+            _BlasPin.saved = tuple(get() for get, _ in controls)
+            for _, put in controls:
+                put(1)
+        _BlasPin.depth += 1
+    try:
+        yield
+    finally:
+        with _BlasPin.lock:
+            _BlasPin.depth -= 1
+            if _BlasPin.depth == 0:
+                for (_, put), n in zip(controls, _BlasPin.saved):
+                    put(n)
 
 
 def _krylov_step(a, vec: np.ndarray) -> np.ndarray:
@@ -443,7 +513,8 @@ def _krylov_step(a, vec: np.ndarray) -> np.ndarray:
 
 def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
     """exp(matrix t) vec at each of the non-decreasing ``times`` (measured
-    from the present), for a sparse time-independent generator."""
+    from the present), for a sparse time-independent generator.  Dense
+    propagation runs on one BLAS thread (see ``DENSE_DIM_MAX``)."""
     from scipy.linalg import expm
 
     dense = matrix.shape[0] <= DENSE_DIM_MAX
@@ -451,17 +522,18 @@ def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarra
     steps: dict[float, np.ndarray] = {}
     out = []
     t_prev = 0.0
-    for tk in np.asarray(times, dtype=float):
-        dt = tk - t_prev
-        if dt > 0:
-            if not dense:
-                vec = _krylov_step(matrix * dt, vec)
-            else:
-                if dt not in steps:
-                    steps[dt] = expm(lv * dt)
-                vec = steps[dt] @ vec
-            t_prev = tk
-        out.append(vec)
+    with one_blas_thread() if dense else nullcontext():
+        for tk in np.asarray(times, dtype=float):
+            dt = tk - t_prev
+            if dt > 0:
+                if not dense:
+                    vec = _krylov_step(matrix * dt, vec)
+                else:
+                    if dt not in steps:
+                        steps[dt] = expm(lv * dt)
+                    vec = steps[dt] @ vec
+                t_prev = tk
+            out.append(vec)
     return out
 
 
@@ -528,6 +600,7 @@ __all__ = [
     "validate_assumptions",
     "DENSE_DIM_MAX",
     "PEAK_WINDOW",
+    "one_blas_thread",
     "propagate",
     "PulseRun",
     "pulse_protocol",

@@ -318,14 +318,17 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     of the rows being iterated are still open, the response is cut down to
     those rows (:meth:`_Response.rows`), so no copy is ever larger than half
     the grid-by-emitter arrays; until then done rows go on taking steps
-    below the bound.  Points still open after 100 iterations are left to
-    the residual check.
+    below the bound.  A response with one coupling level (a parametric
+    line of one g, or a single emitter) is never cut down: its rows are
+    single numbers, and the copy would cost more than the rows it drops.  Points still open after
+    100 iterations are left to the residual check.
 
     Returns x and a flag for each point whose residual on x misses tol."""
     t = np.abs(1.0 + x_weak) ** 2
     rows = np.arange(len(t))  # grid indices of the rows of ``sub``
     sub, tv = resp, t
     lo, hi = np.zeros_like(t), np.full_like(t, np.nan)  # hi: NaN until some h > 0
+    cut_down = resp.coef.shape[-1] > 1
     for _ in range(100):
         x, dx = sub.x_of_t(mu, tv, slope=True)
         x += 1.0
@@ -345,7 +348,7 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
             done[out] = np.abs(step[out] - tv[out]) <= eps[out]
         tv = step
         n_open = len(tv) - np.count_nonzero(done)
-        if 2 * n_open <= len(tv):
+        if n_open == 0 or (cut_down and 2 * n_open <= len(tv)):
             t[rows] = tv
             if n_open == 0:
                 break

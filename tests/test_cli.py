@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cavens
 from cavens.cli import main
 from cavens.config import ConfigError, build_config, load_config, parse_kv_text
 from cavens.units import hz_to_angular
@@ -201,6 +204,42 @@ grid.time.num = 3
             np.random.seed(seed)
             assert self._run(tmp_path, cfg, "kr.cfg", f"kr{seed}") == 0
             bodies.append((tmp_path / f"kr{seed}_emission_trace.csv").read_bytes())
+        assert bodies[0] == bodies[1]
+
+    def test_binned_scurve_independent_of_blas_threads(self, tmp_path):
+        """One binned S-curve (15 bins of 8-9 ions, blocks of dimension
+        165-220) through the CLI in two processes, under one and two OpenBLAS
+        threads: the CSV bodies are the same bytes.  On a one-core machine
+        OpenBLAS runs one thread either way, and the test cannot tell."""
+        (tmp_path / "bins.cfg").write_text("""
+experiment = s-curve
+cavity.kappa_hz = 44e9
+cavity.kappa_c_hz = 8.8e9
+decoherence.gamma_s_hz = 6000
+decoherence.gamma_d_hz = 600
+ensemble.kind = lorentzian
+ensemble.n_ions = 121
+ensemble.delta_inh_hz = 150e6
+ensemble.g_hz = 10.6e6
+bins.n = 15
+bins.width_hz = 1666666.6666666667
+drive.pulse_length_s = 50e-6
+grid.power.start_w = 5e-14
+grid.power.stop_w = 3e-8
+grid.power.num = 2
+grid.power.scale = log
+""")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cavens.__file__)))
+        bodies = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "cavens.cli", "--config", "bins.cfg",
+                            "--out", f"t{threads}", "--jobs", "1"],
+                           cwd=tmp_path, env=env, check=True, timeout=300,
+                           stdout=subprocess.DEVNULL)
+            bodies.append([(tmp_path / f"t{threads}_{table}.csv").read_bytes()
+                           for table in ("s_curve", "s_curve_subensembles")])
         assert bodies[0] == bodies[1]
 
     def test_reflection_spectrum_csv_per_power(self, tmp_path):

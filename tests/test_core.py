@@ -245,3 +245,88 @@ class TestPropagate:
         pops = [v[0] for v in out]
         assert pops[0] == 1.0 and pops[1] == pops[2]
         assert math.isclose(pops[3], math.exp(-1.0), rel_tol=1e-12)
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def _fake_controls(monkeypatch, counts):
+        """Thread-count controls over the entries of ``counts``."""
+        controls = tuple((lambda i=i: counts[i], lambda n, i=i: counts.__setitem__(i, n))
+                         for i in range(len(counts)))
+        monkeypatch.setattr(core, "_openblas_thread_controls", lambda: controls)
+
+    def test_restores_after_exit_and_exception(self, monkeypatch):
+        counts = [3, 2]
+        self._fake_controls(monkeypatch, counts)
+        with core.one_blas_thread():
+            assert counts == [1, 1]
+        assert counts == [3, 2]
+        with pytest.raises(RuntimeError):
+            with core.one_blas_thread():
+                assert counts == [1, 1]
+                raise RuntimeError
+        assert counts == [3, 2]
+
+    def test_nests(self, monkeypatch):
+        counts = [3, 2]
+        self._fake_controls(monkeypatch, counts)
+        with core.one_blas_thread():
+            with core.one_blas_thread():
+                assert counts == [1, 1]
+            assert counts == [1, 1]
+        assert counts == [3, 2]
+
+    def test_overlapping_threads(self, monkeypatch):
+        """Blocks opened and closed by more threads than cores: every block
+        runs on one thread, and the counts come back when the last closes."""
+        import sys
+        import threading
+
+        counts = [3, 2]
+        self._fake_controls(monkeypatch, counts)
+        seen = []
+
+        def work():
+            for _ in range(200):
+                with core.one_blas_thread():
+                    seen.append(tuple(counts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(seen) == 8 * 200 and set(seen) == {(1, 1)}
+        assert counts == [3, 2]
+
+    def test_pins_the_bundled_libraries(self):
+        controls = core._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy and scipy load no OpenBLAS with a thread-count setter")
+        before = [get() for get, _ in controls]
+        try:
+            for _, put in controls:
+                put(2)
+            with core.one_blas_thread():
+                assert [get() for get, _ in controls] == [1] * len(controls)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, put), n in zip(controls, before):
+                put(n)
+
+    def test_no_setter_runs_as_before(self, cavity, decoherence, g35, monkeypatch):
+        gen = dicke.build_block_generator(4, g35, 1e-6, cavity, decoherence,
+                                          detuning=hz_to_angular(2e6))
+        vec = dicke.DickeBlockState.all_ground(4).to_vec()
+        times = [1e-6, 2e-6, 2e-6, 5e-6]
+        pinned = core.propagate(gen.matrix, vec, times)
+        monkeypatch.setattr(core, "_openblas_thread_controls", lambda: ())
+        unpinned = core.propagate(gen.matrix, vec, times)
+        assert np.max(np.abs(pinned[-1] - vec)) > 1e-3
+        assert all(np.array_equal(a, b) for a, b in zip(pinned, unpinned))

@@ -260,6 +260,25 @@ class TestPopulationWindow:
             assert abs(off[pops][:, pops] - parts.window).max() == 0.0
 
 
+class TestPulseEdgeCases:
+    def test_zero_drive_emits_nothing(self, cavity, decoherence, g35):
+        res = pulsed_block_emission(4, g35, 0.0, cavity, decoherence, 20e-6)
+        assert res.peak_instant == 0.0
+        assert res.peak_counts == 0.0
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-3])
+    def test_no_local_decay_matches_full_space(self, mu, cavity, g35):
+        """gamma_s = gamma_d = 0: only the collective channel acts, and the
+        block peaks match the full-space pulse."""
+        dec0 = DecoherenceParams(0.0, 0.0)
+        block = pulsed_block_emission(3, g35, mu, cavity, dec0, 20e-6)
+        full = lb.pulsed_emission(SystemModel(cavity, dec0, EmitterEnsemble.identical(3, g35)),
+                                  mu, 20e-6, [])
+        assert block.peak_instant > 0
+        assert abs(block.peak_instant / full.peak_instant - 1.0) < 1e-12
+        assert abs(block.peak_counts / full.peak_counts - 1.0) < 1e-12
+
+
 class TestSCurve:
     def _model(self, cavity, g35, gs_hz=6000, gd_hz=600):
         dec = DecoherenceParams.from_hz(gs_hz, gd_hz)
