@@ -8,6 +8,7 @@ seconds; conversion to internal angular units happens here.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,6 +65,13 @@ def parse_kv_text(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
 class KeyView:
     """Typed access to parsed key-value pairs with error locations."""
 
@@ -96,16 +104,16 @@ class KeyView:
             raise ConfigError(f"cannot parse value {value!r}: {exc}", line=lineno, key=key)
 
     def get_float(self, key: str, default=None):
-        return self._convert(key, float, default)
+        return self._convert(key, _finite, default)
 
     def get_int(self, key: str, default=None):
-        return self._convert(key, lambda v: int(float(v)), default)
+        return self._convert(key, lambda v: int(_finite(v)), default)
 
     def get_str(self, key: str, default=None):
         return self._convert(key, str, default)
 
     def get_floats(self, key: str, default=None):
-        return self._convert(key, lambda v: [float(tok) for tok in v.split(",") if tok.strip()],
+        return self._convert(key, lambda v: [_finite(tok) for tok in v.split(",") if tok.strip()],
                              default)
 
     def unknown_keys(self) -> list[str]:
@@ -178,13 +186,19 @@ class ExperimentConfig:
 def read_csv_columns(path: str, columns: tuple[str, ...],
                      error: type[Exception]) -> list[tuple[float, ...]]:
     """Float rows of the named columns of a CSV file with a header line;
-    lines starting with ``#`` are skipped.  A missing column raises
-    ``error``."""
+    lines starting with ``#`` are skipped.  A missing column, or a cell that
+    is empty or not a finite number, raises ``error``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
         if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
             raise error(f"{path}: need columns {', '.join(columns)}")
-        return [tuple(float(rec[c]) for c in columns) for rec in reader]
+        rows = []
+        for k, rec in enumerate(reader, start=1):
+            try:
+                rows.append(tuple(_finite(rec[c]) for c in columns))
+            except (TypeError, ValueError) as exc:
+                raise error(f"{path}: data row {k}: {exc}") from exc
+        return rows
 
 
 def _build_ensemble(view: KeyView, base_dir: str) -> EmitterEnsemble:

@@ -361,8 +361,10 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
     configured."""
     if n > n_max:
         raise CapabilityError(f"block solver limited to {n_max} emitters, got {n}")
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise ParameterError(f"mu must be finite and >= 0, got {mu}")
+    if not math.isfinite(detuning):
+        raise ParameterError(f"detuning must be finite, got {detuning}")
     parts = block_parts(n, g, cavity, dec)
     mat = parts.l0
     if detuning:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import read_csv_columns
-from .core import DerivedRates, ParameterError, SystemModel, mu_from_power
+from .core import CapabilityError, DerivedRates, ParameterError, SystemModel, mu_from_power
 from .dicke import pulsed_block_emission
 from .units import hz_to_angular
 
@@ -152,10 +152,7 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
                                             pulse_length, detuning=d,
                                             compute_counts=peak_mode == "counts")
                 per[i, js] = res.peak_counts if peak_mode == "counts" else res.peak_instant
-            # the block solver's own failures: CapabilityError and ParameterError
-            # (both ValueErrors), expm_multiply's ValueError on a non-finite
-            # generator, and LinAlgError from the dense expm
-            except (ValueError, np.linalg.LinAlgError) as exc:
+            except (CapabilityError, ParameterError, np.linalg.LinAlgError) as exc:
                 failures.extend((i, j, str(exc)) for j in js)
                 per[i, js] = np.nan
     failures.sort(key=lambda f: (f[1], f[0]))

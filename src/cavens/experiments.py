@@ -85,12 +85,12 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     ens = _spectrum_ensemble(cfg)
     powers = _resolve_powers(cfg)
     tables = []
-    fallbacks = []
+    not_converged = []
     for i, p in enumerate(powers):
         mu = _mu_of(cfg, p)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cfg.model.cavity,
                                              cfg.model.decoherence)
-        fallbacks.append(int(spec.picard.sum()))
+        not_converged.append(int(np.count_nonzero(~spec.converged)))
         rows = [(f, float(r.real), float(r.imag), float(refl), float(ph), int(ok))
                 for f, r, refl, ph, ok in zip(grid_hz, spec.r_complex, spec.reflectance,
                                               spec.phase, spec.converged)]
@@ -100,7 +100,7 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
                             rows=rows))
     meta = {"powers_w": [float(p) for p in powers],
             "mu": [float(_mu_of(cfg, p)) for p in powers],
-            "picard_fallbacks": fallbacks}
+            "not_converged": not_converged}
     return ExperimentResult(tables=tables, metadata=meta)
 
 
@@ -114,11 +114,11 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                                      dir_max=1.0)
     rows = []
     fitted = []
-    fallbacks = []
+    not_converged = []
     for p in powers:
         mu = _mu_of(cfg, p)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cav, cfg.model.decoherence)
-        fallbacks.append(int(spec.picard.sum()))
+        not_converged.append(int(np.count_nonzero(~spec.converged)))
         fit = analysis.fit_lorentzian_dip(spec, norm)
         if fit is None:
             rows.append((float(p), float(mu), math.nan, math.nan, math.nan, math.nan, math.nan))
@@ -127,7 +127,7 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append((float(p), float(mu), angular_to_hz(fit.width),
                          angular_to_hz(fit.stderr["width"]), fit.depth,
                          fit.stderr["depth"], angular_to_hz(fit.center)))
-    meta: dict = {"picard_fallbacks": fallbacks}
+    meta: dict = {"not_converged": not_converged}
     if len(fitted) >= 5:
         try:
             law = analysis.fit_cit_power_laws([p for p, _ in fitted],

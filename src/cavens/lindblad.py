@@ -219,8 +219,8 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     n = expl.n
     if n > n_max:
         raise CapabilityError(f"full-space generator limited to {n_max} emitters, got {n}")
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise ParameterError(f"mu must be finite and >= 0, got {mu}")
     deltas = expl.detunings() + expl.center - laser_detuning
     gs = expl.couplings()
     dc = cavity.delta_c

@@ -4,6 +4,11 @@ Covers the weak-excitation reflection formula, the single-emitter closed
 form with saturation, the nonlinear self-consistent solve for the ensemble
 response x (with the cavity field <a> = -sqrt(mu)/(1+x)), full reflection
 spectra, and the analytic transparency width/depth/center expressions.
+
+One solver serves every self-consistent point: the bracketed Newton of
+:func:`_newton`, vectorized over the frequency grid.  A spectrum and a
+single point (:func:`solve_selfconsistent_x`, the one-row case) share it
+through :func:`_solve`.
 """
 
 from __future__ import annotations
@@ -47,15 +52,13 @@ class CitThresholdError(ValueError):
 class Spectrum:
     """Reflection spectrum on a laser-detuning grid (relative to the
     ensemble center).  ``phase`` is the unwrapped argument of the
-    intracavity field <a>; ``converged`` flags per-point solver success;
-    ``picard`` flags the points solved by the damped-Picard continuation."""
+    intracavity field <a>; ``converged`` flags per-point solver success."""
 
     freqs: np.ndarray
     r_complex: np.ndarray
     reflectance: np.ndarray
     phase: np.ndarray
     converged: np.ndarray
-    picard: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
@@ -63,19 +66,17 @@ class Spectrum:
         object.__setattr__(self, "reflectance", np.asarray(self.reflectance, dtype=float))
         object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
         object.__setattr__(self, "converged", np.asarray(self.converged, dtype=bool))
-        object.__setattr__(self, "picard", np.asarray(self.picard, dtype=bool))
 
 
 def _make_spectrum(freqs: np.ndarray, r: np.ndarray, a_field: np.ndarray,
-                   converged: Optional[np.ndarray] = None,
-                   picard: Optional[np.ndarray] = None) -> Spectrum:
+                   converged: Optional[np.ndarray] = None) -> Spectrum:
     if converged is None:
         converged = np.ones(len(freqs), dtype=bool)
-    if picard is None:
-        picard = np.zeros(len(freqs), dtype=bool)
-    phase = np.unwrap(np.angle(a_field))
+    phase = np.angle(a_field)
+    finite = np.isfinite(phase)  # a NaN point must not blank the phase after it
+    phase[finite] = np.unwrap(phase[finite])
     return Spectrum(freqs=freqs, r_complex=r, reflectance=np.abs(r) ** 2,
-                    phase=phase, converged=converged, picard=picard)
+                    phase=phase, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,9 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
 # Self-consistent ensemble response
 # ---------------------------------------------------------------------------
 
+#: Tolerance on the residual of x, relative to 1 + |x|.
+_TOL = 1e-10
+
 
 class _Response:
     """Ensemble response x at every point of a laser-detuning grid.
@@ -201,8 +205,7 @@ class _Response:
                                  out=np.zeros_like(denom), where=denom > 0)
 
     def rows(self, index) -> "_Response":
-        """The response at the grid points ``index`` alone: an integer gives
-        one point, evaluated at a scalar t; an index array a smaller grid."""
+        """The response at the grid points ``index`` (an index array) alone."""
         sub = copy.copy(self)
         for name in ("offset", "mu_scale", "coef", "sat"):
             setattr(sub, name, getattr(self, name)[index])
@@ -210,9 +213,7 @@ class _Response:
 
     def x_of_t(self, mu: float, t, slope: bool = False):
         """x at each row's t; with ``slope``, the pair (x, dx/dt)."""
-        m = mu * self.mu_scale / t  # mu_eff / t
-        if self.mu_scale.ndim:
-            m = m[:, None]
+        m = (mu * self.mu_scale / t)[:, None]  # mu_eff / t
         if self.parametric:
             gamma, h, d = self.gamma, self.half_width, self.offset
             y = self.sat * m
@@ -238,64 +239,6 @@ class _Response:
         w *= u
         return x, np.einsum("...j,...j->...", self.coef, w) / t
 
-    def saturation_scale(self) -> float:
-        """Largest saturation coefficient at mu = 1, t = 1 (for continuation)."""
-        if self.gamma_s <= 0 or self.gamma <= 0:
-            return math.inf
-        peak = float(np.max(self.sat)) if self.sat.size else 0.0
-        if self.parametric:
-            peak /= self.gamma**2  # the explicit kind's sat for an emitter at zero detuning
-        return peak * self.mu_scale
-
-
-def _picard(resp: _Response, mu: float, *, tol: float, max_iter: int, relaxation: float,
-            steps_per_decade: int) -> complex:
-    """Damped Picard continuation in mu on one row of ``resp`` (see
-    :func:`solve_selfconsistent_x`)."""
-    x = complex(resp.x_of_t(0.0, 1.0))
-    if mu == 0:
-        return x
-    if resp.gamma_s == 0:
-        # no relaxation closure: any finite drive fully saturates, sigma_z -> 0
-        return complex(0.0)
-    sat = resp.saturation_scale()
-    mu_start = min(mu, 1e-3 / sat) if sat > 0 else mu
-    n_steps = max(1, math.ceil(steps_per_decade * math.log10(mu / mu_start))) if mu > mu_start else 1
-    mus = np.geomspace(mu_start, mu, n_steps + 1) if mu > mu_start else np.array([mu])
-    for mu_k in mus:
-        residual = math.inf
-        for _ in range(max_iter):
-            xn = complex(resp.x_of_t(mu_k, abs(1.0 + x) ** 2))
-            residual = abs(xn - x)
-            x = (1.0 - relaxation) * x + relaxation * xn
-            if residual < tol * (1.0 + abs(x)):
-                break
-        else:
-            raise SelfConsistencyError(
-                f"no convergence after {max_iter} iterations at mu={mu_k:.3e}",
-                offset=resp.offset.item(), method="picard", residual=residual)
-    return x
-
-
-def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
-                           cavity: CavityParams, dec: DecoherenceParams, *,
-                           tol: float = 1e-10, max_iter: int = 10_000,
-                           relaxation: float = 0.5, steps_per_decade: int = 10,
-                           delta_c: Optional[float] = None) -> complex:
-    """Self-consistent ensemble response x at one laser frequency.
-
-    Damped Picard iteration with geometric continuation in mu: start from
-    the weak-excitation solution, step mu up by 10^(1/steps_per_decade),
-    relaxing x <- (1-a) x + a F(x) until |dx| < tol (1 + |x|) at each step.
-    Raises :class:`SelfConsistencyError` (with the residual) on failure.
-    """
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
-    dc = cavity.delta_c if delta_c is None else delta_c
-    resp = _Response(ens, np.array([omega_l - ens.center]), cavity, dec, np.array([dc]))
-    return _picard(resp.rows(0), mu, tol=tol, max_iter=max_iter, relaxation=relaxation,
-                   steps_per_decade=steps_per_decade)
-
 
 def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
             tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -320,8 +263,8 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     the grid-by-emitter arrays; until then done rows go on taking steps
     below the bound.  A response with one coupling level (a parametric
     line of one g, or a single emitter) is never cut down: its rows are
-    single numbers, and the copy would cost more than the rows it drops.  Points still open after
-    100 iterations are left to the residual check.
+    single numbers, and the copy would cost more than the rows it drops.
+    Points still open after 100 iterations are left to the residual check.
 
     Returns x and a flag for each point whose residual on x misses tol."""
     t = np.abs(1.0 + x_weak) ** 2
@@ -361,6 +304,41 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     return x, ~(resid < tol * (1.0 + np.abs(x)))
 
 
+def _solve(resp: _Response, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """x at every row of ``resp``, and a flag for each row Newton missed.
+
+    mu = 0 gives the weak-excitation x; without relaxation (gamma_s = 0)
+    any finite drive fully saturates the ensemble, so x = 0."""
+    x = resp.x_of_t(0.0, np.ones(len(resp.mu_scale)))  # weak limit
+    if mu > 0 and resp.gamma_s == 0:
+        x = np.zeros(len(x), dtype=complex)
+    elif mu > 0:
+        return _newton(resp, mu, x, _TOL)
+    return x, np.zeros(len(x), dtype=bool)
+
+
+def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
+                           cavity: CavityParams, dec: DecoherenceParams, *,
+                           delta_c: Optional[float] = None) -> complex:
+    """Self-consistent ensemble response x at one laser frequency.
+
+    The one-row case of :func:`reflection_spectrum`'s solve, at the cavity
+    detuning ``delta_c`` (default ``cavity.delta_c``).  Raises
+    :class:`SelfConsistencyError` (with the residual) where Newton misses
+    the tolerance.
+    """
+    if mu < 0:
+        raise ParameterError("mu must be >= 0")
+    dc = cavity.delta_c if delta_c is None else delta_c
+    resp = _Response(ens, np.array([omega_l - ens.center]), cavity, dec, np.array([dc]))
+    x, missed = _solve(resp, mu)
+    if missed[0]:
+        residual = abs(x[0] - resp.x_of_t(mu, np.abs(1.0 + x) ** 2)[0])
+        raise SelfConsistencyError(f"no convergence at mu={mu:.3e}", offset=resp.offset.item(),
+                                   method="newton", residual=residual)
+    return complex(x[0])
+
+
 def reflection_from_x(x: complex | np.ndarray, cavity: CavityParams,
                       delta_c: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """(r, <a>/sqrt(mu)) from the ensemble response x."""
@@ -371,54 +349,32 @@ def reflection_from_x(x: complex | np.ndarray, cavity: CavityParams,
 
 
 def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
-                        cavity: CavityParams, dec: DecoherenceParams, *,
-                        tol: float = 1e-10, max_iter: int = 10_000,
-                        relaxation: float = 0.5, steps_per_decade: int = 10,
-                        method: str = "newton") -> Spectrum:
+                        cavity: CavityParams, dec: DecoherenceParams) -> Spectrum:
     """Reflection spectrum from the nonlinear self-consistent solve.
 
     Grid = laser detuning from the ensemble center.  ``cavity.delta_c`` is
     the cavity offset from the center; the per-point cavity-laser detuning
-    is tracked exactly.  Non-converged points are flagged and set to NaN
-    rather than aborting the scan.
+    is tracked exactly.
 
-    ``method="newton"`` (default) solves h(t) = t - |1+x(t)|^2 = 0 at every
-    grid point at once, for explicit emitter lists and parametric
-    (closed-form) lines alike, by the safeguarded Newton of :func:`_newton`:
-    each point keeps a bracket on which h changes sign and bisects when a
-    step leaves it, only the points not yet converged are iterated, and the
-    iterate comes down from above the weak-excitation t, so it lands on the
-    largest-t root where h has three (the branch connected to the
-    weak-excitation solution).  The damped-Picard continuation of
-    :func:`solve_selfconsistent_x` runs only where the residual on x still
-    misses ``tol``; ``Spectrum.picard`` flags those points.
-    ``method="picard"`` runs the continuation everywhere; it lands on the same
-    branch (cross-checked in the test suite).
+    Solves h(t) = t - |1+x(t)|^2 = 0 at every grid point at once, for
+    explicit emitter lists and parametric (closed-form) lines alike, by the
+    safeguarded Newton of :func:`_newton`: each point keeps a bracket on
+    which h changes sign and bisects when a step leaves it, only the points
+    not yet converged are iterated, and the iterate comes down from above
+    the weak-excitation t, so it lands on the largest-t root where h has
+    three (the branch connected to the weak-excitation solution).  Points
+    whose residual on x misses the tolerance are flagged as not converged
+    and set to NaN rather than aborting the scan.
     """
     freqs = np.asarray(grid, dtype=float)
-    if method not in ("newton", "picard"):
-        raise ParameterError("method must be 'newton' or 'picard'")
     if mu < 0:
         raise ParameterError("mu must be >= 0")
     dc = cavity.delta_c - freqs
-    resp = _Response(ens, freqs, cavity, dec, dc)
-    x = resp.x_of_t(0.0, np.ones(len(freqs)))  # weak limit
-    picard = np.full(len(freqs), method == "picard")
-    if mu > 0 and dec.gamma_s == 0:
-        x = np.zeros(len(freqs), dtype=complex)  # fully saturated ensemble
-    elif mu > 0 and method == "newton":
-        x, picard = _newton(resp, mu, x, tol)
-    ok = np.ones(len(freqs), dtype=bool)
-    for i in np.flatnonzero(picard):
-        try:
-            x[i] = _picard(resp.rows(i), mu, tol=tol, max_iter=max_iter,
-                           relaxation=relaxation, steps_per_decade=steps_per_decade)
-        except SelfConsistencyError:
-            ok[i] = False
+    x, missed = _solve(_Response(ens, freqs, cavity, dec, dc), mu)
     r, a = reflection_from_x(x, cavity, delta_c=dc)
-    r[~ok] = np.nan
-    a = np.where(ok, a, np.nan)
-    return _make_spectrum(freqs, r, a, ok, picard)
+    r[missed] = complex(np.nan, np.nan)
+    a = np.where(missed, np.nan, a)
+    return _make_spectrum(freqs, r, a, ~missed)
 
 
 # ---------------------------------------------------------------------------

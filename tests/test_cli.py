@@ -113,6 +113,25 @@ ensemble.file = does_not_exist.csv
                                                (hz_to_angular(5e6), hz_to_angular(30e6)))
         with pytest.raises(ConfigError, match="need columns detuning_hz, g_hz"):
             build_config(text.replace("em.csv", "bad.csv"), base_dir=str(tmp_path))
+        for cell, why in (("nan", "not a finite number"), ("abc", "could not convert"),
+                          ("", "could not convert")):
+            (tmp_path / "cell.csv").write_text(f"detuning_hz,g_hz\n0,35e6\n{cell},30e6\n")
+            with pytest.raises(ConfigError, match=f"data row 2: {why}"):
+                build_config(text.replace("em.csv", "cell.csv"), base_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("key, value", [("grid.power.stop_w", "nan"),
+                                            ("grid.power.stop_w", "inf"),
+                                            ("grid.power.stop_w", "-1e400"),
+                                            ("grid.power.num", "inf"),
+                                            ("sweep.values", "1e-13, nan")])
+    def test_non_finite_number_rejected(self, key, value):
+        lines = (SCURVE_CFG + "sweep.axis = power_w\nsweep.values = 1e-13\n").splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[k] = f"{key} = {value}"
+        with pytest.raises(ConfigError) as err:
+            build_config("\n".join(lines))
+        assert (err.value.line, err.value.key) == (k + 1, key)
+        assert "not a finite number" in str(err.value)
 
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
@@ -130,6 +149,23 @@ class TestCliRuns:
     def test_exit_code_config_error(self, tmp_path, capsys):
         assert self._run(tmp_path, "nonsense\n", "bad.cfg", "x") == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_code_non_finite_power(self, tmp_path, capsys):
+        # a NaN power would run, and its NaN peaks would drop out of the bin sums
+        cfg = BASE_MODEL.replace("ensemble.kind = identical", "ensemble.kind = lorentzian") + """
+ensemble.delta_inh_hz = 150e6
+experiment = s-curve
+bins.n = 3
+bins.width_hz = 50e6
+drive.pulse_length_s = 5e-6
+grid.power.start_w = 1e-13
+grid.power.stop_w = nan
+grid.power.num = 2
+grid.power.scale = log
+"""
+        assert self._run(tmp_path, cfg, "nan.cfg", "nan") == 2
+        assert "key 'grid.power.stop_w'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("nan_*"))
 
     def test_exit_code_solver_failure(self, tmp_path, capsys):
         cfg = BASE_MODEL.replace("ensemble.n_ions = 4", "ensemble.n_ions = 9") + """
@@ -267,11 +303,12 @@ grid.power.scale = log
             assert header[0] == "freq_hz" and len(rows) == 41
             assert all(0.0 <= float(r[3]) <= 1.0 + 1e-9 for r in rows)
         meta = json.loads((tmp_path / "rs_metadata.json").read_text())
-        assert meta["picard_fallbacks"] == [0, 0, 0]
+        assert meta["not_converged"] == [0, 0, 0]
 
-    def test_reflection_spectrum_counts_picard_fallbacks(self, tmp_path, monkeypatch):
-        # the 1000-quantile line at mu = 3e-7 leaves no point to Picard; where
-        # Newton misses the tolerance (forced at two points), the sidecar counts it
+    def test_reflection_spectrum_counts_missed_points(self, tmp_path, monkeypatch):
+        # Newton converges at every point of the 1000-quantile line at mu = 3e-7;
+        # where it misses the tolerance (forced at two points), the sidecar
+        # counts them and their CSV rows read converged = 0
         cfg = LINE_MODEL + """
 experiment = reflection-spectrum
 ensemble.explicit_quantiles = 1000
@@ -284,7 +321,7 @@ drive.mu = 3e-7
 
         assert self._run(tmp_path, cfg, "fb.cfg", "fb") == 0
         meta = json.loads((tmp_path / "fb_metadata.json").read_text())
-        assert meta["picard_fallbacks"] == [0]
+        assert meta["not_converged"] == [0]
         newton = meanfield._newton
 
         def missing_two(*args):
@@ -295,9 +332,11 @@ drive.mu = 3e-7
         monkeypatch.setattr(meanfield, "_newton", missing_two)
         assert self._run(tmp_path, cfg, "fb.cfg", "forced") == 0
         meta = json.loads((tmp_path / "forced_metadata.json").read_text())
-        assert meta["picard_fallbacks"] == [2]
+        assert meta["not_converged"] == [2]
         _header, rows = read_csv(tmp_path / "forced_spectrum_000.csv")
-        assert all(r[5] == "1" for r in rows)
+        assert [k for k, r in enumerate(rows) if r[5] != "1"] == [129, 231]
+        assert all(r[1:6] == ["nan"] * 4 + ["0"] for r in (rows[129], rows[231]))
+        assert all(r[4] != "nan" for k, r in enumerate(rows) if k not in (129, 231))
 
     def test_csv_cells_parse_as_floats(self, tmp_path):
         """numpy float64 values (fitted widths, bin detunings, grid points) are
@@ -327,7 +366,7 @@ grid.power.scale = log
         assert self._run(tmp_path, cit, "cit.cfg", "cit") == 0
         assert self._run(tmp_path, binned, "bin.cfg", "bin") == 0
         meta = json.loads((tmp_path / "cit_metadata.json").read_text())
-        assert meta["picard_fallbacks"] == [0] * 5
+        assert meta["not_converged"] == [0] * 5
         for name in ("cit_cit_power_sweep.csv", "bin_s_curve_subensembles.csv"):
             _header, rows = read_csv(tmp_path / name)
             assert rows and all(math.isfinite(float(c)) for r in rows for c in r)

@@ -266,6 +266,13 @@ class TestPulseEdgeCases:
         assert res.peak_instant == 0.0
         assert res.peak_counts == 0.0
 
+    @pytest.mark.parametrize("mu, detuning", [(math.inf, 0.0), (math.nan, 0.0),
+                                              (1e-6, math.inf), (1e-6, math.nan)])
+    def test_non_finite_drive_or_detuning_rejected(self, cavity, decoherence, g35, mu,
+                                                   detuning):
+        with pytest.raises(core.ParameterError, match="must be finite"):
+            pulsed_block_emission(3, g35, mu, cavity, decoherence, 5e-6, detuning=detuning)
+
     @pytest.mark.parametrize("mu", [1e-6, 1e-3])
     def test_no_local_decay_matches_full_space(self, mu, cavity, g35):
         """gamma_s = gamma_d = 0: only the collective channel acts, and the

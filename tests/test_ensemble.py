@@ -73,10 +73,12 @@ class TestIncoherentSCurve:
         ref = scurve(5, powers, 50e-6, model)
         assert np.allclose(inc.total, ref.peaks, rtol=1e-12)
 
-    @pytest.mark.parametrize("error", [CapabilityError, ParameterError, np.linalg.LinAlgError])
+    @pytest.mark.parametrize("error", [CapabilityError, ParameterError, np.linalg.LinAlgError,
+                                       ValueError])
     def test_solver_error_recorded(self, cavity, g35, monkeypatch, error):
         """A block-solver error at one bin and power becomes a recorded
-        failure with a NaN peak, and the other bins still count."""
+        failure with a NaN peak, and the other bins still count.  Any other
+        ValueError is a bug, and it propagates."""
         from cavens.ensemble import Subensemble
 
         def pulse(n, *args, **kwargs):
@@ -87,6 +89,10 @@ class TestIncoherentSCurve:
         real_pulse = ensemble_mod.pulsed_block_emission
         monkeypatch.setattr(ensemble_mod, "pulsed_block_emission", pulse)
         subs = SubensembleSet(entries=(Subensemble(0.0, 3, g35), Subensemble(1e6, 2, g35)))
+        if error is ValueError:
+            with pytest.raises(ValueError, match="solver failed"):
+                incoherent_scurve(subs, [1e-13], 5e-6, self._model(cavity, g35))
+            return
         res = incoherent_scurve(subs, [1e-13], 5e-6, self._model(cavity, g35))
         assert res.failures == ((0, 0, "solver failed"),)
         assert np.isnan(res.per_subensemble[0, 0])
@@ -150,6 +156,18 @@ class TestIncoherentSCurve:
         subs = SubensembleSet(entries=(Subensemble(0.0, 3, g35),))
         with pytest.raises(TypeError):
             incoherent_scurve(subs, [1e-13], 5e-6, self._model(cavity, g35))
+
+    def test_non_finite_power_recorded(self, cavity, g35):
+        """A NaN power fails at every bin as a recorded failure, rather than
+        giving NaN peaks that drop out of the sum."""
+        from cavens.ensemble import Subensemble
+
+        subs = SubensembleSet(entries=(Subensemble(0.0, 3, g35),
+                                       Subensemble(hz_to_angular(2e6), 2, g35)))
+        res = incoherent_scurve(subs, [1e-13, math.nan], 5e-6, self._model(cavity, g35))
+        assert [f[:2] for f in res.failures] == [(1, 0), (1, 1)]
+        assert all(f[2].startswith("mu must be finite and >= 0") for f in res.failures)
+        assert np.all(res.per_subensemble[0] > 0) and np.all(np.isnan(res.per_subensemble[1]))
 
     def test_permutation_invariance_bit_identical(self, cavity, g35):
         from cavens.ensemble import Subensemble

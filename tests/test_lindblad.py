@@ -29,6 +29,11 @@ class TestGenerator:
         with pytest.raises(CapabilityError):
             build_generator(EmitterEnsemble.identical(9, g35), 0.0, cavity, decoherence)
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, -1e-6])
+    def test_drive_must_be_finite_and_non_negative(self, cavity, decoherence, g35, mu):
+        with pytest.raises(ParameterError, match="mu must be finite and >= 0"):
+            build_generator(EmitterEnsemble.identical(2, g35), mu, cavity, decoherence)
+
     def test_single_emitter_purcell_decay(self, cavity, g35):
         dec0 = DecoherenceParams(0.0, 0.0)
         gen = build_generator(EmitterEnsemble.identical(1, g35), 0.0, cavity, dec0)

@@ -24,6 +24,7 @@ from cavens.meanfield import (
 )
 from cavens.units import TWO_PI, hz_to_angular
 
+from _oracles import picard_reflection
 from conftest import coupling_for_cooperativity
 
 
@@ -123,17 +124,58 @@ class TestSelfConsistentX:
         tiny = EmitterEnsemble.explicit([(0.0, 1e-12)])
         assert abs(solve_selfconsistent_x(tiny, 1e-6, 0.0, cavity, decoherence)) < 1e-20
 
-    def test_error_names_point_method_and_residual(self, cavity, decoherence, delta_inh):
+    def test_error_names_point_method_and_residual(self, cavity, decoherence, delta_inh,
+                                                   monkeypatch):
+        """Where Newton misses (forced here: it hands back the weak-limit x
+        as a miss), the one-point solve raises with the laser offset, the
+        method and the residual of the x it got."""
         ens = paper_like_ensemble(cavity, delta_inh, n=200).to_explicit()
+        offset = hz_to_angular(2.5e6)
+        weak = solve_selfconsistent_x(ens, 0.0, offset, cavity, decoherence)
+        monkeypatch.setattr(meanfield, "_newton",
+                            lambda resp, mu, x_weak, tol: (x_weak, np.ones(len(x_weak), bool)))
         with pytest.raises(SelfConsistencyError) as err:
-            solve_selfconsistent_x(ens, 1e-5, hz_to_angular(2.5e6), cavity, decoherence,
-                                   max_iter=1)
+            solve_selfconsistent_x(ens, 1e-5, offset, cavity, decoherence)
         e = err.value
-        assert (e.method, e.offset) == ("picard", hz_to_angular(2.5e6))
-        assert e.residual > 0
-        assert str(e).startswith("picard solve at laser offset 2.5e+06 Hz from the "
-                                 "ensemble center: no convergence after 1 iterations")
-        assert str(e).endswith(f"(residual {e.residual:.3e})")
+        assert (e.method, e.offset) == ("newton", offset)
+        resp = _Response(ens, np.array([offset]), cavity, decoherence,
+                         np.array([cavity.delta_c]))
+        residual = abs(weak - resp.x_of_t(1e-5, abs(1.0 + weak) ** 2)[0])
+        assert residual > 1e-3 and e.residual == pytest.approx(residual, rel=1e-12)
+        assert str(e) == ("newton solve at laser offset 2.5e+06 Hz from the ensemble center: "
+                          f"no convergence at mu=1.000e-05 (residual {e.residual:.3e})")
+
+    @pytest.mark.parametrize("kind", ["explicit", "parametric"])
+    def test_zero_drive_is_weak_limit(self, cavity, decoherence, delta_inh, kind):
+        """At mu = 0 the one-point solve is the weak-limit x, summed here
+        directly: 2 g^2 / (kappa_eff (gamma + i D)) per emitter at D =
+        emitter minus laser, and on the Lorentzian line of HWHM h the same
+        with gamma + h in place of gamma and D = -offset."""
+        ens = paper_like_ensemble(cavity, delta_inh, n=200)
+        if kind == "explicit":
+            ens = ens.to_explicit()
+        gamma = decoherence.gamma
+        for f_hz, dc_hz in ((0.0, 0.0), (7e6, 0.0), (-60e6, 3e9)):
+            laser, dc = hz_to_angular(f_hz), hz_to_angular(dc_hz)
+            x = solve_selfconsistent_x(ens, 0.0, laser, cavity, decoherence, delta_c=dc)
+            kappa_eff = cavity.kappa + 2j * dc
+            if kind == "explicit":
+                d = ens.detunings() - laser
+                ref = np.sum(2.0 * ens.couplings() ** 2 / (kappa_eff * (gamma + 1j * d)))
+            else:
+                ref = ens.n * 2.0 * ens.g**2 / (kappa_eff * (gamma + 0.5 * delta_inh - 1j * laser))
+            assert abs(x - ref) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("kind", ["explicit", "parametric"])
+    def test_no_relaxation_saturates(self, cavity, delta_inh, kind):
+        """At gamma_s = 0 any drive mu > 0 saturates every emitter: x = 0 exactly."""
+        ens = paper_like_ensemble(cavity, delta_inh, n=200)
+        if kind == "explicit":
+            ens = ens.to_explicit()
+        no_relaxation = DecoherenceParams.from_hz(0.0, 6000)
+        for mu in (1e-12, 1e-6, 1.0):
+            for laser in (0.0, hz_to_angular(-40e6)):
+                assert solve_selfconsistent_x(ens, mu, laser, cavity, no_relaxation) == 0
 
     def test_weak_limit_matches_weak_excitation(self, cavity, decoherence, delta_inh):
         ens = paper_like_ensemble(cavity, delta_inh)
@@ -199,9 +241,8 @@ class TestReflectionSpectrum:
         grid = np.array([-40e6, -5e6, 0.0, 2e6, 60e6]) * TWO_PI
         for mu in (1e-7, 1e-5, 1e-3):
             s_newton = reflection_spectrum(ens, mu, grid, cavity, decoherence)
-            s_picard = reflection_spectrum(ens, mu, grid, cavity, decoherence,
-                                           method="picard")
-            assert np.max(np.abs(s_newton.r_complex - s_picard.r_complex)) < 1e-8
+            r_picard = picard_reflection(ens, mu, grid, cavity, decoherence)
+            assert np.max(np.abs(s_newton.r_complex - r_picard)) < 1e-8
 
     @pytest.mark.parametrize("delta_c_hz", [0.0, 3e9])
     def test_newton_matches_picard_parametric(self, decoherence, delta_inh, delta_c_hz):
@@ -216,26 +257,28 @@ class TestReflectionSpectrum:
         for ens in (uniform, hist):
             for mu in (1e-7, 1e-5, 1e-3):
                 s_newton = reflection_spectrum(ens, mu, grid, cav, decoherence)
-                s_picard = reflection_spectrum(ens, mu, grid, cav, decoherence,
-                                               method="picard")
-                assert not s_newton.picard.any() and s_picard.picard.all()
-                assert np.max(np.abs(s_newton.r_complex - s_picard.r_complex)) < 1e-8
+                r_picard = picard_reflection(ens, mu, grid, cav, decoherence)
+                assert s_newton.converged.all()
+                assert np.max(np.abs(s_newton.r_complex - r_picard)) < 1e-8
 
     def test_parametric_zero_drive_and_no_relaxation(self, cavity, decoherence, delta_inh):
         """On a parametric line, mu = 0 gives the weak-excitation spectrum, and
-        gamma_s = 0 saturates every emitter at any drive (x = 0, bare cavity)."""
+        gamma_s = 0 saturates every emitter at any drive (x = 0, bare cavity);
+        so does the Picard oracle."""
         ens = paper_like_ensemble(cavity, delta_inh)
         grid = np.linspace(-100e6, 100e6, 21) * TWO_PI
         line = TransitionLine(ens.total_coupling, 0.0, decoherence.gamma, delta_inh)
         weak = reflection_weak_excitation(grid, [line], cavity)
         no_relaxation = DecoherenceParams.from_hz(0.0, 6000)
         bare = 1.0 - 2.0 * cavity.kappa_c / (cavity.kappa + 2j * (cavity.delta_c - grid))
-        for method in ("newton", "picard"):
-            spec = reflection_spectrum(ens, 0.0, grid, cavity, decoherence, method=method)
-            assert np.max(np.abs(spec.r_complex - weak.r_complex)) < 1e-12
-            spec = reflection_spectrum(ens, 1e-6, grid, cavity, no_relaxation, method=method)
-            assert np.max(np.abs(spec.r_complex - bare)) < 1e-15
+        for spec in (reflection_spectrum(ens, 0.0, grid, cavity, decoherence),
+                     reflection_spectrum(ens, 1e-6, grid, cavity, no_relaxation)):
             assert spec.converged.all()
+        for solve in (lambda *a: reflection_spectrum(*a).r_complex, picard_reflection):
+            r = solve(ens, 0.0, grid, cavity, decoherence)
+            assert np.max(np.abs(r - weak.r_complex)) < 1e-12
+            r = solve(ens, 1e-6, grid, cavity, no_relaxation)
+            assert np.max(np.abs(r - bare)) < 1e-15
 
     @pytest.mark.parametrize("kind", ["explicit", "parametric"])
     def test_response_slope_matches_central_difference(self, cavity, decoherence, delta_inh,
@@ -281,18 +324,18 @@ class TestReflectionSpectrum:
                 ref = ens.n * 2.0 * ens.g**2 / (cavity.kappa + 2j * dc[k]) * line
                 assert abs(x[k] - ref) < 1e-9 * abs(ref)
 
-    def test_picard_fallbacks_flagged(self, cavity, decoherence, delta_inh, monkeypatch):
-        """Newton leaves no point of the 1000-quantile line at mu = 3e-7 to the
-        Picard continuation, nor of the continuum line.  Where Newton misses
-        the tolerance (forced here at grid points 129 and 231),
-        Spectrum.picard flags the point and the continuation solves it."""
+    def test_missed_points_flagged(self, cavity, decoherence, delta_inh, monkeypatch):
+        """Newton converges at every point of the 1000-quantile line at
+        mu = 3e-7, and of the continuum line.  Where it misses the tolerance
+        (forced here at grid points 129 and 231), the point is flagged as not
+        converged with a NaN r and phase, and every other point, its phase
+        included, is unchanged."""
         parametric = paper_like_ensemble(cavity, delta_inh, n=1000)
         explicit = parametric.to_explicit()
         grid = np.linspace(-90e6, 90e6, 361) * TWO_PI
         quantile = reflection_spectrum(explicit, 3e-7, grid, cavity, decoherence)
-        assert not quantile.picard.any()
         assert quantile.converged.all()
-        assert not reflection_spectrum(parametric, 3e-7, grid, cavity, decoherence).picard.any()
+        assert reflection_spectrum(parametric, 3e-7, grid, cavity, decoherence).converged.all()
         newton = meanfield._newton
 
         def missing_two(*args):
@@ -302,9 +345,14 @@ class TestReflectionSpectrum:
 
         monkeypatch.setattr(meanfield, "_newton", missing_two)
         forced = reflection_spectrum(explicit, 3e-7, grid, cavity, decoherence)
-        assert np.flatnonzero(forced.picard).tolist() == [129, 231]
-        assert forced.converged.all()
-        assert np.max(np.abs(forced.r_complex - quantile.r_complex)) < 1e-8
+        assert np.flatnonzero(~forced.converged).tolist() == [129, 231]
+        assert np.isnan(forced.r_complex[[129, 231]]).all()
+        assert np.isnan(forced.r_complex.imag[[129, 231]]).all()
+        assert np.isnan(forced.reflectance[[129, 231]]).all()
+        assert np.isnan(forced.phase[[129, 231]]).all()
+        kept = np.delete(np.arange(len(grid)), [129, 231])
+        assert np.array_equal(forced.r_complex[kept], quantile.r_complex[kept])
+        assert np.array_equal(forced.phase[kept], quantile.phase[kept])
 
     def test_largest_root_at_bistable_points(self, cavity, decoherence, delta_inh):
         """On the 1000-quantile line at mu = 3e-7, h(t) has three roots at six
@@ -324,22 +372,21 @@ class TestReflectionSpectrum:
 
     def test_quantile_powers_without_fallback(self, cavity, decoherence, delta_inh):
         """Over the 20 powers mu = 3e-7 ... 1e-3 of the 1000-quantile line on
-        361 points, no point falls back to Picard, and Newton agrees with
-        Picard to 1e-8 at 13 grid points per power (among them points where
+        361 points, Newton converges at every point and agrees with the Picard
+        oracle to 1e-8 at 13 grid points per power (among them points where
         an unbracketed Newton step used to leave the root)."""
         ens = paper_like_ensemble(cavity, delta_inh, n=1000).to_explicit()
         grid = np.linspace(-90e6, 90e6, 361) * TWO_PI
         some = [22, 44, 65, 86, 129, 167, 180, 193, 231, 274, 295, 316, 340]
         for mu in np.geomspace(3e-7, 1e-3, 20):
             s_newton = reflection_spectrum(ens, mu, grid, cavity, decoherence)
-            assert not s_newton.picard.any() and s_newton.converged.all()
-            s_picard = reflection_spectrum(ens, mu, grid[some], cavity, decoherence,
-                                           method="picard")
-            assert np.max(np.abs(s_newton.r_complex[some] - s_picard.r_complex)) < 1e-8
+            assert s_newton.converged.all()
+            r_picard = picard_reflection(ens, mu, grid[some], cavity, decoherence)
+            assert np.max(np.abs(s_newton.r_complex[some] - r_picard)) < 1e-8
 
     def test_deep_saturation(self, cavity, decoherence, delta_inh):
-        """At mu = 0.1 and 10 both ensemble kinds converge by Newton alone,
-        match Picard to 1e-8, and approach the bare cavity as mu grows; so
+        """At mu = 0.1 and 10 both ensemble kinds converge, match the Picard
+        oracle to 1e-8, and approach the bare cavity as mu grows; so
         saturated, the quantile stand-in and the continuum line coincide."""
         parametric = paper_like_ensemble(cavity, delta_inh, n=1000)
         grid = np.array([-40e6, -5e6, 0.0, 2e6, 60e6]) * TWO_PI
@@ -349,10 +396,9 @@ class TestReflectionSpectrum:
             r = {}
             for ens in (parametric, parametric.to_explicit()):
                 s_newton = reflection_spectrum(ens, mu, grid, cavity, decoherence)
-                s_picard = reflection_spectrum(ens, mu, grid, cavity, decoherence,
-                                               method="picard")
-                assert not s_newton.picard.any() and s_newton.converged.all()
-                assert np.max(np.abs(s_newton.r_complex - s_picard.r_complex)) < 1e-8
+                r_picard = picard_reflection(ens, mu, grid, cavity, decoherence)
+                assert s_newton.converged.all()
+                assert np.max(np.abs(s_newton.r_complex - r_picard)) < 1e-8
                 r[ens.is_parametric] = s_newton.r_complex
             assert np.max(np.abs(r[True] - r[False])) < 1e-9
             off_bare[mu] = np.max(np.abs(r[True] - bare))
