@@ -81,23 +81,19 @@ def _lorentzian_dip_jac(p: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def fit_lorentzian_dip(spectrum: Spectrum | tuple, normalization: DipNormalization,
-                       window: Optional[tuple[float, float]] = None,
                        p0: Optional[Sequence[float]] = None) -> Optional[DipFit]:
-    """Fit ``baseline - depth * L(f)`` to the normalized reflectance.
+    """Fit ``baseline - depth * L(f)`` to the normalized reflectance over the
+    whole grid; non-finite points (unconverged solves) are left out.
 
     Returns None when the spectrum has no interior local minimum below the
-    baseline (the "no dip" outcome).  ``window`` restricts the fitted
-    frequency range; ``p0`` = (baseline, depth, center, width) overrides the
-    automatic start.
+    baseline (the "no dip" outcome).  ``p0`` = (baseline, depth, center,
+    width) overrides the automatic start.
     """
     if isinstance(spectrum, Spectrum):
         freqs, refl = spectrum.freqs, spectrum.reflectance
     else:
         freqs, refl = (np.asarray(a, dtype=float) for a in spectrum)
     y = normalization.apply(refl)
-    if window is not None:
-        mask = (freqs >= window[0]) & (freqs <= window[1])
-        freqs, y = freqs[mask], y[mask]
     good = np.isfinite(y)
     freqs, y = freqs[good], y[good]
     if len(y) < 5:
@@ -148,13 +144,6 @@ class CitPowerLawFit:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-    def width_model(self, power: np.ndarray) -> np.ndarray:
-        return self.p1 / (1.0 - self.p2 / np.sqrt(power))
-
-    def depth_model(self, power: np.ndarray) -> np.ndarray:
-        u = 1.0 - self.p2 / np.sqrt(power)
-        return self.p4 * (u - self.p3 * u**2)
 
 
 def fit_cit_power_laws(powers: Sequence[float], widths: Sequence[float],
@@ -225,7 +214,7 @@ def _biexp(t, a1, tau1, x1, a2, tau2, x2, b):
 
 def fit_emission_trace(times: Sequence[float], values: Sequence[float],
                        regime_hint: Optional[str] = None, *,
-                       n_starts: int = 10, background: Optional[float] = None) -> BiexpFit:
+                       background: Optional[float] = None) -> BiexpFit:
     """Stretched bi-exponential fit of an emission decay.
 
     The background is pinned to the mean of the last 10% of the trace before
@@ -246,10 +235,9 @@ def fit_emission_trace(times: Sequence[float], values: Sequence[float],
     amp0 = max(float(np.max(yb)), 1e-300)
     force_x1 = regime_hint is not None and str(regime_hint).upper() in ("III", "3")
 
-    # log-spaced tau pairs spanning the observed time range
-    n_taus = max(5, int(math.ceil((1 + math.sqrt(1 + 8 * n_starts)) / 2)))
-    taus = np.geomspace(t[0] * 2.0, t[-1], n_taus)
-    pairs = [(taus[i], taus[j]) for i in range(n_taus) for j in range(i, n_taus)]
+    # 15 starts: the pairs tau1 <= tau2 of 5 log-spaced taus spanning the trace
+    taus = np.geomspace(t[0] * 2.0, t[-1], 5)
+    pairs = [(tau1, tau2) for i, tau1 in enumerate(taus) for tau2 in taus[i:]]
 
     best = None
     for tau1_0, tau2_0 in pairs:
@@ -325,8 +313,7 @@ class BeatFit:
 
 
 def beat_spectrum(times: Sequence[float], coherent_amp: Sequence[complex],
-                  lo_offset: float, window: Optional[float] = None, *,
-                  pad_factor: int = 16) -> BeatFit:
+                  lo_offset: float, window: Optional[float] = None) -> BeatFit:
     """Power spectrum of the coherent amplitude beating against a local
     oscillator detuned by ``lo_offset`` (rad/s), with a Lorentzian peak fit.
 
@@ -347,7 +334,7 @@ def beat_spectrum(times: Sequence[float], coherent_amp: Sequence[complex],
         keep = t <= t[0] + window
         t, s = t[keep], s[keep]
     sig = s * np.exp(1j * lo_offset * t)
-    nfft = pad_factor * 2 ** int(math.ceil(math.log2(len(sig))))
+    nfft = 16 * 2 ** int(math.ceil(math.log2(len(sig))))  # zero-padded 16-fold
     spec = np.fft.fft(sig, n=nfft) * dt
     freqs = np.fft.fftfreq(nfft, d=dt) * TWO_PI
     order = np.argsort(freqs)
@@ -397,18 +384,15 @@ class SCurveFeatures:
 
 
 
-def extract_scurve_features(powers: Sequence[float], peaks: Sequence[float],
-                            smooth_window: int = 3) -> SCurveFeatures:
-    """Locate slope sign changes of the (smoothed) S-curve."""
+def extract_scurve_features(powers: Sequence[float], peaks: Sequence[float]) -> SCurveFeatures:
+    """Locate slope sign changes of the S-curve smoothed by a 3-point moving
+    average (end points repeated)."""
     p = np.asarray(powers, dtype=float)
     y = np.asarray(peaks, dtype=float)
     if len(p) < 7:
         raise ParameterError("need at least 7 points")
-    if smooth_window > 1:
-        k = smooth_window
-        kernel = np.ones(k) / k
-        ypad = np.concatenate([np.full(k // 2, y[0]), y, np.full(k // 2, y[-1])])
-        y = np.convolve(ypad, kernel, mode="valid")[: len(p)]
+    ypad = np.concatenate([[y[0]], y, [y[-1]]])
+    y = np.convolve(ypad, np.ones(3) / 3, mode="valid")
     slope = np.diff(y)
     signs = np.sign(slope)
     signs[signs == 0] = 1

@@ -292,6 +292,14 @@ def build_config(text: str, base_dir: str = ".",
                               line=view.line("sweep.axis"))
         if not sweep_values:
             raise ConfigError("sweep.values required with sweep.axis", key="sweep.values")
+    if sweep_axis == "n_ions":
+        if any(v < 1 or v != int(v) for v in sweep_values):
+            raise ConfigError("n_ions sweep values must be positive integers",
+                              line=view.line("sweep.values"), key="sweep.values")
+        if ens.emitters is not None and len(set(ens.emitters)) > 1:
+            raise ConfigError("an n_ions sweep of an explicit ensemble needs all emitters "
+                              "at one detuning and g", line=view.line("sweep.axis"),
+                              key="sweep.axis")
 
     cfg = ExperimentConfig(
         experiment=experiment,

@@ -12,7 +12,7 @@ import functools
 import math
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -22,6 +22,14 @@ from .units import HBAR, TWO_PI, hz_to_angular
 
 class ParameterError(ValueError):
     """A parameter bundle violates one of its invariants."""
+
+
+def _check_finite(**fields: Optional[float]) -> None:
+    """Raise :class:`ParameterError` naming the first given field that is
+    NaN or infinite (None is skipped)."""
+    for name, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class CapabilityError(ValueError):
@@ -45,6 +53,8 @@ class CavityParams:
     omega: float = hz_to_angular(304500e9)
 
     def __post_init__(self) -> None:
+        _check_finite(kappa=self.kappa, kappa_c=self.kappa_c, delta_c=self.delta_c,
+                      omega=self.omega)
         if not self.kappa > 0:
             raise ParameterError(f"kappa must be positive, got {self.kappa}")
         if not (0 < self.kappa_c <= self.kappa):
@@ -78,6 +88,7 @@ class DecoherenceParams:
     gamma_d: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(gamma_s=self.gamma_s, gamma_d=self.gamma_d)
         if self.gamma_s < 0:
             raise ParameterError(f"gamma_s must be >= 0, got {self.gamma_s}")
         if self.gamma_d < 0:
@@ -119,10 +130,13 @@ class EmitterEnsemble:
     g_hist: Optional[GHistogram] = None
 
     def __post_init__(self) -> None:
+        _check_finite(center=self.center, delta_inh=self.delta_inh, g=self.g)
         if self.emitters is not None:
             object.__setattr__(self, "emitters", tuple((float(d), float(g)) for d, g in self.emitters))
             if len(self.emitters) == 0:
                 raise ParameterError("explicit ensemble must contain at least one emitter")
+            if not np.isfinite(self.emitters).all():
+                raise ParameterError("emitters must have finite detunings and couplings")
             if any(g <= 0 for _, g in self.emitters):
                 raise ParameterError("all couplings g_j must be positive")
             if self.n_ions is not None and self.n_ions != len(self.emitters):
@@ -140,6 +154,8 @@ class EmitterEnsemble:
         if self.g_hist is not None:
             hist = tuple((float(g), float(p)) for g, p in self.g_hist)
             object.__setattr__(self, "g_hist", hist)
+            if not np.isfinite(hist).all():
+                raise ParameterError("g_hist must have finite couplings and weights")
             if any(g <= 0 for g, _ in hist) or any(p < 0 for _, p in hist):
                 raise ParameterError("histogram needs positive g and non-negative weights")
             total = math.fsum(p for _, p in hist)
@@ -240,47 +256,6 @@ def _histogram_quantiles(hist: GHistogram, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DriveParams:
-    """Drive description: input power (W) and/or bare-cavity photon number mu.
-
-    The two are related by mu = kappa_c P_in / (((kappa/2)^2 + delta_c^2) hbar omega);
-    when both are given they must be consistent in the resonant (delta_c = 0)
-    convention.
-    """
-
-    power_in: Optional[float] = None
-    mu: Optional[float] = None
-    omega_l: float = 0.0
-    pulse_length: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.power_in is not None and self.power_in < 0:
-            raise ParameterError("power_in must be >= 0")
-        if self.mu is not None and self.mu < 0:
-            raise ParameterError("mu must be >= 0")
-        if self.power_in is None and self.mu is None:
-            raise ParameterError("give power_in or mu")
-
-    def resolve_mu(self, cavity: CavityParams, resonant: bool = True) -> float:
-        """Return mu, computing it from power_in when needed.
-
-        If both power_in and mu were provided, verify consistency under the
-        resonant conversion to 1e-9 relative.
-        """
-        if self.mu is not None and self.power_in is not None:
-            ref = mu_from_power(self.power_in, cavity, resonant=True)
-            if not math.isclose(self.mu, ref, rel_tol=1e-9, abs_tol=0.0):
-                raise ParameterError(
-                    f"mu={self.mu!r} inconsistent with power_in={self.power_in!r} (expected mu={ref!r})"
-                )
-            return self.mu
-        if self.mu is not None:
-            return self.mu
-        assert self.power_in is not None
-        return mu_from_power(self.power_in, cavity, resonant=resonant)
-
-
-@dataclass(frozen=True)
 class SystemModel:
     """Cavity + decoherence + ensemble in one bundle."""
 
@@ -300,22 +275,20 @@ class DerivedRates:
     cooperativity: Optional[float] = None
 
 
-def mu_from_power(power_in: float, cavity: CavityParams, resonant: bool = False) -> float:
-    """Bare-cavity mean photon number for a given input power.
-
-    mu = kappa_c P_in / (((kappa/2)^2 + delta_c^2) hbar omega); the
-    ``resonant`` flag drops delta_c.
+def mu_from_power(power_in: float, cavity: CavityParams) -> float:
+    """Bare-cavity mean photon number for a given input power:
+    mu = kappa_c P_in / (((kappa/2)^2 + delta_c^2) hbar omega), at the
+    configured ``cavity.delta_c``.
     """
     if power_in < 0:
         raise ParameterError("power_in must be >= 0")
-    dc2 = 0.0 if resonant else cavity.delta_c**2
-    return cavity.kappa_c * power_in / (((0.5 * cavity.kappa) ** 2 + dc2) * HBAR * cavity.omega)
+    return cavity.kappa_c * power_in / (
+        ((0.5 * cavity.kappa) ** 2 + cavity.delta_c**2) * HBAR * cavity.omega)
 
 
-def power_from_mu(mu: float, cavity: CavityParams, resonant: bool = False) -> float:
-    """Inverse of :func:`mu_from_power`."""
-    dc2 = 0.0 if resonant else cavity.delta_c**2
-    return mu * ((0.5 * cavity.kappa) ** 2 + dc2) * HBAR * cavity.omega / cavity.kappa_c
+def power_from_mu(mu: float, cavity: CavityParams) -> float:
+    """Inverse of :func:`mu_from_power`, at the configured ``cavity.delta_c``."""
+    return mu * ((0.5 * cavity.kappa) ** 2 + cavity.delta_c**2) * HBAR * cavity.omega / cavity.kappa_c
 
 
 def ensemble_cooperativity(cavity: CavityParams, ens: EmitterEnsemble,
@@ -372,9 +345,10 @@ class AssumptionReport:
         }
 
 
-def validate_assumptions(model: SystemModel, drive: DriveParams, ratio: float = 10.0,
+def validate_assumptions(model: SystemModel, mu: float, ratio: float = 10.0,
                          fsr: Optional[float] = None) -> AssumptionReport:
-    """Check the analytic-regime conditions; warn-level reporting, never raises.
+    """Check the analytic-regime conditions at the bare-cavity photon number
+    ``mu``; warn-level reporting, raises only for a negative ``mu``.
 
     Evaluated with ">>" interpreted as "larger by at least ``ratio``":
 
@@ -386,8 +360,9 @@ def validate_assumptions(model: SystemModel, drive: DriveParams, ratio: float = 
 
     The rms coupling stands in for g under inhomogeneous coupling.
     """
+    if mu < 0:
+        raise ParameterError("mu must be >= 0")
     cav, dec, ens = model.cavity, model.decoherence, model.ensemble
-    mu = drive.resolve_mu(cav)
     gamma = dec.gamma
     _, g2 = ens.g_moments()
     checks = []
@@ -588,7 +563,6 @@ __all__ = [
     "CavityParams",
     "DecoherenceParams",
     "EmitterEnsemble",
-    "DriveParams",
     "SystemModel",
     "DerivedRates",
     "mu_from_power",

@@ -124,14 +124,13 @@ class DickeBlockState:
         basis = dicke_basis(self.n)
         return float(sum(d * np.trace(b).real for d, b in zip(basis.degeneracies, self.blocks)))
 
-    def validate(self, trace_tol: float = BLOCK_TRACE_TOL,
-                 positivity_tol: float = BLOCK_POSITIVITY_TOL) -> None:
-        if abs(self.weighted_trace() - 1.0) > trace_tol:
+    def validate(self) -> None:
+        if abs(self.weighted_trace() - 1.0) > BLOCK_TRACE_TOL:
             raise ParameterError("degeneracy-weighted trace differs from 1")
         for b in self.blocks:
             if np.max(np.abs(b - b.conj().T)) > 1e-9:
                 raise ParameterError("block not Hermitian")
-            if np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() < -positivity_tol:
+            if np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() < -BLOCK_POSITIVITY_TOL:
                 raise ParameterError("block not positive within tolerance")
 
     def to_vec(self) -> np.ndarray:
@@ -353,14 +352,12 @@ def block_parts(n: int, g: float, cavity: CavityParams,
 
 
 def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
-                          dec: DecoherenceParams, detuning: float = 0.0,
-                          n_max: int = BASIS_N_MAX) -> BlockLiouvillian:
+                          dec: DecoherenceParams, detuning: float = 0.0) -> BlockLiouvillian:
     """Generator for n identical emitters (coupling g) at ``detuning``
     (emitter minus laser), summed from the cached :func:`block_parts`:
     l0 + detuning * lz + g sqrt(mu) * ld.  ``cavity.delta_c`` is taken as
-    configured."""
-    if n > n_max:
-        raise CapabilityError(f"block solver limited to {n_max} emitters, got {n}")
+    configured.  Beyond ``BASIS_N_MAX`` emitters, :func:`dicke_basis` raises
+    :class:`CapabilityError`."""
     if not (mu >= 0 and math.isfinite(mu)):
         raise ParameterError(f"mu must be finite and >= 0, got {mu}")
     if not math.isfinite(detuning):
@@ -516,8 +513,7 @@ class RateMap:
 RATE_MAP_N_MAX = 12
 
 
-def rate_map(n: int, gamma_c: float, gamma_s: float, gamma_d: float,
-             n_max: int = RATE_MAP_N_MAX) -> RateMap:
+def rate_map(n: int, gamma_c: float, gamma_s: float, gamma_d: float) -> RateMap:
     """Population-transfer rates between |J, M> levels (folded convention:
     the rates move observable population between the aggregated levels).
 
@@ -525,8 +521,8 @@ def rate_map(n: int, gamma_c: float, gamma_s: float, gamma_d: float,
     with J' in {J-1, J, J+1}; dephasing (J, M) -> (J +/- 1, M).  States
     (J, -J) with J < N/2 have zero collective out-rate (dark states).
     """
-    if n > n_max:
-        raise CapabilityError(f"exhaustive rate map limited to {n_max} emitters")
+    if n > RATE_MAP_N_MAX:
+        raise CapabilityError(f"exhaustive rate map limited to {RATE_MAP_N_MAX} emitters")
     basis = dicke_basis(n)
     half_n = n / 2.0
     y_d = 2.0 * gamma_d

@@ -9,7 +9,7 @@ back-of-envelope estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +29,9 @@ class Subensemble:
 
 @dataclass(frozen=True)
 class SubensembleSet:
-    """Detuned subensembles of identical emitters plus binning provenance."""
+    """Detuned subensembles of identical emitters."""
 
     entries: tuple[Subensemble, ...]
-    provenance: dict = field(default_factory=dict)
 
     @property
     def total_ions(self) -> int:
@@ -45,10 +44,10 @@ class SubensembleSet:
         return np.array([e.detuning for e in self.entries])
 
 
-def default_bin_width(rates: DerivedRates, multiplier: float = 1.0) -> float:
-    """Bin spacing from the indistinguishability window: Gamma_c times an
-    adjustable multiplier."""
-    return rates.purcell * multiplier
+def default_bin_width(rates: DerivedRates) -> float:
+    """Bin spacing from the indistinguishability window: the Purcell rate
+    Gamma_c.  A run sets another width with ``bins.width_hz``."""
+    return rates.purcell
 
 
 def _lorentzian_cdf(w: float, fwhm: float) -> float:
@@ -105,10 +104,7 @@ def bin_lorentzian(total_n: int, delta_inh: float, n_bins: int, bin_width: float
     assert counts.sum() == total_n
     entries = tuple(Subensemble(detuning=center + off, n_ions=int(c), g=g)
                     for off, c in zip(offsets, counts))
-    return SubensembleSet(entries=entries, provenance={
-        "distribution": "lorentzian", "fwhm": delta_inh, "bin_width": bin_width,
-        "n_bins": n_bins, "total_n": total_n, "rounding": "symmetric-largest-remainder",
-    })
+    return SubensembleSet(entries=entries)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from . import analysis, dicke, ensemble as ensemble_mod, lindblad, meanfield
 from .config import ConfigError, ExperimentConfig
 from .core import (
     CapabilityError,
-    DriveParams,
     EmitterEnsemble,
     ParameterError,
     derive_rates,
@@ -342,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             _mu_of(cfg, float(_resolve_powers(cfg)[0])))
     except ConfigError:
         mu_probe = 0.0
-    report = validate_assumptions(cfg.model, DriveParams(mu=mu_probe), ratio=10.0)
+    report = validate_assumptions(cfg.model, mu_probe)
     result.metadata.setdefault("assumptions", report.as_dict())
     return result
 
@@ -359,9 +358,8 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentCon
             new_ens = EmitterEnsemble.lorentzian(n_ions=n, delta_inh=ens.delta_inh,
                                                  g=ens.g, center=ens.center,
                                                  g_hist=ens.g_hist)
-        else:
-            g = float(ens.couplings()[0])
-            d = float(ens.detunings()[0])
+        else:  # build_config admits only emitters at one (detuning, g)
+            d, g = ens.emitters[0]
             new_ens = EmitterEnsemble.identical(n, g, detuning=d)
         model = replace(cfg.model, ensemble=new_ens)
         return replace(cfg, model=model)

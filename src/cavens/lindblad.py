@@ -4,15 +4,14 @@ Builds the many-body generator
 
     drho/dt = -i[H_at, rho] + L_col + L_em + L_deph
 
-for an explicit list of emitters (capability-limited, default N <= 8),
-evolves it by matrix exponentials, runs the pulsed-emission protocol, and
-projects states onto the coupled angular-momentum basis.  Propagation and
-the pulse protocol are the ones the block solver uses
-(:func:`cavens.core.propagate`, :func:`cavens.core.pulse_protocol`).
+for an explicit list of emitters (capability-limited, N <= 8), evolves it
+by matrix exponentials, runs the pulsed-emission protocol, and projects
+states onto the coupled angular-momentum basis.  Propagation and the pulse
+protocol are the ones the block solver uses (:func:`cavens.core.propagate`,
+:func:`cavens.core.pulse_protocol`).
 
-ODE stepping is kept only as independent test oracles: :func:`evolve`
-(DOP853 on the matrix-free generator) and
-:func:`mean_field_ode_steady_state`.  Both import ``scipy.integrate`` when
+ODE stepping is kept only as the independent test oracle :func:`evolve`
+(DOP853 on the matrix-free generator).  It imports ``scipy.integrate`` when
 called, so no production run loads it.
 
 Conventions pinned by tests:
@@ -86,15 +85,14 @@ class DensityState:
         v = v / np.linalg.norm(v)
         return cls(dim=len(v), matrix=np.outer(v, v.conj()))
 
-    def validate(self, hermiticity_tol: float = HERMITICITY_TOL, trace_tol: float = TRACE_TOL,
-                 positivity_tol: float = POSITIVITY_TOL) -> None:
+    def validate(self) -> None:
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > hermiticity_tol:
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ParameterError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
+        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ParameterError("density matrix trace differs from 1 beyond tolerance")
         evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if evals.min() < -positivity_tol:
+        if evals.min() < -POSITIVITY_TOL:
             raise ParameterError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
     def expect(self, op: sp.spmatrix | np.ndarray) -> complex:
@@ -203,8 +201,7 @@ class Liouvillian:
 
 
 def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
-                    dec: DecoherenceParams, n_max: int = DEFAULT_N_MAX,
-                    laser_detuning: float = 0.0) -> Liouvillian:
+                    dec: DecoherenceParams, laser_detuning: float = 0.0) -> Liouvillian:
     """Adiabatically eliminated generator for an explicit ensemble.
 
     H_at = (Delta_c/((kappa/2)^2 + Delta_c^2)) Jg+ Jg- + (1/2) sum Delta_j sz_j
@@ -217,8 +214,8 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     """
     expl = ens.to_explicit() if ens.is_parametric else ens
     n = expl.n
-    if n > n_max:
-        raise CapabilityError(f"full-space generator limited to {n_max} emitters, got {n}")
+    if n > DEFAULT_N_MAX:
+        raise CapabilityError(f"full-space generator limited to {DEFAULT_N_MAX} emitters, got {n}")
     if not (mu >= 0 and math.isfinite(mu)):
         raise ParameterError(f"mu must be finite and >= 0, got {mu}")
     deltas = expl.detunings() + expl.center - laser_detuning
@@ -251,10 +248,10 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
 # ---------------------------------------------------------------------------
 
 
-def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float], *,
-           rtol: float = 1e-8, atol: float = 1e-10, method: str = "DOP853") -> list[DensityState]:
-    """ODE trajectory at the requested times (strictly increasing from 0).
-    Test oracle for :func:`evolve_expm`; no production path calls it."""
+def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float]) -> list[DensityState]:
+    """ODE trajectory (DOP853 at rtol 1e-10, atol 1e-13) at the requested
+    times (strictly increasing from 0).  Test oracle for
+    :func:`evolve_expm`; no production path calls it."""
     from scipy.integrate import solve_ivp
 
     t = np.asarray(times, dtype=float)
@@ -266,7 +263,7 @@ def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float], *,
     if prepend_zero:
         t_eval = np.concatenate([[0.0], t])
     sol = solve_ivp(lambda _t, y: gen.matvec(y), (0.0, float(t[-1])), y0,
-                    t_eval=t_eval, method=method, rtol=rtol, atol=atol)
+                    t_eval=t_eval, method="DOP853", rtol=1e-10, atol=1e-13)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
     states = [DensityState(gen.dim, sol.y[:, k].reshape(gen.dim, gen.dim))
@@ -341,11 +338,8 @@ def _jm_sectors(n: int) -> tuple:
     """
     ops = collective_operators(n)
     j2 = (ops["jm"] @ ops["jp"] + ops["jz"] @ ops["jz"] + ops["jz"]).toarray()
-    dim = 2**n
-    n_exc = np.array([bin(i).count("1") for i in range(dim)])
-    # site 0 is the most-significant bit with |e> = 0b0 index... computational
-    # order: index bits with 0 = excited. Count ground bits instead.
-    n_exc = n - n_exc  # bit set means |g> in our kron ordering ( |e> is row 0 )
+    # a set bit is |g>, so the excitation number is n minus the popcount
+    n_exc = n - np.array([bin(i).count("1") for i in range(2**n)])
     sectors = []
     for k in range(n + 1):
         idx = np.where(n_exc == k)[0]
@@ -413,93 +407,6 @@ def saturation_comparison(g: float, mu_grid: Sequence[float], cavity: CavityPara
     return SaturationCurves(mu=mu, coherence_sq=coh, excited=exc)
 
 
-# ---------------------------------------------------------------------------
-# Mean-field ODE oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeanFieldSteadyState:
-    x: complex
-    a_field: complex
-    r_complex: complex
-    sigma_minus: np.ndarray
-    sigma_z: np.ndarray
-
-
-def mean_field_ode_steady_state(ens: EmitterEnsemble, mu: float, omega_l: float,
-                                cavity: CavityParams, dec: DecoherenceParams, *,
-                                ss_tol: float = 1e-9, max_chunks: int = 64,
-                                rtol: float = 1e-10, atol: float = 1e-12) -> MeanFieldSteadyState:
-    """Integrate the factorized (mean-field) equations of motion from the
-    ground state into the steady-state basin, then polish the fixed point by
-    root-finding on the full equation set; independent route to the
-    self-consistent response x."""
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import root
-
-    if mu <= 0:
-        raise ParameterError("the ODE oracle needs mu > 0")
-    if dec.gamma_s <= 0:
-        raise ParameterError("the ODE oracle needs gamma_s > 0 to relax")
-    expl = ens.to_explicit() if ens.is_parametric else ens
-    n = expl.n
-    deltas = expl.detunings() + expl.center - omega_l
-    gs = expl.couplings()
-    gamma, gamma_s = dec.gamma, dec.gamma_s
-    dc = cavity.delta_c
-    kap = cavity.kappa
-    drive = -0.5 * kap * math.sqrt(mu)
-
-    def a_of(sm):
-        return (-1j * np.sum(gs * sm) + drive) / (1j * dc + 0.5 * kap)
-
-    def rhs(_t, y):
-        sm = y[:n] + 1j * y[n:2 * n]
-        sz = y[2 * n:]
-        a = a_of(sm)
-        dsm = -(1j * deltas + gamma) * sm + 1j * gs * sz * a
-        dsz = -4.0 * gs * np.imag(np.conj(a) * sm) - gamma_s * (1.0 + sz)
-        return np.concatenate([dsm.real, dsm.imag, dsz])
-
-    y = np.concatenate([np.zeros(2 * n), -np.ones(n)])
-    rate = gamma_s + 4.0 * float(np.min(gs) ** 2) / kap
-    chunk = 8.0 / rate
-    # DOP853's automatic first step scales with |y|/|y'|, which is huge for a
-    # weakly driven ground state; such a step overflows the rhs.  Start
-    # instead from a fraction of the fastest timescale of the problem.
-    fastest = max(gamma, float(np.max(np.abs(deltas))), 4.0 * float(np.max(gs) ** 2) / kap)
-    first_step = 0.1 / fastest
-    scale = max(1.0, math.sqrt(mu))
-    threshold = ss_tol * rate * scale
-    resid = math.inf
-    for _ in range(max_chunks):
-        sol = solve_ivp(rhs, (0.0, chunk), y, method="DOP853", rtol=rtol, atol=atol,
-                        first_step=first_step)
-        if not sol.success:
-            raise IntegrationError(sol.message)
-        y = sol.y[:, -1]
-        resid = float(np.max(np.abs(rhs(0.0, y))))
-        if resid <= threshold:
-            break
-        if resid <= 1e-3 * rate * scale:
-            polished = root(lambda v: rhs(0.0, v), y, method="hybr", tol=1e-13)
-            y_pol = polished.x
-            if float(np.max(np.abs(rhs(0.0, y_pol)))) <= threshold:
-                y = y_pol
-                break
-    else:
-        raise IntegrationError(
-            f"mean-field ODE not stationary after {max_chunks} chunks (residual {resid:.3e})")
-    sm = y[:n] + 1j * y[n:2 * n]
-    sz = y[2 * n:]
-    a = a_of(sm)
-    x = drive / ((1j * dc + 0.5 * kap) * a) - 1.0
-    r = 1.0 + 2.0 * cavity.kappa_c * a / (kap * math.sqrt(mu))
-    return MeanFieldSteadyState(x=complex(x), a_field=complex(a), r_complex=complex(r),
-                                sigma_minus=sm, sigma_z=sz)
-
-
 __all__ = [
     "DEPHASING_LINDBLAD_SCALE",
     "DEFAULT_N_MAX",
@@ -519,6 +426,4 @@ __all__ = [
     "dicke_projection",
     "SaturationCurves",
     "saturation_comparison",
-    "MeanFieldSteadyState",
-    "mean_field_ode_steady_state",
 ]

@@ -28,6 +28,7 @@ from .core import (
     ParameterError,
     SystemModel,
     ensemble_cooperativity,
+    validate_assumptions,
 )
 from .units import angular_to_hz
 
@@ -415,20 +416,18 @@ def cit_center(omega0: float, omega_cav: float, cooperativity: float,
     return (omega0 - eps * omega_cav) / (1.0 - eps)
 
 
-def cit_analytics(model: SystemModel, mu: float, *, check: bool = True,
-                  assumption_ratio: float = 10.0) -> CitAnalytics:
+def cit_analytics(model: SystemModel, mu: float, *, check: bool = True) -> CitAnalytics:
     """Analytic width/depth/center of the transparency dip at drive mu.
 
     Raises :class:`CitThresholdError` when mu is at or below the pole of the
-    width formula.  Warns (never aborts) when the validity conditions fail.
+    width formula.  Warns (never aborts) when the validity conditions fail
+    at the default ratio of :func:`cavens.core.validate_assumptions`.
     """
     ens, cav = model.ensemble, model.cavity
     c = ensemble_cooperativity(cav, ens)
     assert ens.delta_inh is not None
     if check:
-        from .core import DriveParams, validate_assumptions
-
-        report = validate_assumptions(model, DriveParams(mu=mu), ratio=assumption_ratio)
+        report = validate_assumptions(model, mu)
         if not report.passed:
             failing = [c_.name for c_ in report.checks if not c_.passed]
             warnings.warn(f"analytic dip expressions outside validity regime: {failing}",

@@ -15,7 +15,6 @@ from cavens import analysis, dicke, ensemble as ens_mod, lindblad, meanfield
 from cavens.core import (
     CavityParams,
     DecoherenceParams,
-    DriveParams,
     EmitterEnsemble,
     SystemModel,
     derive_rates,
@@ -117,7 +116,7 @@ def test_c04_selfconsistent_x_oracle():
     worst = 0.0
     ratios_ok = True
     for mu in np.geomspace(1e-4, 6e-4, 10):
-        ratios_ok &= validate_assumptions(model, DriveParams(mu=mu), ratio=30.0).passed
+        ratios_ok &= validate_assumptions(model, mu, ratio=30.0).passed
         x = meanfield.solve_selfconsistent_x(ens, mu, offset, cav, dec)
         q = dinh * cav.kappa / (2 * n * g) * math.sqrt(mu / (dec.gamma_s * dec.gamma))
         x_ref = 1.0 / (q - 1.0) + 8j * offset * n * g**2 / (dinh**2 * cav.kappa)

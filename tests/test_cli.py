@@ -167,6 +167,29 @@ grid.power.scale = log
         assert "key 'grid.power.stop_w'" in capsys.readouterr().err
         assert not list(tmp_path.glob("nan_*"))
 
+    @pytest.mark.parametrize("emitters, values, key", [
+        ("-3e6,30e6\n0,35e6\n4e6,40e6\n", "3", "sweep.axis"),  # would copy the first emitter
+        ("0,35e6\n0,35e6\n", "3.7", "sweep.values"),  # would be truncated to 3
+        ("0,35e6\n0,35e6\n", "2, 0", "sweep.values"),
+    ], ids=["spread-explicit", "non-integer", "non-positive"])
+    def test_exit_code_bad_n_ions_sweep(self, tmp_path, capsys, emitters, values, key):
+        (tmp_path / "em.csv").write_text("detuning_hz,g_hz\n" + emitters)
+        cfg = BASE_MODEL.replace("ensemble.kind = identical\nensemble.n_ions = 4\n"
+                                 "ensemble.g_hz = 35e6\n",
+                                 "ensemble.kind = explicit\nensemble.file = em.csv\n") + f"""
+experiment = emission-trace
+drive.mu = 1e-6
+drive.pulse_length_s = 1e-6
+grid.time.start_s = 0.5e-6
+grid.time.stop_s = 2e-6
+grid.time.num = 4
+sweep.axis = n_ions
+sweep.values = {values}
+"""
+        assert self._run(tmp_path, cfg, "nsweep.cfg", "nsweep") == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("nsweep_*"))
+
     def test_exit_code_solver_failure(self, tmp_path, capsys):
         cfg = BASE_MODEL.replace("ensemble.n_ions = 4", "ensemble.n_ions = 9") + """
 experiment = emission-trace

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cavens.core import (
     AssumptionReport,
     CavityParams,
     DecoherenceParams,
-    DriveParams,
     EmitterEnsemble,
     ParameterError,
     SystemModel,
@@ -58,6 +58,26 @@ class TestParams:
         with pytest.raises(ParameterError):
             EmitterEnsemble.lorentzian(n_ions=5, delta_inh=1.0,
                                        g_hist=((1.0, 0.5), (2.0, 0.5 + 1e-6)))
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: EmitterEnsemble.explicit([(math.nan, 1e6)]), "emitters"),
+        (lambda: EmitterEnsemble.explicit([(0.0, 1e6), (0.0, math.inf)]), "emitters"),
+        (lambda: EmitterEnsemble.explicit([(math.inf, 1e6)]), "emitters"),
+        (lambda: EmitterEnsemble.lorentzian(5, delta_inh=math.inf, g=1.0), "delta_inh"),
+        (lambda: EmitterEnsemble.lorentzian(5, delta_inh=1.0, g=math.inf), "g must"),
+        (lambda: EmitterEnsemble.lorentzian(5, delta_inh=1.0, g=1.0, center=math.nan), "center"),
+        (lambda: EmitterEnsemble.lorentzian(5, 1.0, g_hist=((math.inf, 1.0),)), "g_hist"),
+        (lambda: EmitterEnsemble.lorentzian(5, 1.0, g_hist=((1.0, math.nan),)), "g_hist"),
+        (lambda: CavityParams(kappa=math.inf, kappa_c=1.0), "kappa must"),
+        (lambda: CavityParams(kappa=1.0, kappa_c=0.5, delta_c=math.nan), "delta_c"),
+        (lambda: DecoherenceParams(gamma_s=math.nan), "gamma_s"),
+        (lambda: DecoherenceParams(gamma_s=math.inf), "gamma_s"),
+    ], ids=["explicit-nan-detuning", "explicit-inf-g", "explicit-inf-detuning",
+            "inf-delta-inh", "inf-g", "nan-center", "hist-inf-g", "hist-nan-weight",
+            "inf-kappa", "nan-delta-c", "nan-gamma-s", "inf-gamma-s"])
+    def test_non_finite_field_rejected(self, make, field):
+        with pytest.raises(ParameterError, match=re.escape(field)):
+            make()
 
     def test_quantile_conversion_deterministic(self):
         ens = EmitterEnsemble.lorentzian(n_ions=101, delta_inh=hz_to_angular(150e6),
@@ -135,22 +155,11 @@ class TestMuPower:
         assert math.isclose(mu_from_power(1e-9, cavity), expected, rel_tol=1e-12)
         assert math.isclose(mu_from_power(1e-9, cavity), 0.014342145225006354, rel_tol=1e-9)
 
-    def test_resonant_flag(self):
-        cav = CavityParams.from_hz(44e9, 8.8e9, delta_c_hz=30e9)
-        assert mu_from_power(1e-9, cav, resonant=True) > mu_from_power(1e-9, cav)
-
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(min_value=1e-15, max_value=1e-3))
     def test_power_roundtrip(self, p, cavity):
         mu = mu_from_power(p, cavity)
         assert math.isclose(power_from_mu(mu, cavity), p, rel_tol=1e-12)
-
-    def test_drive_consistency_check(self, cavity):
-        p = 1e-9
-        mu = mu_from_power(p, cavity, resonant=True)
-        DriveParams(power_in=p, mu=mu).resolve_mu(cavity)
-        with pytest.raises(ParameterError):
-            DriveParams(power_in=p, mu=2 * mu).resolve_mu(cavity)
 
 
 class TestValidateAssumptions:
@@ -169,23 +178,23 @@ class TestValidateAssumptions:
         g = math.sqrt(w_target * (dec.gamma + 0.5 * delta_inh) / n)
         model = SystemModel(cavity, dec,
                             EmitterEnsemble.lorentzian(n_ions=n, delta_inh=delta_inh, g=g))
-        report = validate_assumptions(model, DriveParams(mu=1e-3), fsr=hz_to_angular(25e12))
+        report = validate_assumptions(model, 1e-3, fsr=hz_to_angular(25e12))
         tc = report["tavis_cummings"]
         assert tc.passed and math.isclose(tc.ratio, 50.0, rel_tol=0.01)
 
     def test_mu_zero_fails_lower_bound(self, cavity, decoherence, delta_inh):
         model = self._model(cavity, decoherence, delta_inh)
-        report = validate_assumptions(model, DriveParams(mu=0.0))
+        report = validate_assumptions(model, 0.0)
         assert not report["power_lower"].passed
 
     def test_low_cooperativity_fails(self, cavity, decoherence, delta_inh):
         model = self._model(cavity, decoherence, delta_inh, c=0.5)
-        report = validate_assumptions(model, DriveParams(mu=1e-3))
+        report = validate_assumptions(model, 1e-3)
         assert not report["high_cooperativity"].passed
 
     def test_report_is_dict_serializable(self, cavity, decoherence, delta_inh):
         model = self._model(cavity, decoherence, delta_inh)
-        report = validate_assumptions(model, DriveParams(mu=1e-3))
+        report = validate_assumptions(model, 1e-3)
         assert isinstance(report, AssumptionReport)
         d = report.as_dict()
         assert set(d["checks"]) >= {"high_cooperativity", "power_lower", "power_upper",

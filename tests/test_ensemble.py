@@ -54,7 +54,6 @@ class TestBinning:
     def test_default_width_from_purcell(self):
         rates = DerivedRates(gamma_total=1.0, purcell=2.5)
         assert default_bin_width(rates) == 2.5
-        assert default_bin_width(rates, multiplier=3.0) == 7.5
 
 
 class TestIncoherentSCurve:

@@ -221,15 +221,14 @@ class TestPulsedEmission:
         times = np.array([2e-6, 6e-6, 10e-6, 10.05e-6, 10.4e-6])
         res = pulsed_emission(model, mu, pulse, times)
 
-        ode = dict(rtol=1e-10, atol=1e-13)
         gen_on = build_generator(ens, mu, cavity, dec)
         gen_off = build_generator(ens, 0.0, cavity, dec)
         jpjm = collective_operators(3)["jpjm"]
-        on = evolve(DensityState.ground(3), gen_on, times[:3], **ode)
-        off = evolve(on[-1], gen_off, times[3:] - pulse, **ode)
+        on = evolve(DensityState.ground(3), gen_on, times[:3])
+        off = evolve(on[-1], gen_off, times[3:] - pulse)
         ref = np.array([s.expect(jpjm).real for s in on + off])
         window = np.linspace(0.0, PEAK_WINDOW, 9)
-        counts = [s.expect(jpjm).real for s in [on[-1]] + evolve(on[-1], gen_off, window[1:], **ode)]
+        counts = [s.expect(jpjm).real for s in [on[-1]] + evolve(on[-1], gen_off, window[1:])]
         ref_counts = gen_on.purcell * np.trapezoid(counts, window)
 
         assert np.all(ref > 1e-4)

@@ -6,7 +6,6 @@ import pytest
 from cavens import meanfield
 from cavens.analysis import DipNormalization, fit_lorentzian_dip
 from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
-from cavens.lindblad import mean_field_ode_steady_state
 from cavens.meanfield import (
     CitThresholdError,
     SelfConsistencyError,
@@ -24,7 +23,7 @@ from cavens.meanfield import (
 )
 from cavens.units import TWO_PI, hz_to_angular
 
-from _oracles import picard_reflection
+from _oracles import mean_field_ode_steady_state, picard_reflection
 from conftest import coupling_for_cooperativity
 
 
@@ -191,7 +190,7 @@ class TestSelfConsistentX:
     def test_closed_form_oracle(self):
         """Deep inside the validity regime (every ratio >= 30) the solver
         matches the explicit solution within 5% per component."""
-        from cavens.core import CavityParams, DriveParams, validate_assumptions
+        from cavens.core import CavityParams, validate_assumptions
 
         cav = CavityParams.from_hz(10e9, 2e9)
         dec = DecoherenceParams.from_hz(1e3, 0.0)
@@ -201,7 +200,7 @@ class TestSelfConsistentX:
         model = SystemModel(cav, dec, ens)
         offset = hz_to_angular(0.1e6)
         for mu in np.geomspace(1e-4, 6e-4, 5):
-            assert validate_assumptions(model, DriveParams(mu=mu), ratio=30).passed
+            assert validate_assumptions(model, mu, ratio=30).passed
             x = solve_selfconsistent_x(ens, mu, offset, cav, dec)
             q = dinh * cav.kappa / (2 * n * g) * math.sqrt(mu / (dec.gamma_s * dec.gamma))
             x_ref = 1.0 / (q - 1.0) + 8j * offset * n * g**2 / (dinh**2 * cav.kappa)
