@@ -72,21 +72,19 @@ def _finite(value: str) -> float:
     return x
 
 
+def _integer(value: str) -> int:
+    x = _finite(value)
+    if x != int(x):
+        raise ValueError("not an integer")
+    return int(x)
+
+
 class KeyView:
     """Typed access to parsed key-value pairs with error locations."""
 
     def __init__(self, kv: dict[str, tuple[str, int]]):
         self._kv = kv
         self.used: set[str] = set()
-
-    def has(self, key: str) -> bool:
-        return key in self._kv
-
-    def raw(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        if key in self._kv:
-            self.used.add(key)
-            return self._kv[key][0]
-        return default
 
     def line(self, key: str) -> Optional[int]:
         return self._kv[key][1] if key in self._kv else None
@@ -107,7 +105,7 @@ class KeyView:
         return self._convert(key, _finite, default)
 
     def get_int(self, key: str, default=None):
-        return self._convert(key, lambda v: int(_finite(v)), default)
+        return self._convert(key, _integer, default)
 
     def get_str(self, key: str, default=None):
         return self._convert(key, str, default)
@@ -163,7 +161,6 @@ class ExperimentConfig:
     experiment: str
     model: SystemModel
     seed: int
-    power_scale: float
     freq_grid: Optional[GridSpec]
     power_grid: Optional[GridSpec]
     time_grid: Optional[GridSpec]
@@ -301,11 +298,15 @@ def build_config(text: str, base_dir: str = ".",
                               "at one detuning and g", line=view.line("sweep.axis"),
                               key="sweep.axis")
 
+    peak_mode = view.get_str("peak_mode", "counts")
+    if peak_mode not in ("counts", "instant"):
+        raise ConfigError("peak_mode must be 'counts' or 'instant'",
+                          line=view.line("peak_mode"), key="peak_mode")
+
     cfg = ExperimentConfig(
         experiment=experiment,
         model=model,
         seed=view.get_int("seed", 0),
-        power_scale=view.get_float("power_scale", 1.0),
         freq_grid=freq_grid,
         power_grid=power_grid,
         time_grid=time_grid,
@@ -318,7 +319,7 @@ def build_config(text: str, base_dir: str = ".",
         sigma_z=view.get_float("phase_map.sigma_z", -1.0),
         bins_n=view.get_int("bins.n"),
         bins_width=view.get_float("bins.width_hz"),
-        peak_mode=view.get_str("peak_mode", "counts"),
+        peak_mode=peak_mode,
         quantiles=view.get_int("ensemble.explicit_quantiles"),
         sweep_axis=sweep_axis,
         sweep_values=tuple(sweep_values) if sweep_values else None,

@@ -14,14 +14,14 @@ hard-verified against the full-space solver for N = 2..6 in the test suite
 
 The generator is affine in the emitter-minus-laser detuning and in the drive
 amplitude g sqrt(mu), so :func:`block_parts` assembles three sparse parts
-once per (n, g, cavity, decoherence) and caches them with the observable
-rows; :func:`build_block_generator` only sums them.  ``cavity.delta_c`` is
-taken as configured.  With the drive off, every term keeps m - m' fixed, so
-the populations (m = m') form an invariant sector on which <J+J-> lives:
-the detection window after a pulse runs on the population rate matrix of
-dimension sum_J (2J+1), which depends on neither detuning.  At delta_c = 0
-the emission is even in the detuning, which lets
-:func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
+once per (n, g, cavity, decoherence) and caches them; the observable rows
+depend on n alone and are cached per n.  :func:`build_block_generator` only
+sums the parts.  ``cavity.delta_c`` is taken as configured.  With the drive
+off, every term keeps m - m' fixed, so the populations (m = m') form an
+invariant sector on which <J+J-> lives: the detection window after a pulse
+runs on the population rate matrix of dimension sum_J (2J+1), which depends
+on neither detuning.  At delta_c = 0 the emission is even in the detuning,
+which lets :func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
 """
 
 from __future__ import annotations
@@ -51,17 +51,22 @@ BLOCK_TRACE_TOL = 1e-10
 BLOCK_POSITIVITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq would compare the arrays; one instance per n
 class DickeBasis:
     """J blocks for n emitters: J from n/2 down to 0 or 1/2, with
-    multiplicities d_n(J); sum_J d_n(J) (2J+1) = 2^n exactly."""
+    multiplicities d_n(J); sum_J d_n(J) (2J+1) = 2^n exactly.
+
+    The block vector concatenates the per-copy blocks, each stored
+    row-major, from J = n/2 downward: block k has ``dims[k]`` = 2J+1 rows
+    and occupies ``offsets[k]:offsets[k + 1]``; ``populations`` indexes its
+    m = m' entries."""
 
     n: int
     j_values: tuple[float, ...]
     degeneracies: tuple[int, ...]
-
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(int(round(2 * j)) + 1 for j in self.j_values)
+    dims: tuple[int, ...]
+    offsets: np.ndarray
+    populations: np.ndarray
 
 
 def state_degeneracy(n: int, j: float) -> int:
@@ -74,35 +79,31 @@ def state_degeneracy(n: int, j: float) -> int:
     return math.comb(n, k) - second
 
 
+@lru_cache(maxsize=None)
 def dicke_basis(n: int) -> DickeBasis:
+    """The block layout for n emitters (cached: callers must not mutate it)."""
     if not (1 <= n <= BASIS_N_MAX):
         raise CapabilityError(f"emitter count must be in [1, {BASIS_N_MAX}], got {n}")
-    j_top = n / 2.0
-    js = []
-    j = j_top
-    while j >= -1e-9:
-        js.append(round(j * 2) / 2)
-        j -= 1.0
-    js = [j for j in js if j >= 0]
+    js = tuple(n / 2.0 - k for k in range(n // 2 + 1))
     degs = tuple(state_degeneracy(n, j) for j in js)
-    assert sum(d * (int(round(2 * j)) + 1) for j, d in zip(js, degs)) == 2**n
-    return DickeBasis(n=n, j_values=tuple(js), degeneracies=degs)
+    dims = tuple(int(round(2 * j)) + 1 for j in js)
+    assert sum(d * b for d, b in zip(degs, dims)) == 2**n
+    offsets = np.cumsum([0] + [b * b for b in dims])
+    pops = np.concatenate([off + np.arange(b) * (b + 1) for off, b in zip(offsets[:-1], dims)])
+    offsets.flags.writeable = pops.flags.writeable = False
+    return DickeBasis(n=n, j_values=js, degeneracies=degs, dims=dims, offsets=offsets,
+                      populations=pops)
 
 
-def _spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jz, J-, J+) for one block; row k holds m = j - k."""
+@lru_cache(maxsize=None)
+def spin_block(j: float) -> dict:
+    """Spin-j matrices ``jz``, ``jm`` (J-), ``jp`` (J+) and the m values
+    ``m``; row k holds m = j - k.  Cached: callers must not mutate them."""
     dim = int(round(2 * j)) + 1
     m = j - np.arange(dim)
-    jz = np.diag(m)
-    amp = np.sqrt((j + m[:-1]) * (j - m[:-1] + 1.0))  # J-|j,m_k> for k=0..dim-2
     jminus = np.zeros((dim, dim))
-    jminus[np.arange(1, dim), np.arange(dim - 1)] = amp
-    return jz, jminus, jminus.T.copy()
-
-
-def spin_block(j: float) -> dict:
-    jz, jminus, jplus = _spin_matrices(j)
-    return {"jz": jz, "jm": jminus, "jp": jplus, "m": j - np.arange(int(round(2 * j)) + 1)}
+    jminus[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt((j + m[:-1]) * (j - m[:-1] + 1.0))
+    return {"jz": np.diag(m), "jm": jminus, "jp": jminus.T.copy(), "m": m}
 
 
 @dataclass
@@ -115,17 +116,14 @@ class DickeBlockState:
 
     @classmethod
     def all_ground(cls, n: int) -> "DickeBlockState":
-        basis = dicke_basis(n)
-        blocks = [np.zeros((d, d), dtype=complex) for d in basis.block_dims()]
+        blocks = [np.zeros((d, d), dtype=complex) for d in dicke_basis(n).dims]
         blocks[0][-1, -1] = 1.0  # top block, m = -n/2
         return cls(n=n, blocks=blocks)
 
-    def weighted_trace(self) -> float:
-        basis = dicke_basis(self.n)
-        return float(sum(d * np.trace(b).real for d, b in zip(basis.degeneracies, self.blocks)))
-
     def validate(self) -> None:
-        if abs(self.weighted_trace() - 1.0) > BLOCK_TRACE_TOL:
+        degs = dicke_basis(self.n).degeneracies
+        trace = sum(d * np.trace(b).real for d, b in zip(degs, self.blocks))
+        if abs(trace - 1.0) > BLOCK_TRACE_TOL:
             raise ParameterError("degeneracy-weighted trace differs from 1")
         for b in self.blocks:
             if np.max(np.abs(b - b.conj().T)) > 1e-9:
@@ -139,20 +137,15 @@ class DickeBlockState:
     @classmethod
     def from_vec(cls, n: int, vec: np.ndarray) -> "DickeBlockState":
         basis = dicke_basis(n)
-        blocks = []
-        off = 0
-        for d in basis.block_dims():
-            blocks.append(vec[off:off + d * d].reshape(d, d).copy())
-            off += d * d
-        return cls(n=n, blocks=blocks)
+        return cls(n=n, blocks=[vec[lo:hi].reshape(d, d).copy() for lo, hi, d
+                                in zip(basis.offsets[:-1], basis.offsets[1:], basis.dims)])
 
     def jm_populations(self) -> dict:
         """Folded populations per (J, M)."""
         basis = dicke_basis(self.n)
         pops = {}
         for j, deg, b in zip(basis.j_values, basis.degeneracies, self.blocks):
-            ms = j - np.arange(b.shape[0])
-            for k, m in enumerate(ms):
+            for k, m in enumerate(spin_block(j)["m"]):
                 pops[(j, float(m))] = deg * b[k, k].real
         return pops
 
@@ -173,23 +166,9 @@ class BlockLiouvillian:
 
     def __init__(self, n: int, matrix: sp.csr_matrix, purcell: float):
         self.n = n
-        self.basis = dicke_basis(n)
         self.matrix = matrix
         self.purcell = purcell
-        dims = self.basis.block_dims()
-        self.dim = sum(d * d for d in dims)
-        self._offsets = np.cumsum([0] + [d * d for d in dims])
-
-    def observable_vector(self, per_block_ops: Sequence[np.ndarray]) -> np.ndarray:
-        """Weight vector w with <O> = w . vec(q): w_J = d_J vec(O_J^T)."""
-        w = np.zeros(self.dim, dtype=complex)
-        for k, (deg, op) in enumerate(zip(self.basis.degeneracies, per_block_ops)):
-            w[self._offsets[k]:self._offsets[k + 1]] = deg * op.T.reshape(-1)
-        return w
-
-
-def _block_index(basis: DickeBasis) -> dict:
-    return {j: k for k, j in enumerate(basis.j_values)}
+        self.dim = matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -227,10 +206,8 @@ def block_parts(n: int, g: float, cavity: CavityParams,
     are cached (callers must not mutate them).
     """
     basis = dicke_basis(n)
-    dims = basis.block_dims()
-    offsets = np.cumsum([0] + [d * d for d in dims])
+    dims, offsets = basis.dims, basis.offsets
     dim = int(offsets[-1])
-    idx_of = _block_index(basis)
 
     dc = cavity.delta_c
     denom = (0.5 * cavity.kappa) ** 2 + dc**2
@@ -259,12 +236,26 @@ def block_parts(n: int, g: float, cavity: CavityParams,
         add_kron(part, k, k, h, eye, -1j)
         add_kron(part, k, k, eye, h.T, 1j)
 
+    def add_transfer(k: int, ks: int, rate: float, num: float, den: float, shift: float,
+                     amp2) -> None:
+        """K q_src K^T from block ks into block k at rate * num / den per
+        copy, where K maps m + shift of block ks to m of block k with
+        amplitude sqrt(amp2(m)); shift is 1 for emission, 0 for dephasing."""
+        if not rate:
+            return
+        j_src = basis.j_values[ks]
+        m = basis.j_values[k] - np.arange(dims[k])
+        rows = np.flatnonzero(np.abs(m + shift) <= j_src + 1e-9)
+        kmat = np.zeros((dims[k], dims[ks]))
+        kmat[rows, np.round(j_src - (m[rows] + shift)).astype(int)] = np.sqrt(amp2(m[rows]))
+        deg_ratio = basis.degeneracies[ks] / basis.degeneracies[k]
+        add_kron(l0, k, ks, kmat, kmat, rate * num / den * deg_ratio)
+
     half_n = n / 2.0
     for k, j in enumerate(basis.j_values):
         blk = spin_block(j)
         jz, jm, jp, mvals = blk["jz"], blk["jm"], blk["jp"], blk["m"]
-        b = dims[k]
-        eye = np.eye(b)
+        eye = np.eye(dims[k])
 
         add_commutator(l0, k, exch * (jp @ jm), eye)
         add_commutator(lz, k, jz, eye)
@@ -276,65 +267,24 @@ def block_parts(n: int, g: float, cavity: CavityParams,
             add_kron(l0, k, k, jpjm, eye, -0.5 * rate_col)
             add_kron(l0, k, k, eye, jpjm.T, -0.5 * rate_col)
 
+        # at j = 0, jm and jz vanish and add no term
+        c0 = (half_n + 1.0) / (2.0 * j * (j + 1.0)) if j > 0 else 0.0
         if y_l:
             add_kron(l0, k, k, np.diag(half_n + mvals), eye, -0.5 * y_l)
             add_kron(l0, k, k, eye, np.diag(half_n + mvals), -0.5 * y_l)
-            if j > 0:
-                e0 = (half_n + 1.0) / (2.0 * j * (j + 1.0))
-                add_kron(l0, k, k, jm, jm, y_l * e0)
+            add_kron(l0, k, k, jm, jm, y_l * c0)
         if y_d:
             add_kron(l0, k, k, eye, eye, -y_d * half_n / 2.0)
-            if j > 0:
-                d0 = (half_n + 1.0) / (2.0 * j * (j + 1.0))
-                add_kron(l0, k, k, jz, jz, y_d * d0)
+            add_kron(l0, k, k, jz, jz, y_d * c0)
 
-        # transfers from the j+1 block (if present)
-        j_src = j + 1.0
-        if j_src in idx_of and (y_l or y_d):
-            ks = idx_of[j_src]
-            deg_ratio = basis.degeneracies[ks] / basis.degeneracies[k]
-            b_src = dims[ks]
-            m_dst = j - np.arange(b)
-            if y_l:
-                amp = np.sqrt((j + m_dst + 1.0) * (j + m_dst + 2.0))
-                kmat = np.zeros((b, b_src))
-                src_col = np.round(j_src - (m_dst + 1.0)).astype(int)
-                kmat[np.arange(b), src_col] = amp
-                c3 = y_l * (j + 2.0 + half_n) / (2.0 * (j + 1.0) * (2.0 * j + 3.0))
-                add_kron(l0, k, ks, kmat, kmat, c3 * deg_ratio)
-            if y_d:
-                amp = np.sqrt((j_src - m_dst) * (j_src + m_dst))
-                kmat = np.zeros((b, b_src))
-                src_col = np.round(j_src - m_dst).astype(int)
-                kmat[np.arange(b), src_col] = amp
-                c5 = y_d * (j + 2.0 + half_n) / (2.0 * (j + 1.0) * (2.0 * j + 3.0))
-                add_kron(l0, k, ks, kmat, kmat, c5 * deg_ratio)
-
-        # transfers from the j-1 block (if present)
-        j_src = j - 1.0
-        if j_src in idx_of and j >= 1.0 and (y_l or y_d):
-            ks = idx_of[j_src]
-            deg_ratio = basis.degeneracies[ks] / basis.degeneracies[k]
-            b_src = dims[ks]
-            m_dst = j - np.arange(b)
-            if y_l:
-                amp = np.sqrt(np.clip((j - m_dst - 1.0) * (j - m_dst), 0.0, None))
-                valid = (m_dst + 1.0 <= j_src + 1e-9) & (m_dst + 1.0 >= -j_src - 1e-9)
-                kmat = np.zeros((b, b_src))
-                rows_i = np.where(valid)[0]
-                src_col = np.round(j_src - (m_dst[rows_i] + 1.0)).astype(int)
-                kmat[rows_i, src_col] = amp[rows_i]
-                c4 = y_l * (half_n - j + 1.0) / (2.0 * j * (2.0 * j - 1.0))
-                add_kron(l0, k, ks, kmat, kmat, c4 * deg_ratio)
-            if y_d:
-                amp = np.sqrt(np.clip((j - m_dst) * (j + m_dst), 0.0, None))
-                valid = np.abs(m_dst) <= j_src + 1e-9
-                kmat = np.zeros((b, b_src))
-                rows_i = np.where(valid)[0]
-                src_col = np.round(j_src - m_dst[rows_i]).astype(int)
-                kmat[rows_i, src_col] = amp[rows_i]
-                c6 = y_d * (half_n - j + 1.0) / (2.0 * j * (2.0 * j - 1.0))
-                add_kron(l0, k, ks, kmat, kmat, c6 * deg_ratio)
+        if k > 0:  # from the J+1 block
+            num, den = j + 2.0 + half_n, 2.0 * (j + 1.0) * (2.0 * j + 3.0)
+            add_transfer(k, k - 1, y_l, num, den, 1.0, lambda m: (j + m + 1.0) * (j + m + 2.0))
+            add_transfer(k, k - 1, y_d, num, den, 0.0, lambda m: (j + 1.0 - m) * (j + 1.0 + m))
+        if k + 1 < len(dims):  # from the J-1 block
+            num, den = half_n - j + 1.0, 2.0 * j * (2.0 * j - 1.0)
+            add_transfer(k, k + 1, y_l, num, den, 1.0, lambda m: (j - m - 1.0) * (j - m))
+            add_transfer(k, k + 1, y_d, num, den, 0.0, lambda m: (j - m) * (j + m))
 
     def to_csr(part) -> sp.csr_matrix:
         rows, cols, vals = part
@@ -344,11 +294,10 @@ def block_parts(n: int, g: float, cavity: CavityParams,
                              shape=(dim, dim)).tocsr()
 
     mat0 = to_csr(l0)
-    pops = np.concatenate([off + np.arange(d) * (d + 1) for off, d in zip(offsets[:-1], dims)])
-    purcell = 4.0 * g**2 / cavity.kappa
-    return BlockParts(l0=mat0, lz=to_csr(lz), ld=to_csr(ld), purcell=purcell,
+    pops = basis.populations
+    return BlockParts(l0=mat0, lz=to_csr(lz), ld=to_csr(ld), purcell=4.0 * g**2 / cavity.kappa,
                       populations=pops, window=mat0[pops][:, pops].tocsr(),
-                      observables=block_observables(BlockLiouvillian(n, mat0, purcell)))
+                      observables=_observable_rows(n))
 
 
 def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
@@ -383,22 +332,26 @@ def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
             for v in propagate(gen.matrix, state.to_vec(), times)]
 
 
+@lru_cache(maxsize=None)
+def _observable_rows(n: int) -> dict:
+    """Weight vectors w with <O> = w . vec(q), w_J = d_J vec(O_J^T), for
+    O = J+J-, Jz, J- and the individual excitation n/2 + Jz (cached per n:
+    callers must not mutate them)."""
+    basis = dicke_basis(n)
+    rows = {name: np.zeros(int(basis.offsets[-1]), dtype=complex)
+            for name in ("jpjm", "jz", "jm", "individual")}
+    for k, (j, deg) in enumerate(zip(basis.j_values, basis.degeneracies)):
+        blk = spin_block(j)
+        ops = {"jpjm": blk["jp"] @ blk["jm"], "jz": blk["jz"], "jm": blk["jm"],
+               "individual": n / 2.0 * np.eye(basis.dims[k]) + blk["jz"]}
+        for name, op in ops.items():
+            rows[name][basis.offsets[k]:basis.offsets[k + 1]] = deg * op.T.reshape(-1)
+    return rows
+
+
 def block_observables(gen: BlockLiouvillian) -> dict:
     """Observable weight vectors: <J+J->, <Jz>, <J->, individual excitation."""
-    basis = gen.basis
-    jpjm, jz, jm, ind = [], [], [], []
-    for j in basis.j_values:
-        blk = spin_block(j)
-        jpjm.append(blk["jp"] @ blk["jm"])
-        jz.append(blk["jz"])
-        jm.append(blk["jm"])
-        ind.append(gen.n / 2.0 * np.eye(blk["jz"].shape[0]) + blk["jz"])
-    return {
-        "jpjm": gen.observable_vector(jpjm),
-        "jz": gen.observable_vector(jz),
-        "jm": gen.observable_vector(jm),
-        "individual": gen.observable_vector(ind),
-    }
+    return _observable_rows(gen.n)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +399,7 @@ class SCurveResult:
 
 
 def scurve(n: int, power_grid: Sequence[float], pulse_length: float, model: SystemModel,
-           *, detuning: float = 0.0, peak_mode: str = "counts",
-           power_scale: float = 1.0) -> SCurveResult:
+           *, detuning: float = 0.0, peak_mode: str = "counts") -> SCurveResult:
     """Peak emission against drive power for n identical emitters, plus the
     Dicke-subspace split at pulse end.  ``power_grid`` is in watts; the
     ensemble's (single) coupling sets g.
@@ -459,7 +411,7 @@ def scurve(n: int, power_grid: Sequence[float], pulse_length: float, model: Syst
         raise ParameterError("peak_mode must be 'counts' or 'instant'")
     g = model.ensemble.g if model.ensemble.g is not None else float(model.ensemble.couplings()[0])
     powers = np.asarray(power_grid, dtype=float)
-    mus = np.array([mu_from_power(power_scale * p, model.cavity) for p in powers])
+    mus = np.array([mu_from_power(p, model.cavity) for p in powers])
     peaks = np.empty(len(powers))
     instants = np.empty(len(powers))
     grounds = np.empty(len(powers))
@@ -529,8 +481,7 @@ def rate_map(n: int, gamma_c: float, gamma_s: float, gamma_d: float) -> RateMap:
     entries: list[RateEntry] = []
     have = set(basis.j_values)
     for j in basis.j_values:
-        for m in (j - np.arange(int(round(2 * j)) + 1)):
-            m = float(m)
+        for m in map(float, spin_block(j)["m"]):
             r = gamma_c * (j + m) * (j - m + 1.0)
             if r > 0:
                 entries.append(RateEntry(j, m, j, m - 1.0, r, "collective"))

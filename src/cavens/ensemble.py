@@ -118,8 +118,7 @@ class IncoherentSCurve:
 
 def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
                       pulse_length: float, model: SystemModel, *,
-                      peak_mode: str = "counts", power_scale: float = 1.0,
-                      laser_detuning: float = 0.0) -> IncoherentSCurve:
+                      peak_mode: str = "counts", laser_detuning: float = 0.0) -> IncoherentSCurve:
     """Pulsed peak emission per power, incoherently summed over detuned
     subensembles (each evolved at its own detuning minus the laser's, with
     the common on-resonance drive amplitude).
@@ -130,8 +129,10 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
     +-detuning share one solve at |detuning|.  A failed solve is recorded
     for every subensemble mapped to it and skipped rather than aborting the
     sweep."""
+    if peak_mode not in ("counts", "instant"):
+        raise ParameterError("peak_mode must be 'counts' or 'instant'")
     powers = np.asarray(power_grid, dtype=float)
-    mus = np.array([mu_from_power(power_scale * p, model.cavity) for p in powers])
+    mus = np.array([mu_from_power(p, model.cavity) for p in powers])
     entries = [e for e in subensembles.entries]
     per = np.zeros((len(powers), len(entries)))
     failures: list[tuple[int, int, str]] = []

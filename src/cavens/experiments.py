@@ -33,7 +33,8 @@ class SolverFailure(RuntimeError):
 
 
 #: The failures a run reports as a solver failure rather than a bug.
-SOLVER_ERRORS = (SolverFailure, meanfield.SelfConsistencyError, CapabilityError, ParameterError)
+SOLVER_ERRORS = (SolverFailure, meanfield.SelfConsistencyError, CapabilityError, ParameterError,
+                 analysis.FitError)
 
 
 @dataclass
@@ -57,12 +58,8 @@ def _resolve_powers(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.power_w is not None:
         return np.array([cfg.power_w])
     if cfg.mu is not None:
-        return np.array([power_from_mu(cfg.mu / cfg.power_scale, cfg.model.cavity)])
+        return np.array([power_from_mu(cfg.mu, cfg.model.cavity)])
     raise ConfigError("experiment needs grid.power, drive.power_w, or drive.mu")
-
-
-def _mu_of(cfg: ExperimentConfig, power_w: float) -> float:
-    return mu_from_power(cfg.power_scale * power_w, cfg.model.cavity)
 
 
 def _need(value, key: str):
@@ -86,7 +83,7 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     tables = []
     not_converged = []
     for i, p in enumerate(powers):
-        mu = _mu_of(cfg, p)
+        mu = mu_from_power(p, cfg.model.cavity)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cfg.model.cavity,
                                              cfg.model.decoherence)
         not_converged.append(int(np.count_nonzero(~spec.converged)))
@@ -98,7 +95,7 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
                                      "phase_rad", "converged"),
                             rows=rows))
     meta = {"powers_w": [float(p) for p in powers],
-            "mu": [float(_mu_of(cfg, p)) for p in powers],
+            "mu": [float(mu_from_power(p, cfg.model.cavity)) for p in powers],
             "not_converged": not_converged}
     return ExperimentResult(tables=tables, metadata=meta)
 
@@ -115,7 +112,7 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     fitted = []
     not_converged = []
     for p in powers:
-        mu = _mu_of(cfg, p)
+        mu = mu_from_power(p, cfg.model.cavity)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cav, cfg.model.decoherence)
         not_converged.append(int(np.count_nonzero(~spec.converged)))
         fit = analysis.fit_lorentzian_dip(spec, norm)
@@ -148,7 +145,7 @@ def run_emission_trace(cfg: ExperimentConfig) -> ExperimentResult:
     power = _resolve_powers(cfg)
     if len(power) != 1:
         raise ConfigError("emission-trace takes a single power (drive.power_w or drive.mu)")
-    mu = _mu_of(cfg, power[0])
+    mu = mu_from_power(power[0], cfg.model.cavity)
     res = lindblad.pulsed_emission(cfg.model, mu, pulse, times,
                                    laser_detuning=cfg.laser_detuning * TWO_PI)
     tr = res.trace
@@ -208,7 +205,6 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
                                            center=ens.center)
         res = ensemble_mod.incoherent_scurve(subs, powers, pulse, cfg.model,
                                              peak_mode=cfg.peak_mode,
-                                             power_scale=cfg.power_scale,
                                              laser_detuning=cfg.laser_detuning * TWO_PI)
         rows = [(float(p), float(mu), float(tot))
                 for p, mu, tot in zip(res.powers, res.mu, res.total)]
@@ -227,7 +223,7 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
                                           "bin_width_hz": angular_to_hz(width)},
                                 failures=failures)
     res = dicke.scurve(n, powers, pulse, cfg.model, detuning=_identical_detuning(cfg),
-                       peak_mode=cfg.peak_mode, power_scale=cfg.power_scale)
+                       peak_mode=cfg.peak_mode)
     rows = [(float(p), float(mu), float(pk), float(pi_), float(gr), float(la), float(su))
             for p, mu, pk, pi_, gr, la, su in zip(res.powers, res.mu, res.peaks,
                                                   res.peak_instants, res.ground,
@@ -243,7 +239,7 @@ def run_dicke_populations(cfg: ExperimentConfig) -> ExperimentResult:
     if len(power) != 1:
         raise ConfigError("dicke-populations takes a single power")
     n, g = _identical_count_and_g(cfg)
-    mu = _mu_of(cfg, power[0])
+    mu = mu_from_power(power[0], cfg.model.cavity)
     res = dicke.pulsed_block_emission(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
                                       pulse, detuning=_identical_detuning(cfg))
     pops = res.state_end.jm_populations()
@@ -275,7 +271,7 @@ def run_beat_note(cfg: ExperimentConfig) -> ExperimentResult:
     if len(power) != 1:
         raise ConfigError("beat-note takes a single power")
     n, g = _identical_count_and_g(cfg)
-    mu = _mu_of(cfg, power[0])
+    mu = mu_from_power(power[0], cfg.model.cavity)
     detuning = _identical_detuning(cfg)
     gen_on = dicke.build_block_generator(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
                                          detuning=detuning)
@@ -338,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     })
     try:
         mu_probe = cfg.mu if cfg.mu is not None else (
-            _mu_of(cfg, float(_resolve_powers(cfg)[0])))
+            mu_from_power(float(_resolve_powers(cfg)[0]), cfg.model.cavity))
     except ConfigError:
         mu_probe = 0.0
     report = validate_assumptions(cfg.model, mu_probe)

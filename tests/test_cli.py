@@ -33,6 +33,18 @@ drive.pulse_length_s = 20e-6
 """
 
 
+BINNED_CFG = BASE_MODEL.replace("ensemble.kind = identical", "ensemble.kind = lorentzian") + """
+ensemble.delta_inh_hz = 150e6
+experiment = s-curve
+bins.n = 3
+bins.width_hz = 50e6
+drive.pulse_length_s = 5e-6
+grid.power.start_w = 1e-13
+grid.power.stop_w = 1e-11
+grid.power.num = 2
+grid.power.scale = log
+"""
+
 # the paper-like Lorentzian line of acceptance 03 (cooperativity 12)
 LINE_MODEL = """
 cavity.kappa_hz = 44e9
@@ -133,6 +145,25 @@ ensemble.file = does_not_exist.csv
         assert (err.value.line, err.value.key) == (k + 1, key)
         assert "not a finite number" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [("ensemble.n_ions", "3.7"),
+                                            ("grid.power.num", "2.9"),
+                                            ("bins.n", "2.5")])
+    def test_non_integer_count_rejected(self, key, value):
+        lines = BINNED_CFG.replace("grid.power.num = 2", "grid.power.num = 2.0").splitlines()
+        build_config("\n".join(lines))  # an integral float is a count
+        k = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[k] = f"{key} = {value}"
+        with pytest.raises(ConfigError) as err:
+            build_config("\n".join(lines))
+        assert (err.value.line, err.value.key) == (k + 1, key)
+        assert "not an integer" in str(err.value)
+
+    def test_unknown_peak_mode_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            build_config(BINNED_CFG + "peak_mode = bogus\n")
+        assert err.value.key == "peak_mode" and err.value.line is not None
+        assert build_config(BINNED_CFG + "peak_mode = instant\n").peak_mode == "instant"
+
     def test_grid_must_increase(self):
         with pytest.raises(ConfigError):
             build_config(SCURVE_CFG.replace("grid.power.stop_w = 1e-11",
@@ -152,17 +183,7 @@ class TestCliRuns:
 
     def test_exit_code_non_finite_power(self, tmp_path, capsys):
         # a NaN power would run, and its NaN peaks would drop out of the bin sums
-        cfg = BASE_MODEL.replace("ensemble.kind = identical", "ensemble.kind = lorentzian") + """
-ensemble.delta_inh_hz = 150e6
-experiment = s-curve
-bins.n = 3
-bins.width_hz = 50e6
-drive.pulse_length_s = 5e-6
-grid.power.start_w = 1e-13
-grid.power.stop_w = nan
-grid.power.num = 2
-grid.power.scale = log
-"""
+        cfg = BINNED_CFG.replace("grid.power.stop_w = 1e-11", "grid.power.stop_w = nan")
         assert self._run(tmp_path, cfg, "nan.cfg", "nan") == 2
         assert "key 'grid.power.stop_w'" in capsys.readouterr().err
         assert not list(tmp_path.glob("nan_*"))
@@ -201,6 +222,37 @@ grid.time.num = 5
 """
         assert self._run(tmp_path, cfg, "cap.cfg", "cap") == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_fit_failure_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        """A failed dip fit exits 3; in a sweep it fails only its point (exit 4)."""
+        from cavens import analysis
+
+        real_fit = analysis.fit_lorentzian_dip
+        calls = []
+
+        def fit_fails_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise analysis.FitError("dip fit failed: forced")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "fit_lorentzian_dip", fit_fails_first)
+        cfg = LINE_MODEL + """
+experiment = cit-power-sweep
+grid.freq.start_hz = -90e6
+grid.freq.stop_hz = 90e6
+grid.freq.num = 61
+grid.power.start_w = 2e-14
+grid.power.num = 1
+"""
+        assert self._run(tmp_path, cfg, "cit.cfg", "cit") == 3
+        assert "solver failure: dip fit failed: forced" in capsys.readouterr().err
+        calls.clear()
+        sweep = cfg + "sweep.axis = detuning_hz\nsweep.values = 0, 1e6\n"
+        assert self._run(tmp_path, sweep, "sw.cfg", "sw") == 4
+        meta = json.loads((tmp_path / "sw_metadata.json").read_text())
+        assert meta["failures"] == [{"axis_value": 0.0,
+                                     "error": "FitError: dip fit failed: forced"}]
 
     def test_scurve_run_outputs(self, tmp_path):
         assert self._run(tmp_path, SCURVE_CFG, "sc.cfg", "run") == 0

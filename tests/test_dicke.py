@@ -46,6 +46,10 @@ class TestBasis:
         b = dicke_basis(n)
         assert sum(d * (int(round(2 * j)) + 1)
                    for j, d in zip(b.j_values, b.degeneracies)) == 2**n
+        assert b.dims == tuple(int(round(2 * j)) + 1 for j in b.j_values)
+        assert b.offsets[-1] == sum(d * d for d in b.dims)
+        vec = np.random.default_rng(n).standard_normal(b.offsets[-1]) + 0j
+        assert np.array_equal(DickeBlockState.from_vec(n, vec).to_vec(), vec)
 
     def test_capability_bounds(self):
         with pytest.raises(CapabilityError):

@@ -145,6 +145,19 @@ class TestIncoherentSCurve:
         assert np.all(np.isnan(res.per_subensemble[:, [0, 2]]))
         assert np.all(res.total == res.per_subensemble[:, 1])
 
+    @pytest.mark.parametrize("binned", [True, False])
+    def test_unknown_peak_mode_rejected(self, cavity, g35, binned):
+        from cavens.dicke import scurve
+        from cavens.ensemble import Subensemble
+
+        model = self._model(cavity, g35)
+        with pytest.raises(ParameterError, match="peak_mode"):
+            if binned:
+                incoherent_scurve(SubensembleSet(entries=(Subensemble(0.0, 3, g35),)),
+                                  [1e-13], 5e-6, model, peak_mode="bogus")
+            else:
+                scurve(3, [1e-13], 5e-6, model, peak_mode="bogus")
+
     def test_other_errors_propagate(self, cavity, g35, monkeypatch):
         from cavens.ensemble import Subensemble
 
