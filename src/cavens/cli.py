@@ -5,8 +5,8 @@ when the config carries a sweep axis), and writes versioned CSV tables plus
 a JSON metadata sidecar.  Repeated runs with the same config and seed are
 byte-identical in the CSV bodies; only the sidecar carries timestamps.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 partial sweep
-failure.
+Exit codes: 0 success, 2 config error, 3 solver failure, 4 partial failure
+(failed sweep points, powers or bins; the others are written).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for p in paths:
         print(p)
     if result.failures:
-        print(f"{len(result.failures)} sweep point(s) failed", file=sys.stderr)
+        print(f"{len(result.failures)} point(s) failed", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
 

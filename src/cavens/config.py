@@ -303,6 +303,16 @@ def build_config(text: str, base_dir: str = ".",
         raise ConfigError("peak_mode must be 'counts' or 'instant'",
                           line=view.line("peak_mode"), key="peak_mode")
 
+    bins_n = view.get_int("bins.n")
+    if bins_n is not None and not (1 <= bins_n <= ens.n and bins_n % 2):
+        raise ConfigError(f"bins.n must be odd and within 1..ensemble.n_ions ({ens.n})",
+                          line=view.line("bins.n"), key="bins.n")
+    bins_width = view.get_float("bins.width_hz")
+    pulse_length = view.get_float("drive.pulse_length_s")
+    for key, value in (("bins.width_hz", bins_width), ("drive.pulse_length_s", pulse_length)):
+        if value is not None and value <= 0:
+            raise ConfigError("must be positive", line=view.line(key), key=key)
+
     cfg = ExperimentConfig(
         experiment=experiment,
         model=model,
@@ -312,13 +322,13 @@ def build_config(text: str, base_dir: str = ".",
         time_grid=time_grid,
         mu=view.get_float("drive.mu"),
         power_w=view.get_float("drive.power_w"),
-        pulse_length=view.get_float("drive.pulse_length_s"),
+        pulse_length=pulse_length,
         lo_offset=view.get_float("drive.lo_offset_hz", 0.0),
         beat_window=view.get_float("drive.window_s"),
         laser_detuning=view.get_float("drive.laser_detuning_hz", 0.0),
         sigma_z=view.get_float("phase_map.sigma_z", -1.0),
-        bins_n=view.get_int("bins.n"),
-        bins_width=view.get_float("bins.width_hz"),
+        bins_n=bins_n,
+        bins_width=bins_width,
         peak_mode=peak_mode,
         quantiles=view.get_int("ensemble.explicit_quantiles"),
         sweep_axis=sweep_axis,

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .units import HBAR, TWO_PI, hz_to_angular
+from .units import HBAR, hz_to_angular
 
 
 class ParameterError(ValueError):

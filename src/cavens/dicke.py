@@ -22,6 +22,10 @@ invariant sector on which <J+J-> lives: the detection window after a pulse
 runs on the population rate matrix of dimension sum_J (2J+1), which depends
 on neither detuning.  At delta_c = 0 the emission is even in the detuning,
 which lets :func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
+
+:func:`pulsed_block_emission` is the one pulse driver of the block
+experiments: the S-curve runners call it once per power (and bin), and
+``dicke-populations`` and ``beat-note`` start from its pulse-end state.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from .core import (
     CavityParams,
     DecoherenceParams,
     ParameterError,
-    SystemModel,
-    mu_from_power,
     propagate,
     pulse_protocol,
 )
@@ -355,7 +357,7 @@ def block_observables(gen: BlockLiouvillian) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Pulsed protocol and S-curves
+# Pulsed protocol
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -385,49 +387,6 @@ def pulsed_block_emission(n: int, g: float, mu: float, cavity: CavityParams,
     q_end = DickeBlockState.from_vec(n, run.end)
     return BlockPulseResult(peak_instant=run.peak_instant, peak_counts=run.peak_counts,
                             weights=q_end.subspace_weights(), state_end=q_end)
-
-
-@dataclass(frozen=True)
-class SCurveResult:
-    powers: np.ndarray
-    mu: np.ndarray
-    peaks: np.ndarray
-    peak_instants: np.ndarray
-    ground: np.ndarray
-    superradiant_ladder: np.ndarray
-    subradiant: np.ndarray
-
-
-def scurve(n: int, power_grid: Sequence[float], pulse_length: float, model: SystemModel,
-           *, detuning: float = 0.0, peak_mode: str = "counts") -> SCurveResult:
-    """Peak emission against drive power for n identical emitters, plus the
-    Dicke-subspace split at pulse end.  ``power_grid`` is in watts; the
-    ensemble's (single) coupling sets g.
-
-    ``peak_mode``: "counts" integrates the 128 ns detection window (default),
-    "instant" reports Gamma_c <J+J-> right at pulse end.
-    """
-    if peak_mode not in ("counts", "instant"):
-        raise ParameterError("peak_mode must be 'counts' or 'instant'")
-    g = model.ensemble.g if model.ensemble.g is not None else float(model.ensemble.couplings()[0])
-    powers = np.asarray(power_grid, dtype=float)
-    mus = np.array([mu_from_power(p, model.cavity) for p in powers])
-    peaks = np.empty(len(powers))
-    instants = np.empty(len(powers))
-    grounds = np.empty(len(powers))
-    ladders = np.empty(len(powers))
-    subs = np.empty(len(powers))
-    for i, mu in enumerate(mus):
-        res = pulsed_block_emission(n, g, mu, model.cavity, model.decoherence,
-                                    pulse_length, detuning=detuning,
-                                    compute_counts=peak_mode == "counts")
-        peaks[i] = res.peak_counts if peak_mode == "counts" else res.peak_instant
-        instants[i] = res.peak_instant
-        grounds[i] = res.weights["ground"]
-        ladders[i] = res.weights["superradiant_ladder"]
-        subs[i] = res.weights["subradiant"]
-    return SCurveResult(powers=powers, mu=mus, peaks=peaks, peak_instants=instants,
-                        ground=grounds, superradiant_ladder=ladders, subradiant=subs)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +486,6 @@ __all__ = [
     "block_observables",
     "BlockPulseResult",
     "pulsed_block_emission",
-    "SCurveResult",
-    "scurve",
     "RateEntry",
     "RateMap",
     "rate_map",

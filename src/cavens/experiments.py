@@ -62,6 +62,14 @@ def _resolve_powers(cfg: ExperimentConfig) -> np.ndarray:
     raise ConfigError("experiment needs grid.power, drive.power_w, or drive.mu")
 
 
+def _single_drive(cfg: ExperimentConfig) -> tuple[float, float]:
+    """The drive power (W) and mu of an experiment that takes one power."""
+    powers = _resolve_powers(cfg)
+    if len(powers) != 1:
+        raise ConfigError(f"{cfg.experiment} takes a single power (drive.power_w or drive.mu)")
+    return float(powers[0]), mu_from_power(powers[0], cfg.model.cavity)
+
+
 def _need(value, key: str):
     if value is None:
         raise ConfigError(f"missing required key for this experiment", key=key)
@@ -111,11 +119,16 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     fitted = []
     not_converged = []
-    for p in powers:
+    failures = []
+    for i, p in enumerate(powers):
         mu = mu_from_power(p, cfg.model.cavity)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cav, cfg.model.decoherence)
         not_converged.append(int(np.count_nonzero(~spec.converged)))
-        fit = analysis.fit_lorentzian_dip(spec, norm)
+        try:
+            fit = analysis.fit_lorentzian_dip(spec, norm)
+        except analysis.FitError as exc:
+            failures.append({"power_index": i, "error": str(exc)})
+            fit = None
         if fit is None:
             rows.append((float(p), float(mu), math.nan, math.nan, math.nan, math.nan, math.nan))
         else:
@@ -136,16 +149,13 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                   columns=("power_w", "mu", "width_hz", "width_stderr_hz",
                            "depth", "depth_stderr", "center_hz"),
                   rows=rows)
-    return ExperimentResult(tables=[table], metadata=meta)
+    return ExperimentResult(tables=[table], metadata=meta, failures=failures)
 
 
 def run_emission_trace(cfg: ExperimentConfig) -> ExperimentResult:
     times = _need(cfg.time_grid, "grid.time.start_s").values()
     pulse = _need(cfg.pulse_length, "drive.pulse_length_s")
-    power = _resolve_powers(cfg)
-    if len(power) != 1:
-        raise ConfigError("emission-trace takes a single power (drive.power_w or drive.mu)")
-    mu = mu_from_power(power[0], cfg.model.cavity)
+    power, mu = _single_drive(cfg)
     res = lindblad.pulsed_emission(cfg.model, mu, pulse, times,
                                    laser_detuning=cfg.laser_detuning * TWO_PI)
     tr = res.trace
@@ -158,7 +168,7 @@ def run_emission_trace(cfg: ExperimentConfig) -> ExperimentResult:
                            "coherent_real", "coherent_imag", "cavity_pop"),
                   rows=rows)
     meta = {"peak_instant": res.peak_instant, "peak_counts": res.peak_counts,
-            "mu": float(mu), "power_w": float(power[0])}
+            "mu": float(mu), "power_w": power}
     return ExperimentResult(tables=[table], metadata=meta)
 
 
@@ -222,12 +232,16 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
                                 metadata={"bin_counts": [e.n_ions for e in subs.entries],
                                           "bin_width_hz": angular_to_hz(width)},
                                 failures=failures)
-    res = dicke.scurve(n, powers, pulse, cfg.model, detuning=_identical_detuning(cfg),
-                       peak_mode=cfg.peak_mode)
-    rows = [(float(p), float(mu), float(pk), float(pi_), float(gr), float(la), float(su))
-            for p, mu, pk, pi_, gr, la, su in zip(res.powers, res.mu, res.peaks,
-                                                  res.peak_instants, res.ground,
-                                                  res.superradiant_ladder, res.subradiant)]
+    detuning = _identical_detuning(cfg)
+    counts = cfg.peak_mode == "counts"
+    rows = []
+    for p in powers:
+        mu = mu_from_power(p, cfg.model.cavity)
+        res = dicke.pulsed_block_emission(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
+                                          pulse, detuning=detuning, compute_counts=counts)
+        w = res.weights
+        rows.append((float(p), float(mu), res.peak_counts if counts else res.peak_instant,
+                     res.peak_instant, w["ground"], w["superradiant_ladder"], w["subradiant"]))
     table = Table("s_curve", ("power_w", "mu", "peak", "peak_instant", "ground",
                               "superradiant_ladder", "subradiant"), rows)
     return ExperimentResult(tables=[table])
@@ -235,11 +249,8 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_dicke_populations(cfg: ExperimentConfig) -> ExperimentResult:
     pulse = _need(cfg.pulse_length, "drive.pulse_length_s")
-    power = _resolve_powers(cfg)
-    if len(power) != 1:
-        raise ConfigError("dicke-populations takes a single power")
+    _power, mu = _single_drive(cfg)
     n, g = _identical_count_and_g(cfg)
-    mu = mu_from_power(power[0], cfg.model.cavity)
     res = dicke.pulsed_block_emission(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
                                       pulse, detuning=_identical_detuning(cfg))
     pops = res.state_end.jm_populations()
@@ -267,21 +278,15 @@ def run_rate_map(cfg: ExperimentConfig) -> ExperimentResult:
 def run_beat_note(cfg: ExperimentConfig) -> ExperimentResult:
     times = _need(cfg.time_grid, "grid.time.start_s").values()
     pulse = _need(cfg.pulse_length, "drive.pulse_length_s")
-    power = _resolve_powers(cfg)
-    if len(power) != 1:
-        raise ConfigError("beat-note takes a single power")
+    _power, mu = _single_drive(cfg)
     n, g = _identical_count_and_g(cfg)
-    mu = mu_from_power(power[0], cfg.model.cavity)
     detuning = _identical_detuning(cfg)
-    gen_on = dicke.build_block_generator(n, g, mu, cfg.model.cavity, cfg.model.decoherence,
-                                         detuning=detuning)
-    gen_off = dicke.build_block_generator(n, g, 0.0, cfg.model.cavity, cfg.model.decoherence,
-                                          detuning=detuning)
-    obs = dicke.block_observables(gen_on)
-    q_end = dicke.block_evolve(gen_on, dicke.DickeBlockState.all_ground(n),
-                               [pulse])[0]
-    states = dicke.block_evolve(gen_off, q_end, times)
-    amp = np.array([complex(obs["jm"] @ s.to_vec()) for s in states])
+    cav, dec = cfg.model.cavity, cfg.model.decoherence
+    q_end = dicke.pulsed_block_emission(n, g, mu, cav, dec, pulse, detuning=detuning,
+                                        compute_counts=False).state_end
+    gen_off = dicke.build_block_generator(n, g, 0.0, cav, dec, detuning=detuning)
+    jm = dicke.block_observables(gen_off)["jm"]
+    amp = np.array([complex(jm @ s.to_vec()) for s in dicke.block_evolve(gen_off, q_end, times)])
     lo = cfg.lo_offset * TWO_PI
     fit = analysis.beat_spectrum(times, amp, lo, window=cfg.beat_window)
     rows = [(float(t), float(a.real), float(a.imag)) for t, a in zip(times, amp)]
@@ -403,7 +408,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         for row in primary.rows:
             agg_rows.append((float(value),) + row)
         meta_points.append({"axis_value": float(value), "metadata": res.metadata})
-        failures.extend(res.failures)
+        failures.extend({"axis_value": float(value), **f} for f in res.failures)
     if columns is None:
         raise SolverFailure("every sweep point failed")
     table = Table(name=f"sweep_{cfg.experiment}", columns=columns, rows=agg_rows)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-from scipy.constants import hbar as HBAR
-
 TWO_PI = 2.0 * math.pi
+HBAR = 6.62607015e-34 / TWO_PI  # exact SI h over 2 pi, equal to scipy.constants.hbar
 
 
 def hz_to_angular(f: float) -> float:

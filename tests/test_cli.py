@@ -223,21 +223,7 @@ grid.time.num = 5
         assert self._run(tmp_path, cfg, "cap.cfg", "cap") == 3
         assert "solver failure" in capsys.readouterr().err
 
-    def test_fit_failure_is_solver_failure(self, tmp_path, capsys, monkeypatch):
-        """A failed dip fit exits 3; in a sweep it fails only its point (exit 4)."""
-        from cavens import analysis
-
-        real_fit = analysis.fit_lorentzian_dip
-        calls = []
-
-        def fit_fails_first(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise analysis.FitError("dip fit failed: forced")
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "fit_lorentzian_dip", fit_fails_first)
-        cfg = LINE_MODEL + """
+    CIT_CFG = LINE_MODEL + """
 experiment = cit-power-sweep
 grid.freq.start_hz = -90e6
 grid.freq.stop_hz = 90e6
@@ -245,14 +231,70 @@ grid.freq.num = 61
 grid.power.start_w = 2e-14
 grid.power.num = 1
 """
-        assert self._run(tmp_path, cfg, "cit.cfg", "cit") == 3
-        assert "solver failure: dip fit failed: forced" in capsys.readouterr().err
+
+    @staticmethod
+    def _fail_fit(monkeypatch, which: int) -> list:
+        """Make the ``which``-th dip fit (1-based) raise FitError; returns
+        the call log, which a caller clears to start counting again."""
+        from cavens import analysis
+
+        real_fit = analysis.fit_lorentzian_dip
+        calls = []
+
+        def fit(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == which:
+                raise analysis.FitError("dip fit failed: forced")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "fit_lorentzian_dip", fit)
+        return calls
+
+    def test_fit_failure_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        """A failed dip fit fails only its power (exit 4), and in a sweep
+        its failure carries the sweep point."""
+        calls = self._fail_fit(monkeypatch, 1)
+        assert self._run(tmp_path, self.CIT_CFG, "cit.cfg", "cit") == 4
+        assert "1 point(s) failed" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "cit_metadata.json").read_text())
+        assert meta["failures"] == [{"power_index": 0, "error": "dip fit failed: forced"}]
         calls.clear()
-        sweep = cfg + "sweep.axis = detuning_hz\nsweep.values = 0, 1e6\n"
+        sweep = self.CIT_CFG + "sweep.axis = detuning_hz\nsweep.values = 0, 1e6\n"
         assert self._run(tmp_path, sweep, "sw.cfg", "sw") == 4
         meta = json.loads((tmp_path / "sw_metadata.json").read_text())
-        assert meta["failures"] == [{"axis_value": 0.0,
-                                     "error": "FitError: dip fit failed: forced"}]
+        assert meta["failures"] == [{"axis_value": 0.0, "power_index": 0,
+                                     "error": "dip fit failed: forced"}]
+
+    def test_fit_failure_keeps_other_powers(self, tmp_path, monkeypatch):
+        """One failed dip fit in a power grid writes a NaN row for that
+        power, and the other powers keep their fits."""
+        self._fail_fit(monkeypatch, 2)
+        cfg = self.CIT_CFG.replace("grid.power.num = 1", "grid.power.stop_w = 2e-12\n"
+                                   "grid.power.num = 3\ngrid.power.scale = log")
+        assert self._run(tmp_path, cfg, "cit3.cfg", "cit3") == 4
+        header, rows = read_csv(tmp_path / "cit3_cit_power_sweep.csv")
+        widths = [float(r[header.index("width_hz")]) for r in rows]
+        assert len(rows) == 3 and math.isnan(widths[1])
+        assert math.isfinite(widths[0]) and math.isfinite(widths[2])
+        meta = json.loads((tmp_path / "cit3_metadata.json").read_text())
+        assert meta["failures"] == [{"power_index": 1, "error": "dip fit failed: forced"}]
+
+    @pytest.mark.parametrize("binned, key, value", [
+        (True, "bins.n", "4"),  # even: no bin on resonance
+        (True, "bins.n", "0"),
+        (True, "bins.n", "-1"),
+        (True, "bins.n", "9"),  # more bins than the 4 ions
+        (True, "bins.width_hz", "0"),
+        (True, "drive.pulse_length_s", "0"),
+        (False, "drive.pulse_length_s", "-1e-6"),
+    ])
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, binned, key, value):
+        lines = (BINNED_CFG if binned else SCURVE_CFG).splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        lines[k] = f"{key} = {value}"
+        assert self._run(tmp_path, "\n".join(lines), "bad.cfg", "bad") == 2
+        assert f"(line {k + 1}, key '{key}')" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad_*"))
 
     def test_scurve_run_outputs(self, tmp_path):
         assert self._run(tmp_path, SCURVE_CFG, "sc.cfg", "run") == 0
@@ -445,6 +487,37 @@ grid.power.scale = log
         for name in ("cit_cit_power_sweep.csv", "bin_s_curve_subensembles.csv"):
             _header, rows = read_csv(tmp_path / name)
             assert rows and all(math.isfinite(float(c)) for r in rows for c in r)
+
+    def test_beat_note_run(self, tmp_path):
+        """The beat note starts from the pulse-end state of
+        pulsed_block_emission and fits a finite beat width."""
+        from cavens import dicke
+        from cavens.core import mu_from_power
+
+        cfg = BASE_MODEL + """
+experiment = beat-note
+ensemble.detuning_hz = 5e6
+drive.pulse_length_s = 5e-6
+drive.power_w = 1e-13
+drive.lo_offset_hz = 5e6
+grid.time.start_s = 0
+grid.time.stop_s = 20e-6
+grid.time.num = 401
+"""
+        assert self._run(tmp_path, cfg, "beat.cfg", "beat") == 0
+        header, rows = read_csv(tmp_path / "beat_coherent_amplitude.csv")
+        assert header == ["time_s", "jminus_real", "jminus_imag"]
+        assert len(rows) == 401
+        meta = json.loads((tmp_path / "beat_metadata.json").read_text())
+        assert math.isfinite(meta["gamma_beat_hz"])
+        model = build_config(cfg).model
+        g, d = hz_to_angular(35e6), hz_to_angular(5e6)
+        end = dicke.pulsed_block_emission(4, g, mu_from_power(1e-13, model.cavity), model.cavity,
+                                          model.decoherence, 5e-6, detuning=d).state_end
+        gen_off = dicke.build_block_generator(4, g, 0.0, model.cavity, model.decoherence,
+                                              detuning=d)
+        amp = complex(dicke.block_observables(gen_off)["jm"] @ end.to_vec())
+        assert (float(rows[0][1]), float(rows[0][2])) == (amp.real, amp.imag)
 
     def test_rate_map_csv(self, tmp_path):
         cfg = BASE_MODEL + "experiment = rate-map\n"

@@ -17,7 +17,6 @@ from cavens.dicke import (
     dicke_basis,
     pulsed_block_emission,
     rate_map,
-    scurve,
     state_degeneracy,
 )
 from cavens.units import hz_to_angular
@@ -291,30 +290,31 @@ class TestPulseEdgeCases:
 
 
 class TestSCurve:
-    def _model(self, cavity, g35, gs_hz=6000, gd_hz=600):
-        dec = DecoherenceParams.from_hz(gs_hz, gd_hz)
-        return SystemModel(cavity, dec, EmitterEnsemble.identical(6, g35))
+    def _pulses(self, cavity, g35, powers, pulse_length, counts=True):
+        """One pulsed_block_emission of 6 emitters per power (watts)."""
+        dec = DecoherenceParams.from_hz(6000, 600)
+        return [pulsed_block_emission(6, g35, core.mu_from_power(p, cavity), cavity, dec,
+                                      pulse_length, compute_counts=counts) for p in powers]
 
     def test_zero_power_zero_emission(self, cavity, g35):
-        model = self._model(cavity, g35)
-        res = scurve(6, [0.0], 50e-6, model)
-        assert res.peaks[0] == 0.0
+        res = self._pulses(cavity, g35, [0.0], 50e-6)
+        assert res[0].peak_counts == 0.0
 
     def test_rise_fall_with_subradiant_growth(self, cavity, g35):
-        model = self._model(cavity, g35)
         powers = np.geomspace(7e-16, 2.1e-11, 16)
-        res = scurve(6, powers, 50e-6, model, peak_mode="instant")
-        i_max = int(np.argmax(res.peaks))
+        res = self._pulses(cavity, g35, powers, 50e-6, counts=False)
+        peaks = np.array([r.peak_instant for r in res])
+        subradiant = np.array([r.weights["subradiant"] for r in res])
+        i_max = int(np.argmax(peaks))
         assert 0 < i_max < len(powers) - 1
-        assert res.peaks[i_max] > 1.25 * res.peaks[-1]
-        assert res.subradiant[-1] > res.subradiant[i_max] + 0.1
+        assert peaks[i_max] > 1.25 * peaks[-1]
+        assert subradiant[-1] > subradiant[i_max] + 0.1
 
     def test_strong_drive_approaches_mixed_value(self, cavity, g35):
-        model = self._model(cavity, g35)
-        res = scurve(6, [1e-3], 300e-6, model, peak_mode="instant")
+        res = self._pulses(cavity, g35, [1e-3], 300e-6, counts=False)
         gc = 4 * g35**2 / cavity.kappa
         mixed = 6 / 2.0  # Tr(J+J-)/2^N by direct enumeration
-        assert abs(res.peak_instants[0] / gc - mixed) < 0.1 * mixed
+        assert abs(res[0].peak_instant / gc - mixed) < 0.1 * mixed
 
 
 def test_mixed_state_jpjm_enumeration():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cavens.ensemble as ensemble_mod
-from cavens.core import DecoherenceParams, DerivedRates, EmitterEnsemble, ParameterError, SystemModel
+from cavens.core import (DecoherenceParams, DerivedRates, EmitterEnsemble, ParameterError,
+                         SystemModel, mu_from_power)
 from cavens.dicke import CapabilityError
 from cavens.ensemble import (
     SubensembleSet,
@@ -62,15 +63,16 @@ class TestIncoherentSCurve:
         return SystemModel(cavity, dec, EmitterEnsemble.identical(5, g35))
 
     def test_single_bin_matches_scurve(self, cavity, g35):
-        from cavens.dicke import scurve
+        from cavens.dicke import pulsed_block_emission
 
         model = self._model(cavity, g35)
         subs = SubensembleSet(entries=(type(next(iter(
             bin_lorentzian(5, 1.0, 1, 1.0, g35).entries)))(0.0, 5, g35),))
         powers = np.geomspace(1e-14, 1e-11, 4)
         inc = incoherent_scurve(subs, powers, 50e-6, model)
-        ref = scurve(5, powers, 50e-6, model)
-        assert np.allclose(inc.total, ref.peaks, rtol=1e-12)
+        ref = [pulsed_block_emission(5, g35, mu_from_power(p, cavity), cavity,
+                                     model.decoherence, 50e-6).peak_counts for p in powers]
+        assert np.allclose(inc.total, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("error", [CapabilityError, ParameterError, np.linalg.LinAlgError,
                                        ValueError])
@@ -145,18 +147,13 @@ class TestIncoherentSCurve:
         assert np.all(np.isnan(res.per_subensemble[:, [0, 2]]))
         assert np.all(res.total == res.per_subensemble[:, 1])
 
-    @pytest.mark.parametrize("binned", [True, False])
-    def test_unknown_peak_mode_rejected(self, cavity, g35, binned):
-        from cavens.dicke import scurve
+    def test_unknown_peak_mode_rejected(self, cavity, g35):
         from cavens.ensemble import Subensemble
 
         model = self._model(cavity, g35)
         with pytest.raises(ParameterError, match="peak_mode"):
-            if binned:
-                incoherent_scurve(SubensembleSet(entries=(Subensemble(0.0, 3, g35),)),
-                                  [1e-13], 5e-6, model, peak_mode="bogus")
-            else:
-                scurve(3, [1e-13], 5e-6, model, peak_mode="bogus")
+            incoherent_scurve(SubensembleSet(entries=(Subensemble(0.0, 3, g35),)),
+                              [1e-13], 5e-6, model, peak_mode="bogus")
 
     def test_other_errors_propagate(self, cavity, g35, monkeypatch):
         from cavens.ensemble import Subensemble
