@@ -307,6 +307,9 @@ def build_config(text: str, base_dir: str = ".",
     if bins_n is not None and not (1 <= bins_n <= ens.n and bins_n % 2):
         raise ConfigError(f"bins.n must be odd and within 1..ensemble.n_ions ({ens.n})",
                           line=view.line("bins.n"), key="bins.n")
+    if bins_n is not None and sweep_axis == "n_ions" and min(sweep_values) < bins_n:
+        raise ConfigError(f"n_ions sweep values must be at least bins.n ({bins_n})",
+                          line=view.line("sweep.values"), key="sweep.values")
     bins_width = view.get_float("bins.width_hz")
     pulse_length = view.get_float("drive.pulse_length_s")
     for key, value in (("bins.width_hz", bins_width), ("drive.pulse_length_s", pulse_length)):

@@ -1,18 +1,22 @@
-"""Full-Hilbert-space open-system dynamics after adiabatic cavity elimination.
+"""Open-system dynamics of an explicit emitter list after adiabatic cavity
+elimination.
 
-Builds the many-body generator
+:func:`build_generator` writes the many-body generator
 
     drho/dt = -i[H_at, rho] + L_col + L_em + L_deph
 
-for an explicit list of emitters (capability-limited, N <= 8), evolves it
-by matrix exponentials, runs the pulsed-emission protocol, and projects
-states onto the coupled angular-momentum basis.  Propagation and the pulse
-protocol are the ones the block solver uses (:func:`cavens.core.propagate`,
-:func:`cavens.core.pulse_protocol`).
-
-ODE stepping is kept only as the independent test oracle :func:`evolve`
-(DOP853 on the matrix-free generator).  It imports ``scipy.integrate`` when
-called, so no production run loads it.
+on the full 2^N space (capability-limited, N <= 8).  :func:`pulsed_emission`
+propagates the same generator on the permutation-symmetric space of the
+ensemble instead (:class:`GroupSpace`, :func:`group_generator`): emitters
+with the same (laser-frame detuning, g) form a group, and a group of n
+sites needs C(n+3, 3) real coefficients rather than 4^n.  The 2^N
+generator, :func:`evolve_expm` and the ODE oracle :func:`evolve` (DOP853 on
+the matrix-free generator) are the references the tests compare it with.
+Propagation and the pulse protocol are the ones the block solver uses
+(:func:`cavens.core.propagate`, :func:`cavens.core.pulse_protocol`).
+:func:`evolve` imports ``scipy.integrate`` when called, so no production
+run loads it.  States are projected onto the coupled angular-momentum
+basis by :func:`dicke_projection`.
 
 Conventions pinned by tests:
 
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,6 +204,20 @@ class Liouvillian:
         return self._superop
 
 
+def _laser_frame(ens: EmitterEnsemble, laser_detuning: float) -> tuple[np.ndarray, np.ndarray]:
+    """Laser-frame detunings and couplings of at most ``DEFAULT_N_MAX`` emitters."""
+    expl = ens.to_explicit() if ens.is_parametric else ens
+    if expl.n > DEFAULT_N_MAX:
+        raise CapabilityError(f"full-space dynamics limited to {DEFAULT_N_MAX} emitters, "
+                              f"got {expl.n}")
+    return expl.detunings() + expl.center - laser_detuning, expl.couplings()
+
+
+def _check_mu(mu: float) -> None:
+    if not (mu >= 0 and math.isfinite(mu)):
+        raise ParameterError(f"mu must be finite and >= 0, got {mu}")
+
+
 def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
                     dec: DecoherenceParams, laser_detuning: float = 0.0) -> Liouvillian:
     """Adiabatically eliminated generator for an explicit ensemble.
@@ -212,14 +230,9 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     minus ``laser_detuning`` (laser frame); ``cavity.delta_c`` is taken as
     configured.
     """
-    expl = ens.to_explicit() if ens.is_parametric else ens
-    n = expl.n
-    if n > DEFAULT_N_MAX:
-        raise CapabilityError(f"full-space generator limited to {DEFAULT_N_MAX} emitters, got {n}")
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise ParameterError(f"mu must be finite and >= 0, got {mu}")
-    deltas = expl.detunings() + expl.center - laser_detuning
-    gs = expl.couplings()
+    deltas, gs = _laser_frame(ens, laser_detuning)
+    _check_mu(mu)
+    n = len(gs)
     dc = cavity.delta_c
     denom = (0.5 * cavity.kappa) ** 2 + dc**2
 
@@ -241,6 +254,159 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
             collapse.append((DEPHASING_LINDBLAD_SCALE * dec.gamma_d, site_operator(n, k, "sz")))
     purcell = 4.0 * float(np.mean(gs**2)) / cavity.kappa
     return Liouvillian(n, h, collapse, purcell)
+
+
+# ---------------------------------------------------------------------------
+# Permutation-symmetric group space
+# ---------------------------------------------------------------------------
+
+#: Per-site Hermitian operator basis (|e><e|, sx, sy, |g><g|); |e> is index 0.
+_BASIS = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[0, 0], [0, 1]]])
+_BASIS_NORM = np.array([1.0, 2.0, 2.0, 1.0])  # tr(B_a B_a)
+_EYE = np.eye(2)
+_SM_D, _SP_D, _SZ_D = (op.toarray() for op in (_SM, _SP, _SZ))
+
+
+def _site(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """4x4 matrix of X -> left X right on one site, in the basis ``_BASIS``."""
+    images = [left @ b @ right for b in _BASIS]
+    return np.einsum("aij,bji->ab", _BASIS, images) / _BASIS_NORM[:, None]
+
+
+def _dissipator(a: np.ndarray) -> np.ndarray:
+    """One-site D[a] X = a X a^+ - (a^+ a X + X a^+ a) / 2."""
+    ada = a.conj().T @ a
+    return _site(a, a.conj().T) - 0.5 * (_site(ada, _EYE) + _site(_EYE, ada))
+
+
+@lru_cache(maxsize=16)
+def _occupations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupation numbers (n_e, n_x, n_y, n_g) of one group of n sites, one
+    row per basis vector of its symmetric space (C(n+3, 3) rows, all-ground
+    first), and the row index of each (n_e, n_x, n_y)."""
+    occ = np.array([(a, b, c, n - a - b - c) for a in range(n + 1)
+                    for b in range(n + 1 - a) for c in range(n + 1 - a - b)])
+    index = np.full((n + 1,) * 3, -1)
+    index[occ[:, 0], occ[:, 1], occ[:, 2]] = np.arange(len(occ))
+    return occ, index
+
+
+def _symmetric_sum(n: int, s: np.ndarray) -> sp.csr_matrix:
+    """The one-site superoperator ``s`` summed over a group of n sites, on
+    the group's symmetric space: S|n> = sum_b s_bb n_b |n>
+    + sum_{a != b} s_ab (n_a + 1) |n - e_b + e_a>."""
+    occ, index = _occupations(n)
+    rows, cols, vals = [np.arange(len(occ))], [np.arange(len(occ))], [occ @ np.diag(s)]
+    for a in range(4):
+        for b in range(4):
+            if a == b or s[a, b] == 0:
+                continue
+            src = np.nonzero(occ[:, b])[0]
+            dst = occ[src].copy()
+            dst[:, a] += 1
+            dst[:, b] -= 1
+            rows.append(index[dst[:, 0], dst[:, 1], dst[:, 2]])
+            cols.append(src)
+            vals.append(s[a, b] * dst[:, a])
+    d = len(occ)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(d, d))
+
+
+class GroupSpace:
+    """Kronecker product of the permutation-symmetric operator spaces of the
+    emitter groups (Xu, Tieri & Holland, PRA 87, 062101 (2013)).
+
+    Emitters with the same (laser-frame detuning, g) form one group, in the
+    order of their first appearance.  A state is a real coefficient vector
+    c: rho = sum_n c_n prod_groups (sum of the basis products with group
+    occupations n), over the per-site basis (|e><e|, sx, sy, |g><g|).  A
+    group of n sites has dimension C(n+3, 3); N distinct emitters give 4^N.
+    """
+
+    def __init__(self, deltas: np.ndarray, gs: np.ndarray):
+        sites: dict = {}
+        for k, key in enumerate(zip(np.asarray(deltas, float).tolist(),
+                                    np.asarray(gs, float).tolist())):
+            sites.setdefault(key, []).append(k)
+        self.n = len(gs)
+        self.groups = [(delta, g, tuple(ks)) for (delta, g), ks in sites.items()]
+        self.dims = [len(_occupations(len(ks))[0]) for _, _, ks in self.groups]
+        self.dim = math.prod(self.dims)
+
+    def embed(self, k: int, s: np.ndarray) -> sp.csr_matrix:
+        """``s`` summed over the sites of group k, on the whole space."""
+        before, after = math.prod(self.dims[:k]), math.prod(self.dims[k + 1:])
+        m = _symmetric_sum(len(self.groups[k][2]), s)
+        return sp.kron(sp.kron(sp.identity(before), m), sp.identity(after), format="csr")
+
+    def collective(self, s: np.ndarray, coupled: bool = False) -> sp.csr_matrix:
+        """``s`` summed over every site, weighted by g if ``coupled``."""
+        return sum((g if coupled else 1.0) * self.embed(k, s)
+                   for k, (_, g, _) in enumerate(self.groups))
+
+    def ground(self) -> np.ndarray:
+        """|g...g><g...g|: occupation (0, 0, 0, n) in every group."""
+        return reduce(np.kron, [np.eye(d)[0] for d in self.dims])
+
+    def trace_row(self) -> np.ndarray:
+        """tr(rho) = trace_row . c: C(n, n_e) where n_x = n_y = 0."""
+        rows = []
+        for _, _, ks in self.groups:
+            occ, _ = _occupations(len(ks))
+            pure = (occ[:, 1] == 0) & (occ[:, 2] == 0)
+            rows.append(np.where(pure, [math.comb(len(ks), int(e)) for e in occ[:, 0]], 0.0))
+        return reduce(np.kron, rows)
+
+    def _columns(self) -> np.ndarray:
+        """Index of c for each of the 4^N per-site basis products (site 0 is
+        the most significant base-4 digit)."""
+        digits = (np.arange(4**self.n)[:, None] // 4 ** np.arange(self.n - 1, -1, -1)) % 4
+        col = np.zeros(4**self.n, dtype=int)
+        for k, (_, _, ks) in enumerate(self.groups):
+            _, index = _occupations(len(ks))
+            counts = [np.count_nonzero(digits[:, list(ks)] == b, axis=1) for b in range(3)]
+            col += math.prod(self.dims[k + 1:]) * index[counts[0], counts[1], counts[2]]
+        return col
+
+    def lift(self, vec: np.ndarray) -> DensityState:
+        """The 2^N density matrix of a coefficient vector: each occupation
+        vector expanded over its arrangements."""
+        n = self.n
+        x = np.asarray(vec)[self._columns()].reshape((4,) * n)
+        to_entries = _BASIS.reshape(4, 4).T  # (row-major 2x2 entry, basis index)
+        for k in range(n):
+            x = np.moveaxis(np.tensordot(to_entries, x, axes=([1], [k])), 0, k)
+        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        return DensityState(2**n, x.reshape((2, 2) * n).transpose(order).reshape(2**n, 2**n))
+
+
+def group_generator(space: GroupSpace, mu: float, cavity: CavityParams,
+                    dec: DecoherenceParams) -> sp.csr_matrix:
+    """:func:`build_generator` on the group space, as a real matrix (the
+    Lindbladian preserves Hermiticity and the basis is Hermitian).  Each term
+    is a product of one-site sums: L(Jg-) = sum_groups g S(L(sm)), then
+    L(Jg+ Jg-) = L(Jg+) L(Jg-), rho Jg+ Jg- = R(Jg-) R(Jg+), and so on."""
+    _check_mu(mu)
+    dc = cavity.delta_c
+    denom = (0.5 * cavity.kappa) ** 2 + dc**2
+    jm_l = space.collective(_site(_SM_D, _EYE), coupled=True)
+    jp_l = space.collective(_site(_SP_D, _EYE), coupled=True)
+    jm_r = space.collective(_site(_EYE, _SM_D), coupled=True)
+    jp_r = space.collective(_site(_EYE, _SP_D), coupled=True)
+    rate = cavity.kappa / denom
+    terms = [(rate, jm_l, jp_r), (-1j * dc / denom - 0.5 * rate, jp_l, jm_l),
+             (1j * dc / denom - 0.5 * rate, jm_r, jp_r)]
+    # real parts term by term: one complex product is alive at a time
+    lv = sum((c * (a @ b)).real for c, a, b in terms)
+    local = (dec.gamma_s * _dissipator(_SM_D)
+             + DEPHASING_LINDBLAD_SCALE * dec.gamma_d * _dissipator(_SZ_D))
+    for k, (delta, g, _) in enumerate(space.groups):
+        h = 0.5 * delta * _SZ_D - g * math.sqrt(mu) * (_SP_D + _SM_D)
+        lv = lv + space.embed(k, local - 1j * (_site(h, _EYE) - _site(_EYE, h))).real
+    lv = lv.tocsr()
+    lv.eliminate_zeros()
+    return lv
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +458,39 @@ def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
                     observe_times: Sequence[float], *, use_expm: bool = True,
                     laser_detuning: float = 0.0) -> PulsedEmission:
     """Drive on for ``pulse_length`` from all-ground, then drive off, by
-    matrix exponentials (:func:`cavens.core.pulse_protocol`).
+    matrix exponentials (:func:`cavens.core.pulse_protocol`) on the
+    :class:`GroupSpace` of the ensemble, with :func:`group_generator`.
 
     ``peak_instant`` is Gamma_c <J+J-> right at pulse end; ``peak_counts``
     integrates it over the 128 ns detection window after the pulse.
+    ``final_state`` is the pulse-end state lifted to the 2^N space.
     ``laser_detuning`` is subtracted from every emitter's detuning (see
-    :func:`build_generator`).  ``use_expm=False`` raises ParameterError: ODE stepping survives only as
-    the test oracle :func:`evolve`.
+    :func:`build_generator`).  ``use_expm=False`` raises ParameterError: ODE
+    stepping survives only as the test oracle :func:`evolve`.
     """
     if not use_expm:
         raise ParameterError("pulsed_emission propagates by matrix exponentials only; "
                              "lindblad.evolve is the ODE oracle")
     times = np.asarray(observe_times, dtype=float)
-    n, d = model.ensemble.n, 2**model.ensemble.n
-    gen_on = build_generator(model.ensemble, mu, model.cavity, model.decoherence,
-                             laser_detuning=laser_detuning)
-    gen_off = build_generator(model.ensemble, 0.0, model.cavity, model.decoherence,
-                              laser_detuning=laser_detuning)
-    # weight rows w with <op> = tr(op rho) = w . vec(rho), row-major vec
-    rows = {name: op.T.toarray().reshape(-1) for name, op in collective_operators(n).items()}
-    run = pulse_protocol(gen_on.superoperator(), gen_off.superoperator(),
-                         DensityState.ground(n).matrix.reshape(-1), pulse_length,
-                         rows["jpjm"], gen_on.purcell, times)
-    obs = np.array(run.observed, dtype=complex).reshape(len(times), d * d)
-    jpjm = (obs @ rows["jpjm"]).real
-    trace = EmissionTrace(times=times, jpjm=jpjm, individual=(obs @ rows["individual"]).real,
-                          correlation=(obs @ rows["correlation"]).real,
-                          coherent_amp=obs @ rows["jm"], cavity_pop=gen_on.purcell * jpjm)
-    return PulsedEmission(trace=trace, peak_instant=run.peak_instant,
+    deltas, gs = _laser_frame(model.ensemble, laser_detuning)
+    space = GroupSpace(deltas, gs)
+    gen_on = group_generator(space, mu, model.cavity, model.decoherence)
+    gen_off = group_generator(space, 0.0, model.cavity, model.decoherence)
+    purcell = 4.0 * float(np.mean(gs**2)) / model.cavity.kappa
+    # weight rows w with <op> = tr(op rho) = w . c
+    trace = space.trace_row()
+    jm = space.collective(_site(_SM_D, _EYE)).T @ trace
+    jpjm = (space.collective(_site(_EYE, _SP_D)).T @ jm).real  # tr(J+ J- rho) = tr(J- rho J+)
+    individual = (space.collective(_site(_SP_D @ _SM_D, _EYE)).T @ trace).real
+    run = pulse_protocol(gen_on, gen_off, space.ground(), pulse_length, jpjm, purcell, times)
+    obs = np.array(run.observed).reshape(len(times), space.dim)
+    pop = obs @ jpjm
+    emission = EmissionTrace(times=times, jpjm=pop, individual=obs @ individual,
+                             correlation=obs @ (jpjm - individual),
+                             coherent_amp=obs @ jm, cavity_pop=purcell * pop)
+    return PulsedEmission(trace=emission, peak_instant=run.peak_instant,
                           peak_counts=run.peak_counts, pulse_length=pulse_length,
-                          final_state=DensityState(d, run.end.reshape(d, d)))
+                          final_state=space.lift(run.end))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +587,8 @@ __all__ = [
     "collective_operators",
     "Liouvillian",
     "build_generator",
+    "GroupSpace",
+    "group_generator",
     "evolve",
     "evolve_expm",
     "PulsedEmission",

@@ -211,6 +211,13 @@ sweep.values = {values}
         assert f"key '{key}'" in capsys.readouterr().err
         assert not list(tmp_path.glob("nsweep_*"))
 
+    def test_n_ions_sweep_below_bins_is_config_error(self, tmp_path, capsys):
+        """A binned S-curve cannot spread fewer ions than bins.n over its bins."""
+        cfg = BINNED_CFG + "sweep.axis = n_ions\nsweep.values = 2, 4\n"
+        assert self._run(tmp_path, cfg, "nbins.cfg", "nbins") == 2
+        assert "key 'sweep.values'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("nbins_*"))
+
     def test_exit_code_solver_failure(self, tmp_path, capsys):
         cfg = BASE_MODEL.replace("ensemble.n_ions = 4", "ensemble.n_ions = 9") + """
 experiment = emission-trace
@@ -338,10 +345,11 @@ sweep.values = 0, 20e6
         assert all(a[1] != b[1] for a, b in zip(on, off))
 
     def test_emission_trace_krylov_reproducible(self, tmp_path):
-        """5 inhomogeneous ions (dimension 1024) take the Krylov path; two runs
-        write the same bytes, whatever numpy's global random state was."""
+        """5 ions at distinct detunings (five groups of one, dimension 4^5 =
+        1024) take the Krylov path; two runs write the same bytes, whatever
+        numpy's global random state was."""
         (tmp_path / "ions.csv").write_text(
-            "detuning_hz,g_hz\n0,35e6\n0,35e6\n0,35e6\n5e6,35e6\n5e6,35e6\n")
+            "detuning_hz,g_hz\n0,35e6\n1e6,35e6\n2e6,35e6\n4e6,35e6\n5e6,35e6\n")
         cfg = BASE_MODEL.replace("ensemble.kind = identical\nensemble.n_ions = 4\n"
                                  "ensemble.g_hz = 35e6\n",
                                  "ensemble.kind = explicit\nensemble.file = ions.csv\n") + """

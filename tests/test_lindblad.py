@@ -3,15 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from cavens.core import PEAK_WINDOW, DecoherenceParams, EmitterEnsemble, ParameterError, SystemModel
+from cavens.core import (
+    PEAK_WINDOW,
+    CavityParams,
+    DecoherenceParams,
+    EmitterEnsemble,
+    ParameterError,
+    SystemModel,
+    mu_from_power,
+)
 from cavens.lindblad import (
     CapabilityError,
     DensityState,
+    GroupSpace,
     build_generator,
     collective_operators,
     dicke_projection,
     evolve,
     evolve_expm,
+    group_generator,
     pulsed_emission,
     saturation_comparison,
 )
@@ -240,6 +250,123 @@ class TestPulsedEmission:
         model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(2, g35))
         with pytest.raises(ParameterError, match="lindblad.evolve"):
             pulsed_emission(model, 1e-6, 10e-6, [10e-6], use_expm=False)
+
+
+def _full_space_emission(model, mu, pulse, times, laser_detuning=0.0):
+    """pulsed_emission's trace columns and peaks from the 2^N generator and
+    evolve_expm."""
+    ens, cav, dec = model.ensemble, model.cavity, model.decoherence
+    n = ens.n
+    gen_on = build_generator(ens, mu, cav, dec, laser_detuning=laser_detuning)
+    gen_off = build_generator(ens, 0.0, cav, dec, laser_detuning=laser_detuning)
+    ops = collective_operators(n)
+    during = times <= pulse
+    on = evolve_expm(DensityState.ground(n), gen_on, np.append(times[during], pulse))
+    states = on[:-1] + evolve_expm(on[-1], gen_off, times[~during] - pulse)
+    window = np.linspace(0.0, PEAK_WINDOW, 9)
+    window_states = [on[-1]] + evolve_expm(on[-1], gen_off, window[1:])
+    counts = [s.expect(ops["jpjm"]).real for s in window_states]
+    jpjm = np.array([s.expect(ops["jpjm"]).real for s in states])
+    jm = np.array([s.expect(ops["jm"]) for s in states])
+    columns = {"jpjm": jpjm,
+               "individual": np.array([s.expect(ops["individual"]).real for s in states]),
+               "correlation": np.array([s.expect(ops["correlation"]).real for s in states]),
+               "coherent_real": jm.real, "coherent_imag": jm.imag,
+               "cavity_pop": gen_on.purcell * jpjm}
+    return columns, gen_on.purcell * counts[0], gen_on.purcell * np.trapezoid(counts, window)
+
+
+def _group_columns(res):
+    tr = res.trace
+    return {"jpjm": tr.jpjm, "individual": tr.individual, "correlation": tr.correlation,
+            "coherent_real": tr.coherent_amp.real, "coherent_imag": tr.coherent_amp.imag,
+            "cavity_pop": tr.cavity_pop}
+
+
+_G = hz_to_angular(35e6)
+_D1, _D2 = hz_to_angular(3e6), hz_to_angular(-5e6)
+#: Emitter lists of two and three groups; some groups are not contiguous.
+_GROUPED = {
+    "2-in-2": [(0.0, _G), (_D1, _G)],
+    "3-in-2": [(0.0, _G), (0.0, _G), (_D1, 0.8 * _G)],
+    "3-in-3": [(0.0, _G), (_D1, 0.8 * _G), (_D2, 1.2 * _G)],
+    "4-in-2": [(0.0, _G), (_D1, _G), (0.0, _G), (0.0, _G)],
+    "4-in-3": [(0.0, _G), (_D1, _G), (0.0, _G), (_D2, 0.9 * _G)],
+    "5-in-2": [(0.0, _G)] * 3 + [(_D1, _G)] * 2,
+    "5-in-3": [(_D1, _G), (0.0, _G), (_D2, 1.1 * _G), (0.0, _G), (_D1, _G)],
+}
+#: (ensemble, delta_c in Hz, laser detuning in Hz)
+_GROUPED_CASES = ([(case, dc, 0.0) for case in _GROUPED for dc in (0.0, 1e9)]
+                  + [("3-in-3", 0.0, 2e6), ("5-in-2", 1e9, 2e6)])
+
+
+class TestGroupSpace:
+    """pulsed_emission propagates in the group space; these pin it to the
+    2^N generator."""
+
+    @pytest.mark.parametrize("case, dc_hz, laser_hz", _GROUPED_CASES)
+    def test_matches_full_space(self, case, dc_hz, laser_hz):
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600),
+                            EmitterEnsemble.explicit(_GROUPED[case]))
+        mu, pulse = 1e-6, 10e-6
+        times = np.array([3e-6, 10e-6, 10.2e-6, 11e-6])
+        laser = hz_to_angular(laser_hz)
+        res = pulsed_emission(model, mu, pulse, times, laser_detuning=laser)
+        ref, peak_instant, peak_counts = _full_space_emission(model, mu, pulse, times, laser)
+        got = _group_columns(res)
+        for name, col in ref.items():
+            scale = np.max(np.abs(col))
+            assert scale > 0, name
+            assert np.max(np.abs(got[name] - col)) <= 1e-10 * scale, name
+        assert math.isclose(res.peak_instant, peak_instant, rel_tol=1e-10)
+        assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6])
+    def test_lift_intertwines_generators(self, mu):
+        """E L_group = L_full E, with E the lift of the coefficient vectors
+        into row-major vec(rho)."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, 1e9)
+        dec = DecoherenceParams.from_hz(6000, 600)
+        ens = EmitterEnsemble.explicit(_GROUPED["4-in-3"])
+        laser = hz_to_angular(2e6)
+        space = GroupSpace(ens.detunings() + ens.center - laser, ens.couplings())
+        assert space.dim == 10 * 4 * 4
+        lift = np.array([space.lift(e).matrix.reshape(-1) for e in np.eye(space.dim)]).T
+        full = build_generator(ens, mu, cav, dec, laser_detuning=laser).superoperator()
+        group = group_generator(space, mu, cav, dec)
+        assert group.dtype == np.float64
+        rhs = full @ lift
+        assert np.max(np.abs(lift @ group.toarray() - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_dimensions(self):
+        def dim(emitters):
+            ens = EmitterEnsemble.explicit(emitters)
+            return GroupSpace(ens.detunings(), ens.couplings()).dim
+
+        assert dim(_GROUPED["5-in-2"]) == 200
+        assert dim([(0.0, _G)] * 5 + [(hz_to_angular(5e6), _G)] * 2) == 560
+        assert dim([(0.0, _G)] * 4) == 35
+        assert dim([(hz_to_angular(k * 1e6), _G) for k in range(5)]) == 4**5
+
+    @pytest.mark.parametrize("power_w", [5e-14, 3e-8])
+    def test_binned_scurve_oracle_case(self, power_w):
+        """The full-space check of the binned S-curve benchmark: one bin of 4
+        identical ions, 50 us pulse, against the 2^N space."""
+        cav = CavityParams.from_hz(44e9, 8.8e9)
+        ens = EmitterEnsemble.identical(4, hz_to_angular(10.6e6),
+                                        detuning=hz_to_angular(20 * 150e6 / 90))
+        model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600), ens)
+        mu, pulse = mu_from_power(power_w, cav), 50e-6
+        res = pulsed_emission(model, mu, pulse, [pulse])
+        _, peak_instant, peak_counts = _full_space_emission(model, mu, pulse, np.array([pulse]))
+        assert math.isclose(res.peak_instant, peak_instant, rel_tol=1e-10)
+        assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
+
+    def test_capability_limit(self, cavity, decoherence, g35):
+        model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(9, g35))
+        with pytest.raises(CapabilityError):
+            pulsed_emission(model, 1e-6, 10e-6, [10e-6])
 
 
 class TestDickeProjection:
