@@ -7,7 +7,7 @@ elimination.
 
 on the full 2^N space (capability-limited, N <= 8).  :func:`pulsed_emission`
 propagates the same generator on the permutation-symmetric space of the
-ensemble instead (:class:`GroupSpace`, :func:`group_generator`): emitters
+ensemble instead (:class:`GroupSpace`, :func:`group_parts`): emitters
 with the same (laser-frame detuning, g) form a group, and a group of n
 sites needs C(n+3, 3) real coefficients rather than 4^n.  The 2^N
 generator, :func:`evolve_expm` and the ODE oracle :func:`evolve` (DOP853 on
@@ -204,13 +204,17 @@ class Liouvillian:
         return self._superop
 
 
-def _laser_frame(ens: EmitterEnsemble, laser_detuning: float) -> tuple[np.ndarray, np.ndarray]:
-    """Laser-frame detunings and couplings of at most ``DEFAULT_N_MAX`` emitters."""
+def _laser_frame(ens: EmitterEnsemble, cavity: CavityParams,
+                 laser_detuning: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Laser-frame detunings, couplings and Purcell rate 4 <g^2> / kappa of
+    at most ``DEFAULT_N_MAX`` emitters."""
     expl = ens.to_explicit() if ens.is_parametric else ens
     if expl.n > DEFAULT_N_MAX:
         raise CapabilityError(f"full-space dynamics limited to {DEFAULT_N_MAX} emitters, "
                               f"got {expl.n}")
-    return expl.detunings() + expl.center - laser_detuning, expl.couplings()
+    gs = expl.couplings()
+    purcell = 4.0 * float(np.mean(gs**2)) / cavity.kappa
+    return expl.detunings() + expl.center - laser_detuning, gs, purcell
 
 
 def _check_mu(mu: float) -> None:
@@ -230,7 +234,7 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     minus ``laser_detuning`` (laser frame); ``cavity.delta_c`` is taken as
     configured.
     """
-    deltas, gs = _laser_frame(ens, laser_detuning)
+    deltas, gs, purcell = _laser_frame(ens, cavity, laser_detuning)
     _check_mu(mu)
     n = len(gs)
     dc = cavity.delta_c
@@ -252,7 +256,6 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
             collapse.append((dec.gamma_s, site_operator(n, k, "sm")))
         if dec.gamma_d > 0:
             collapse.append((DEPHASING_LINDBLAD_SCALE * dec.gamma_d, site_operator(n, k, "sz")))
-    purcell = 4.0 * float(np.mean(gs**2)) / cavity.kappa
     return Liouvillian(n, h, collapse, purcell)
 
 
@@ -277,6 +280,9 @@ def _dissipator(a: np.ndarray) -> np.ndarray:
     """One-site D[a] X = a X a^+ - (a^+ a X + X a^+ a) / 2."""
     ada = a.conj().T @ a
     return _site(a, a.conj().T) - 0.5 * (_site(ada, _EYE) + _site(_EYE, ada))
+
+
+_L_SM, _L_SP = _site(_SM_D, _EYE), _site(_SP_D, _EYE)  # X -> sm X, X -> sp X
 
 
 @lru_cache(maxsize=16)
@@ -340,11 +346,6 @@ class GroupSpace:
         m = _symmetric_sum(len(self.groups[k][2]), s)
         return sp.kron(sp.kron(sp.identity(before), m), sp.identity(after), format="csr")
 
-    def collective(self, s: np.ndarray, coupled: bool = False) -> sp.csr_matrix:
-        """``s`` summed over every site, weighted by g if ``coupled``."""
-        return sum((g if coupled else 1.0) * self.embed(k, s)
-                   for k, (_, g, _) in enumerate(self.groups))
-
     def ground(self) -> np.ndarray:
         """|g...g><g...g|: occupation (0, 0, 0, n) in every group."""
         return reduce(np.kron, [np.eye(d)[0] for d in self.dims])
@@ -381,32 +382,61 @@ class GroupSpace:
         return DensityState(2**n, x.reshape((2, 2) * n).transpose(order).reshape(2**n, 2**n))
 
 
-def group_generator(space: GroupSpace, mu: float, cavity: CavityParams,
-                    dec: DecoherenceParams) -> sp.csr_matrix:
-    """:func:`build_generator` on the group space, as a real matrix (the
-    Lindbladian preserves Hermiticity and the basis is Hermitian).  Each term
-    is a product of one-site sums: L(Jg-) = sum_groups g S(L(sm)), then
-    L(Jg+ Jg-) = L(Jg+) L(Jg-), rho Jg+ Jg- = R(Jg-) R(Jg+), and so on."""
-    _check_mu(mu)
+def _hamiltonian_part(h: np.ndarray) -> np.ndarray:
+    """One-site X -> -i[h, X] for a Hermitian h (real in the basis)."""
+    return (-1j * (_site(h, _EYE) - _site(_EYE, h))).real
+
+
+@dataclass(frozen=True)
+class GroupParts:
+    """:func:`build_generator` on a :class:`GroupSpace` as two real
+    matrices, the generator at drive mu being ``base + sqrt(mu) * drive``,
+    and the rows w of <J->, <J+J-> and sum_j <sp_j sm_j> = w . c."""
+
+    base: sp.csr_matrix
+    drive: sp.csr_matrix
+    jm: np.ndarray
+    jpjm: np.ndarray
+    individual: np.ndarray
+
+
+def group_parts(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams) -> GroupParts:
+    """Every term is a product of one-site sums (:meth:`GroupSpace.embed`).
+    The generator is real, as the Lindbladian preserves Hermiticity and the
+    basis is Hermitian, so it is built from real matrices only: with
+    L(Jg-) = A + iB and L(Jg+) = C + iD, the right products are
+    R(Jg+) = A - iB and R(Jg-) = C - iD (X O^+ = (O X)^+), so
+    D[Jg-] = AA + BB - (CA - DB) and -i[Jg+ Jg-, .] = 2 (CB + DA)."""
     dc = cavity.delta_c
     denom = (0.5 * cavity.kappa) ** 2 + dc**2
-    jm_l = space.collective(_site(_SM_D, _EYE), coupled=True)
-    jp_l = space.collective(_site(_SP_D, _EYE), coupled=True)
-    jm_r = space.collective(_site(_EYE, _SM_D), coupled=True)
-    jp_r = space.collective(_site(_EYE, _SP_D), coupled=True)
     rate = cavity.kappa / denom
-    terms = [(rate, jm_l, jp_r), (-1j * dc / denom - 0.5 * rate, jp_l, jm_l),
-             (1j * dc / denom - 0.5 * rate, jm_r, jp_r)]
-    # real parts term by term: one complex product is alive at a time
-    lv = sum((c * (a @ b)).real for c, a, b in terms)
+    gs = [g for _, g, _ in space.groups]
+    # per group: S of the real and imaginary parts of X -> sm X and X -> sp X
+    lm = [(space.embed(k, _L_SM.real), space.embed(k, _L_SM.imag)) for k in range(len(gs))]
+    lp = [(space.embed(k, _L_SP.real), space.embed(k, _L_SP.imag)) for k in range(len(gs))]
+    a, b = (sum(g * e[i] for g, e in zip(gs, lm)) for i in (0, 1))
+    c, d = (sum(g * e[i] for g, e in zip(gs, lp)) for i in (0, 1))
+    base = rate * (a @ a + b @ b - c @ a + d @ b)
+    if dc != 0.0:
+        base = base + (2.0 * dc / denom) * (c @ b + d @ a)
     local = (dec.gamma_s * _dissipator(_SM_D)
-             + DEPHASING_LINDBLAD_SCALE * dec.gamma_d * _dissipator(_SZ_D))
-    for k, (delta, g, _) in enumerate(space.groups):
-        h = 0.5 * delta * _SZ_D - g * math.sqrt(mu) * (_SP_D + _SM_D)
-        lv = lv + space.embed(k, local - 1j * (_site(h, _EYE) - _site(_EYE, h))).real
-    lv = lv.tocsr()
-    lv.eliminate_zeros()
-    return lv
+             + DEPHASING_LINDBLAD_SCALE * dec.gamma_d * _dissipator(_SZ_D)).real
+    for k, (delta, _, _) in enumerate(space.groups):
+        base = base + space.embed(k, local + _hamiltonian_part(0.5 * delta * _SZ_D))
+    drive_site = _hamiltonian_part(-(_SP_D + _SM_D))
+    drive = sum(g * space.embed(k, drive_site) for k, g in enumerate(gs))
+    # rows: <O> = tr(O rho) = trace . L(O); the unweighted L(J-) is A' + iB'
+    trace = space.trace_row()
+    a1, b1 = (sum(e[i] for e in lm) for i in (0, 1))
+    jm_re, jm_im = a1.T @ trace, b1.T @ trace
+    individual = sum(space.embed(k, _site(_SP_D @ _SM_D, _EYE).real)
+                     for k in range(len(gs))).T @ trace
+    base, drive = base.tocsr(), drive.tocsr()
+    base.eliminate_zeros()
+    drive.eliminate_zeros()
+    return GroupParts(base=base, drive=drive, jm=jm_re + 1j * jm_im,
+                      jpjm=a1.T @ jm_re + b1.T @ jm_im,  # trace . L(J-) R(J+)
+                      individual=individual)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +489,7 @@ def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
                     laser_detuning: float = 0.0) -> PulsedEmission:
     """Drive on for ``pulse_length`` from all-ground, then drive off, by
     matrix exponentials (:func:`cavens.core.pulse_protocol`) on the
-    :class:`GroupSpace` of the ensemble, with :func:`group_generator`.
+    :class:`GroupSpace` of the ensemble, with :func:`group_parts`.
 
     ``peak_instant`` is Gamma_c <J+J-> right at pulse end; ``peak_counts``
     integrates it over the 128 ns detection window after the pulse.
@@ -472,22 +502,18 @@ def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
         raise ParameterError("pulsed_emission propagates by matrix exponentials only; "
                              "lindblad.evolve is the ODE oracle")
     times = np.asarray(observe_times, dtype=float)
-    deltas, gs = _laser_frame(model.ensemble, laser_detuning)
+    deltas, gs, purcell = _laser_frame(model.ensemble, model.cavity, laser_detuning)
+    _check_mu(mu)
     space = GroupSpace(deltas, gs)
-    gen_on = group_generator(space, mu, model.cavity, model.decoherence)
-    gen_off = group_generator(space, 0.0, model.cavity, model.decoherence)
-    purcell = 4.0 * float(np.mean(gs**2)) / model.cavity.kappa
-    # weight rows w with <op> = tr(op rho) = w . c
-    trace = space.trace_row()
-    jm = space.collective(_site(_SM_D, _EYE)).T @ trace
-    jpjm = (space.collective(_site(_EYE, _SP_D)).T @ jm).real  # tr(J+ J- rho) = tr(J- rho J+)
-    individual = (space.collective(_site(_SP_D @ _SM_D, _EYE)).T @ trace).real
-    run = pulse_protocol(gen_on, gen_off, space.ground(), pulse_length, jpjm, purcell, times)
+    parts = group_parts(space, model.cavity, model.decoherence)
+    gen_on = parts.base + math.sqrt(mu) * parts.drive
+    run = pulse_protocol(gen_on, parts.base, space.ground(), pulse_length, parts.jpjm,
+                         purcell, times)
     obs = np.array(run.observed).reshape(len(times), space.dim)
-    pop = obs @ jpjm
-    emission = EmissionTrace(times=times, jpjm=pop, individual=obs @ individual,
-                             correlation=obs @ (jpjm - individual),
-                             coherent_amp=obs @ jm, cavity_pop=purcell * pop)
+    pop = obs @ parts.jpjm
+    emission = EmissionTrace(times=times, jpjm=pop, individual=obs @ parts.individual,
+                             correlation=obs @ (parts.jpjm - parts.individual),
+                             coherent_amp=obs @ parts.jm, cavity_pop=purcell * pop)
     return PulsedEmission(trace=emission, peak_instant=run.peak_instant,
                           peak_counts=run.peak_counts, pulse_length=pulse_length,
                           final_state=space.lift(run.end))
@@ -588,7 +614,8 @@ __all__ = [
     "Liouvillian",
     "build_generator",
     "GroupSpace",
-    "group_generator",
+    "GroupParts",
+    "group_parts",
     "evolve",
     "evolve_expm",
     "PulsedEmission",

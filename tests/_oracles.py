@@ -6,7 +6,9 @@ drive amplitude convention.  The damped-Picard continuation solves the
 self-consistent ensemble response by a route independent of the package's
 bracketed Newton, and is the reference the Newton spectra are checked
 against.  The mean-field ODE integrates the factorized equations of motion
-into their steady state, a third route to the same response.
+into their steady state, a third route to the same response.  The
+full-space emission pulse propagates the 2^N generator, the reference for
+the group space of ``lindblad.pulsed_emission``.
 """
 
 import math
@@ -19,8 +21,14 @@ from scipy.linalg import expm
 from scipy.optimize import root
 
 from cavens import meanfield
-from cavens.core import ParameterError
-from cavens.lindblad import IntegrationError
+from cavens.core import PEAK_WINDOW, ParameterError
+from cavens.lindblad import (
+    DensityState,
+    IntegrationError,
+    build_generator,
+    collective_operators,
+    evolve_expm,
+)
 
 
 def _saturation_scale(resp):
@@ -218,3 +226,28 @@ def cavity_included_trajectory(n_emitters, g, mu, kappa, gamma_s, gamma_d, delta
         for k in range(n_emitters):
             out[i, k] = np.trace(sz_ops[k] @ rho_t).real
     return out
+
+
+def full_space_emission(model, mu, pulse, times, laser_detuning=0.0):
+    """lindblad.pulsed_emission's trace columns and peaks from the 2^N
+    generator (build_generator) and evolve_expm: the full-space reference
+    for its permutation-symmetric group space."""
+    ens, cav, dec = model.ensemble, model.cavity, model.decoherence
+    n = ens.n
+    gen_on = build_generator(ens, mu, cav, dec, laser_detuning=laser_detuning)
+    gen_off = build_generator(ens, 0.0, cav, dec, laser_detuning=laser_detuning)
+    ops = collective_operators(n)
+    during = times <= pulse
+    on = evolve_expm(DensityState.ground(n), gen_on, np.append(times[during], pulse))
+    states = on[:-1] + evolve_expm(on[-1], gen_off, times[~during] - pulse)
+    window = np.linspace(0.0, PEAK_WINDOW, 9)
+    window_states = [on[-1]] + evolve_expm(on[-1], gen_off, window[1:])
+    counts = [s.expect(ops["jpjm"]).real for s in window_states]
+    jpjm = np.array([s.expect(ops["jpjm"]).real for s in states])
+    jm = np.array([s.expect(ops["jm"]) for s in states])
+    columns = {"jpjm": jpjm,
+               "individual": np.array([s.expect(ops["individual"]).real for s in states]),
+               "correlation": np.array([s.expect(ops["correlation"]).real for s in states]),
+               "coherent_real": jm.real, "coherent_imag": jm.imag,
+               "cavity_pop": gen_on.purcell * jpjm}
+    return columns, gen_on.purcell * counts[0], gen_on.purcell * np.trapezoid(counts, window)

@@ -21,13 +21,13 @@ from cavens.lindblad import (
     dicke_projection,
     evolve,
     evolve_expm,
-    group_generator,
+    group_parts,
     pulsed_emission,
     saturation_comparison,
 )
 from cavens.units import hz_to_angular
 
-from _oracles import cavity_included_trajectory
+from _oracles import cavity_included_trajectory, full_space_emission
 
 
 def purcell(cavity, g):
@@ -252,30 +252,6 @@ class TestPulsedEmission:
             pulsed_emission(model, 1e-6, 10e-6, [10e-6], use_expm=False)
 
 
-def _full_space_emission(model, mu, pulse, times, laser_detuning=0.0):
-    """pulsed_emission's trace columns and peaks from the 2^N generator and
-    evolve_expm."""
-    ens, cav, dec = model.ensemble, model.cavity, model.decoherence
-    n = ens.n
-    gen_on = build_generator(ens, mu, cav, dec, laser_detuning=laser_detuning)
-    gen_off = build_generator(ens, 0.0, cav, dec, laser_detuning=laser_detuning)
-    ops = collective_operators(n)
-    during = times <= pulse
-    on = evolve_expm(DensityState.ground(n), gen_on, np.append(times[during], pulse))
-    states = on[:-1] + evolve_expm(on[-1], gen_off, times[~during] - pulse)
-    window = np.linspace(0.0, PEAK_WINDOW, 9)
-    window_states = [on[-1]] + evolve_expm(on[-1], gen_off, window[1:])
-    counts = [s.expect(ops["jpjm"]).real for s in window_states]
-    jpjm = np.array([s.expect(ops["jpjm"]).real for s in states])
-    jm = np.array([s.expect(ops["jm"]) for s in states])
-    columns = {"jpjm": jpjm,
-               "individual": np.array([s.expect(ops["individual"]).real for s in states]),
-               "correlation": np.array([s.expect(ops["correlation"]).real for s in states]),
-               "coherent_real": jm.real, "coherent_imag": jm.imag,
-               "cavity_pop": gen_on.purcell * jpjm}
-    return columns, gen_on.purcell * counts[0], gen_on.purcell * np.trapezoid(counts, window)
-
-
 def _group_columns(res):
     tr = res.trace
     return {"jpjm": tr.jpjm, "individual": tr.individual, "correlation": tr.correlation,
@@ -313,7 +289,7 @@ class TestGroupSpace:
         times = np.array([3e-6, 10e-6, 10.2e-6, 11e-6])
         laser = hz_to_angular(laser_hz)
         res = pulsed_emission(model, mu, pulse, times, laser_detuning=laser)
-        ref, peak_instant, peak_counts = _full_space_emission(model, mu, pulse, times, laser)
+        ref, peak_instant, peak_counts = full_space_emission(model, mu, pulse, times, laser)
         got = _group_columns(res)
         for name, col in ref.items():
             scale = np.max(np.abs(col))
@@ -334,7 +310,8 @@ class TestGroupSpace:
         assert space.dim == 10 * 4 * 4
         lift = np.array([space.lift(e).matrix.reshape(-1) for e in np.eye(space.dim)]).T
         full = build_generator(ens, mu, cav, dec, laser_detuning=laser).superoperator()
-        group = group_generator(space, mu, cav, dec)
+        parts = group_parts(space, cav, dec)
+        group = parts.base + math.sqrt(mu) * parts.drive
         assert group.dtype == np.float64
         rhs = full @ lift
         assert np.max(np.abs(lift @ group.toarray() - rhs)) <= 1e-12 * np.max(np.abs(rhs))
@@ -350,16 +327,18 @@ class TestGroupSpace:
         assert dim([(hz_to_angular(k * 1e6), _G) for k in range(5)]) == 4**5
 
     @pytest.mark.parametrize("power_w", [5e-14, 3e-8])
-    def test_binned_scurve_oracle_case(self, power_w):
+    @pytest.mark.parametrize("bin_offset", [1, 20, 45])
+    def test_binned_scurve_oracle_case(self, power_w, bin_offset):
         """The full-space check of the binned S-curve benchmark: one bin of 4
-        identical ions, 50 us pulse, against the 2^N space."""
+        identical ions, 50 us pulse, against the 2^N space, at the nearest,
+        a middle and the outermost positive bin."""
         cav = CavityParams.from_hz(44e9, 8.8e9)
         ens = EmitterEnsemble.identical(4, hz_to_angular(10.6e6),
-                                        detuning=hz_to_angular(20 * 150e6 / 90))
+                                        detuning=hz_to_angular(bin_offset * 150e6 / 90))
         model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600), ens)
         mu, pulse = mu_from_power(power_w, cav), 50e-6
         res = pulsed_emission(model, mu, pulse, [pulse])
-        _, peak_instant, peak_counts = _full_space_emission(model, mu, pulse, np.array([pulse]))
+        _, peak_instant, peak_counts = full_space_emission(model, mu, pulse, np.array([pulse]))
         assert math.isclose(res.peak_instant, peak_instant, rel_tol=1e-10)
         assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
 
