@@ -486,19 +486,28 @@ def _krylov_step(a, vec: np.ndarray) -> np.ndarray:
         np.random.set_state(state)
 
 
+def _observe_times(times: Sequence[float]) -> np.ndarray:
+    """``times`` as an array, if they are finite and non-decreasing from 0."""
+    t = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(t)) or np.any(np.diff(t, prepend=0.0) < 0):
+        raise ParameterError(f"times must be finite and non-decreasing from 0, got {t.tolist()}")
+    return t
+
+
 def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
     """exp(matrix t) vec at each of the non-decreasing ``times`` (measured
     from the present), for a sparse time-independent generator.  Dense
     propagation runs on one BLAS thread (see ``DENSE_DIM_MAX``)."""
     from scipy.linalg import expm
 
+    times = _observe_times(times)
     dense = matrix.shape[0] <= DENSE_DIM_MAX
     lv = matrix.toarray() if dense else None
     steps: dict[float, np.ndarray] = {}
     out = []
     t_prev = 0.0
     with one_blas_thread() if dense else nullcontext():
-        for tk in np.asarray(times, dtype=float):
+        for tk in times:
             dt = tk - t_prev
             if dt > 0:
                 if not dense:
@@ -539,7 +548,7 @@ def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
     after switch-off hold those entries only."""
     if pulse_length <= 0:
         raise ParameterError("pulse_length must be positive")
-    times = np.asarray(observe_times, dtype=float)
+    times = _observe_times(observe_times)
     during = times <= pulse_length
     on = propagate(gen_on, vec0, np.append(times[during], pulse_length))
     end = on[-1]

@@ -26,6 +26,9 @@ which lets :func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
 :func:`pulsed_block_emission` is the one pulse driver of the block
 experiments: the S-curve runners call it once per power (and bin), and
 ``dicke-populations`` and ``beat-note`` start from its pulse-end state.
+The emitter-group space of :mod:`cavens.lindblad` is the product of these
+block spaces, one per group, built from :func:`block_parts` and, for the
+collective terms between groups, :func:`block_ladder`.
 """
 
 from __future__ import annotations
@@ -226,12 +229,13 @@ def block_parts(n: int, g: float, cavity: CavityParams,
     def add_kron(part, dst: int, src: int, a: np.ndarray, b: np.ndarray,
                  coeff: complex) -> None:
         """coeff * kron(a, b) into the (dst block, src block) superop slot;
-        row-major vec convention: vec(A q B^T) = kron(A, B) vec(q)."""
-        term = sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="coo") * coeff
-        if term.nnz:
-            part[0].append(term.row + offsets[dst])
-            part[1].append(term.col + offsets[src])
-            part[2].append(term.data)
+        row-major vec convention: vec(A q B^T) = kron(A, B) vec(q).  The
+        triplets are those of ``sp.kron`` in its order, built in numpy."""
+        (ar, ac), (br, bc) = np.nonzero(a), np.nonzero(b)
+        if len(ar) and len(br):
+            part[0].append((ar[:, None] * b.shape[0] + br).ravel() + offsets[dst])
+            part[1].append((ac[:, None] * b.shape[1] + bc).ravel() + offsets[src])
+            part[2].append((a[ar, ac][:, None] * b[br, bc]).ravel() * coeff)
 
     def add_commutator(part, k: int, h: np.ndarray, eye: np.ndarray) -> None:
         """-i[h, q] within block k."""
@@ -337,23 +341,40 @@ def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
 @lru_cache(maxsize=None)
 def _observable_rows(n: int) -> dict:
     """Weight vectors w with <O> = w . vec(q), w_J = d_J vec(O_J^T), for
-    O = J+J-, Jz, J- and the individual excitation n/2 + Jz (cached per n:
-    callers must not mutate them)."""
+    O = J+J-, Jz, J-, J+, the individual excitation n/2 + Jz and the
+    identity (``trace``) (cached per n: callers must not mutate them)."""
     basis = dicke_basis(n)
     rows = {name: np.zeros(int(basis.offsets[-1]), dtype=complex)
-            for name in ("jpjm", "jz", "jm", "individual")}
+            for name in ("jpjm", "jz", "jm", "jp", "individual", "trace")}
     for k, (j, deg) in enumerate(zip(basis.j_values, basis.degeneracies)):
         blk = spin_block(j)
+        eye = np.eye(basis.dims[k])
         ops = {"jpjm": blk["jp"] @ blk["jm"], "jz": blk["jz"], "jm": blk["jm"],
-               "individual": n / 2.0 * np.eye(basis.dims[k]) + blk["jz"]}
+               "jp": blk["jp"], "individual": n / 2.0 * eye + blk["jz"], "trace": eye}
         for name, op in ops.items():
             rows[name][basis.offsets[k]:basis.offsets[k + 1]] = deg * op.T.reshape(-1)
     return rows
 
 
 def block_observables(gen: BlockLiouvillian) -> dict:
-    """Observable weight vectors: <J+J->, <Jz>, <J->, individual excitation."""
+    """Observable weight vectors (see :func:`_observable_rows`)."""
     return _observable_rows(gen.n)
+
+
+@lru_cache(maxsize=None)
+def block_ladder(n: int) -> dict:
+    """The block-diagonal superoperators q -> J- q (``lm``), J+ q (``lp``),
+    q J- (``rm``) and q J+ (``rp``) on the block vector of n emitters, with
+    vec(A q B^T) = kron(A, B) vec(q) (cached: callers must not mutate them)."""
+    basis = dicke_basis(n)
+    dense = {name: np.zeros((basis.offsets[-1],) * 2) for name in ("lm", "lp", "rm", "rp")}
+    for lo, hi, j in zip(basis.offsets[:-1], basis.offsets[1:], basis.j_values):
+        blk = spin_block(j)
+        eye = np.eye(len(blk["m"]))
+        for side, op in (("m", blk["jm"]), ("p", blk["jp"])):
+            dense["l" + side][lo:hi, lo:hi] = np.kron(op, eye)
+            dense["r" + side][lo:hi, lo:hi] = np.kron(eye, op.T)
+    return {name: sp.csr_matrix(m) for name, m in dense.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +505,7 @@ __all__ = [
     "build_block_generator",
     "block_evolve",
     "block_observables",
+    "block_ladder",
     "BlockPulseResult",
     "pulsed_block_emission",
     "RateEntry",

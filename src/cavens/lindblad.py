@@ -8,8 +8,9 @@ elimination.
 on the full 2^N space (capability-limited, N <= 8).  :func:`pulsed_emission`
 propagates the same generator on the permutation-symmetric space of the
 ensemble instead (:class:`GroupSpace`, :func:`group_parts`): emitters
-with the same (laser-frame detuning, g) form a group, and a group of n
-sites needs C(n+3, 3) real coefficients rather than 4^n.  The 2^N
+with the same (laser-frame detuning, g) form a group, and the space is the
+product of the groups' Dicke block spaces (:mod:`cavens.dicke`), C(n+3, 3)
+real coordinates for a group of n sites rather than 4^n.  The 2^N
 generator, :func:`evolve_expm` and the ODE oracle :func:`evolve` (DOP853 on
 the matrix-free generator) are the references the tests compare it with.
 Propagation and the pulse protocol are the ones the block solver uses
@@ -28,6 +29,7 @@ Conventions pinned by tests:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -46,6 +48,7 @@ from .core import (
     propagate,
     pulse_protocol,
 )
+from .dicke import DickeBlockState, block_ladder, block_parts, dicke_basis, spin_block
 from .meanfield import single_ion_steady_state
 
 #: Scale applied to the written dephasing form gamma_d (sz rho sz - rho);
@@ -263,70 +266,16 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
 # Permutation-symmetric group space
 # ---------------------------------------------------------------------------
 
-#: Per-site Hermitian operator basis (|e><e|, sx, sy, |g><g|); |e> is index 0.
-_BASIS = np.array([[[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[0, 0], [0, 1]]])
-_BASIS_NORM = np.array([1.0, 2.0, 2.0, 1.0])  # tr(B_a B_a)
-_EYE = np.eye(2)
-_SM_D, _SP_D, _SZ_D = (op.toarray() for op in (_SM, _SP, _SZ))
-
-
-def _site(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """4x4 matrix of X -> left X right on one site, in the basis ``_BASIS``."""
-    images = [left @ b @ right for b in _BASIS]
-    return np.einsum("aij,bji->ab", _BASIS, images) / _BASIS_NORM[:, None]
-
-
-def _dissipator(a: np.ndarray) -> np.ndarray:
-    """One-site D[a] X = a X a^+ - (a^+ a X + X a^+ a) / 2."""
-    ada = a.conj().T @ a
-    return _site(a, a.conj().T) - 0.5 * (_site(ada, _EYE) + _site(_EYE, ada))
-
-
-_L_SM, _L_SP = _site(_SM_D, _EYE), _site(_SP_D, _EYE)  # X -> sm X, X -> sp X
-
-
-@lru_cache(maxsize=16)
-def _occupations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupation numbers (n_e, n_x, n_y, n_g) of one group of n sites, one
-    row per basis vector of its symmetric space (C(n+3, 3) rows, all-ground
-    first), and the row index of each (n_e, n_x, n_y)."""
-    occ = np.array([(a, b, c, n - a - b - c) for a in range(n + 1)
-                    for b in range(n + 1 - a) for c in range(n + 1 - a - b)])
-    index = np.full((n + 1,) * 3, -1)
-    index[occ[:, 0], occ[:, 1], occ[:, 2]] = np.arange(len(occ))
-    return occ, index
-
-
-def _symmetric_sum(n: int, s: np.ndarray) -> sp.csr_matrix:
-    """The one-site superoperator ``s`` summed over a group of n sites, on
-    the group's symmetric space: S|n> = sum_b s_bb n_b |n>
-    + sum_{a != b} s_ab (n_a + 1) |n - e_b + e_a>."""
-    occ, index = _occupations(n)
-    rows, cols, vals = [np.arange(len(occ))], [np.arange(len(occ))], [occ @ np.diag(s)]
-    for a in range(4):
-        for b in range(4):
-            if a == b or s[a, b] == 0:
-                continue
-            src = np.nonzero(occ[:, b])[0]
-            dst = occ[src].copy()
-            dst[:, a] += 1
-            dst[:, b] -= 1
-            rows.append(index[dst[:, 0], dst[:, 1], dst[:, 2]])
-            cols.append(src)
-            vals.append(s[a, b] * dst[:, a])
-    d = len(occ)
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(d, d))
-
 
 class GroupSpace:
-    """Kronecker product of the permutation-symmetric operator spaces of the
-    emitter groups (Xu, Tieri & Holland, PRA 87, 062101 (2013)).
+    """Kronecker product of the Dicke block spaces (:func:`dicke_basis`) of
+    the emitter groups: the permutation-symmetric operator space of Xu,
+    Tieri & Holland, PRA 87, 062101 (2013), in its J-block form.
 
     Emitters with the same (laser-frame detuning, g) form one group, in the
-    order of their first appearance.  A state is a real coefficient vector
-    c: rho = sum_n c_n prod_groups (sum of the basis products with group
-    occupations n), over the per-site basis (|e><e|, sx, sy, |g><g|).  A
+    order of their first appearance.  The block vector q of a Hermitian state
+    is stored as the real vector r = Re q + Im q, so q = ((1 + i) r + (1 - i)
+    P r) / 2 (:meth:`to_complex`), with P the transpose of every block.  A
     group of n sites has dimension C(n+3, 3); N distinct emitters give 4^N.
     """
 
@@ -337,61 +286,74 @@ class GroupSpace:
             sites.setdefault(key, []).append(k)
         self.n = len(gs)
         self.groups = [(delta, g, tuple(ks)) for (delta, g), ks in sites.items()]
-        self.dims = [len(_occupations(len(ks))[0]) for _, _, ks in self.groups]
+        bases = [dicke_basis(len(ks)) for _, _, ks in self.groups]
+        self.dims = [int(b.offsets[-1]) for b in bases]
         self.dim = math.prod(self.dims)
+        transposes = [np.concatenate([lo + np.arange(d * d).reshape(d, d).T.reshape(-1)
+                                      for lo, d in zip(b.offsets[:-1], b.dims)]) for b in bases]
+        self.transpose = reduce(lambda a, b: (a[:, None] * len(b) + b).reshape(-1), transposes)
 
-    def embed(self, k: int, s: np.ndarray) -> sp.csr_matrix:
-        """``s`` summed over the sites of group k, on the whole space."""
-        before, after = math.prod(self.dims[:k]), math.prod(self.dims[k + 1:])
-        m = _symmetric_sum(len(self.groups[k][2]), s)
-        return sp.kron(sp.kron(sp.identity(before), m), sp.identity(after), format="csr")
+    def embed(self, ops: dict) -> sp.csr_matrix:
+        """The Kronecker product of ``ops[k]`` over the groups k, with the
+        identity for every group not in ``ops``."""
+        return reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                      [ops.get(k, sp.identity(d)) for k, d in enumerate(self.dims)])
+
+    def to_complex(self, x: np.ndarray) -> np.ndarray:
+        """The block vector q of real coordinates r, or the row w with
+        w . r = x . q of a block-vector row x (the same map)."""
+        return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[self.transpose])
 
     def ground(self) -> np.ndarray:
-        """|g...g><g...g|: occupation (0, 0, 0, n) in every group."""
-        return reduce(np.kron, [np.eye(d)[0] for d in self.dims])
-
-    def trace_row(self) -> np.ndarray:
-        """tr(rho) = trace_row . c: C(n, n_e) where n_x = n_y = 0."""
-        rows = []
-        for _, _, ks in self.groups:
-            occ, _ = _occupations(len(ks))
-            pure = (occ[:, 1] == 0) & (occ[:, 2] == 0)
-            rows.append(np.where(pure, [math.comb(len(ks), int(e)) for e in occ[:, 0]], 0.0))
-        return reduce(np.kron, rows)
-
-    def _columns(self) -> np.ndarray:
-        """Index of c for each of the 4^N per-site basis products (site 0 is
-        the most significant base-4 digit)."""
-        digits = (np.arange(4**self.n)[:, None] // 4 ** np.arange(self.n - 1, -1, -1)) % 4
-        col = np.zeros(4**self.n, dtype=int)
-        for k, (_, _, ks) in enumerate(self.groups):
-            _, index = _occupations(len(ks))
-            counts = [np.count_nonzero(digits[:, list(ks)] == b, axis=1) for b in range(3)]
-            col += math.prod(self.dims[k + 1:]) * index[counts[0], counts[1], counts[2]]
-        return col
+        """|g...g><g...g|: the m = -n/2 population of every group's top block."""
+        return reduce(np.kron, [DickeBlockState.all_ground(len(ks)).to_vec().real
+                                for _, _, ks in self.groups])
 
     def lift(self, vec: np.ndarray) -> DensityState:
-        """The 2^N density matrix of a coefficient vector: each occupation
-        vector expanded over its arrangements."""
-        n = self.n
-        x = np.asarray(vec)[self._columns()].reshape((4,) * n)
-        to_entries = _BASIS.reshape(4, 4).T  # (row-major 2x2 entry, basis index)
-        for k in range(n):
-            x = np.moveaxis(np.tensordot(to_entries, x, axes=([1], [k])), 0, k)
-        order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        return DensityState(2**n, x.reshape((2, 2) * n).transpose(order).reshape(2**n, 2**n))
+        """The 2^N density matrix: each group's blocks q_J expanded as
+        sum_copies sum_{m, m'} q_J[m, m'] |J m><J m'| on its sites."""
+        x = self.to_complex(np.asarray(vec)).reshape(self.dims)
+        for _, _, ks in self.groups:  # the leading axis becomes trailing (row, column) axes
+            basis = dicke_basis(len(ks))
+            x = sum(np.einsum("icm,mn...,jcn->...ij", states,
+                              x[lo:hi].reshape((d, d) + x.shape[1:]), states)
+                    for lo, hi, d, states in zip(basis.offsets[:-1], basis.offsets[1:],
+                                                 basis.dims, _dicke_states(len(ks))))
+        groups = len(self.groups)
+        x = x.transpose(list(range(0, 2 * groups, 2)) + list(range(1, 2 * groups, 2)))
+        sites = np.argsort([s for _, _, ks in self.groups for s in ks])  # qubit axis of each site
+        x = x.reshape((2,) * (2 * self.n)).transpose(np.concatenate([sites, sites + self.n]))
+        return DensityState(2**self.n, x.reshape(2**self.n, 2**self.n))
 
 
-def _hamiltonian_part(h: np.ndarray) -> np.ndarray:
-    """One-site X -> -i[h, X] for a Hermitian h (real in the basis)."""
-    return (-1j * (_site(h, _EYE) - _site(_EYE, h))).real
+@lru_cache(maxsize=16)
+def _dicke_states(n: int) -> list:
+    """Per J block of :func:`dicke_basis`: the states |J, m> of n sites, one
+    column per (copy, m), shape (2^n, d_n(J), 2J+1).  The copies at m = J
+    span the null space of J+ there, and each descends by J- with the
+    phases of :func:`spin_block`."""
+    index = np.arange(2**n)
+    jm = np.zeros((2**n, 2**n))  # a set bit is |g>; site 0 is the most significant
+    for k in range(n):
+        excited = index[index & (1 << (n - 1 - k)) == 0]
+        jm[excited | (1 << (n - 1 - k)), excited] = 1.0
+    basis, out = dicke_basis(n), []
+    for j, copies in zip(basis.j_values, basis.degeneracies):
+        sector = np.flatnonzero(np.bitwise_count(index) == round(n / 2.0 - j))  # m = J
+        top = np.zeros((2**n, copies))
+        top[sector] = np.linalg.svd(jm.T[:, sector])[2][len(sector) - copies:].T
+        ladder = [top]
+        for m in spin_block(j)["m"][:-1]:
+            ladder.append(jm @ ladder[-1] / math.sqrt((j + m) * (j - m + 1.0)))
+        out.append(np.stack(ladder, axis=2))
+    return out
 
 
 @dataclass(frozen=True)
 class GroupParts:
     """:func:`build_generator` on a :class:`GroupSpace` as two real
     matrices, the generator at drive mu being ``base + sqrt(mu) * drive``,
-    and the rows w of <J->, <J+J-> and sum_j <sp_j sm_j> = w . c."""
+    and the rows w of <J->, <J+J-> and sum_j <sp_j sm_j> = w . r."""
 
     base: sp.csr_matrix
     drive: sp.csr_matrix
@@ -401,42 +363,48 @@ class GroupParts:
 
 
 def group_parts(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams) -> GroupParts:
-    """Every term is a product of one-site sums (:meth:`GroupSpace.embed`).
-    The generator is real, as the Lindbladian preserves Hermiticity and the
-    basis is Hermitian, so it is built from real matrices only: with
-    L(Jg-) = A + iB and L(Jg+) = C + iD, the right products are
-    R(Jg+) = A - iB and R(Jg-) = C - iD (X O^+ = (O X)^+), so
-    D[Jg-] = AA + BB - (CA - DB) and -i[Jg+ Jg-, .] = 2 (CB + DA)."""
-    dc = cavity.delta_c
-    denom = (0.5 * cavity.kappa) ** 2 + dc**2
-    rate = cavity.kappa / denom
+    """Each group's terms are its :func:`block_parts` (l0 + detuning * lz,
+    g * ld).  With Jg- = sum_k g_k J-_k, the cross-group parts of
+    (kappa / denom) D[Jg-] - i (Delta_c / denom) [Jg+ Jg-, .] are, for each
+    ordered pair k != l, g_k g_l times (kappa / denom) (L(J-_k) R(J+_l)
+    - L(J+_l) L(J-_k) / 2 - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom)
+    (L(J+_l) L(J-_k) - R(J-_k) R(J+_l)), with L(A) q = A q and
+    R(A) q = q A (:func:`block_ladder`).  The complex generator L acts on
+    the real coordinates as Re L + Im L P."""
+    denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
+    rate, exch = cavity.kappa / denom, cavity.delta_c / denom
+    parts = [block_parts(len(ks), g, cavity, dec) for _, g, ks in space.groups]
+    ladders = [block_ladder(len(ks)) for _, _, ks in space.groups]
+    obs = [bp.observables for bp in parts]
     gs = [g for _, g, _ in space.groups]
-    # per group: S of the real and imaginary parts of X -> sm X and X -> sp X
-    lm = [(space.embed(k, _L_SM.real), space.embed(k, _L_SM.imag)) for k in range(len(gs))]
-    lp = [(space.embed(k, _L_SP.real), space.embed(k, _L_SP.imag)) for k in range(len(gs))]
-    a, b = (sum(g * e[i] for g, e in zip(gs, lm)) for i in (0, 1))
-    c, d = (sum(g * e[i] for g, e in zip(gs, lp)) for i in (0, 1))
-    base = rate * (a @ a + b @ b - c @ a + d @ b)
-    if dc != 0.0:
-        base = base + (2.0 * dc / denom) * (c @ b + d @ a)
-    local = (dec.gamma_s * _dissipator(_SM_D)
-             + DEPHASING_LINDBLAD_SCALE * dec.gamma_d * _dissipator(_SZ_D)).real
-    for k, (delta, _, _) in enumerate(space.groups):
-        base = base + space.embed(k, local + _hamiltonian_part(0.5 * delta * _SZ_D))
-    drive_site = _hamiltonian_part(-(_SP_D + _SM_D))
-    drive = sum(g * space.embed(k, drive_site) for k, g in enumerate(gs))
-    # rows: <O> = tr(O rho) = trace . L(O); the unweighted L(J-) is A' + iB'
-    trace = space.trace_row()
-    a1, b1 = (sum(e[i] for e in lm) for i in (0, 1))
-    jm_re, jm_im = a1.T @ trace, b1.T @ trace
-    individual = sum(space.embed(k, _site(_SP_D @ _SM_D, _EYE).real)
-                     for k in range(len(gs))).T @ trace
-    base, drive = base.tocsr(), drive.tocsr()
+    pairs = list(itertools.permutations(range(len(gs)), 2))
+
+    def real(m: sp.csr_matrix) -> sp.csr_matrix:
+        """A term of L as it acts on the real coordinates."""
+        return (m.real + m.imag[:, space.transpose]).tocsr()
+
+    base = sum(real(space.embed({k: bp.l0 + delta * bp.lz}))
+               for k, ((delta, _, _), bp) in enumerate(zip(space.groups, parts)))
+    for k, l in pairs:
+        lm, rm, lp, rp = ladders[k]["lm"], ladders[k]["rm"], ladders[l]["lp"], ladders[l]["rp"]
+        base = base + real(gs[k] * gs[l] * (
+            space.embed({k: lm, l: rate * rp - (0.5 * rate + 1j * exch) * lp})
+            + space.embed({k: rm, l: (1j * exch - 0.5 * rate) * rp})))
+    drive = sum(real(g * space.embed({k: bp.ld})) for k, (g, bp) in enumerate(zip(gs, parts)))
     base.eliminate_zeros()
     drive.eliminate_zeros()
-    return GroupParts(base=base, drive=drive, jm=jm_re + 1j * jm_im,
-                      jpjm=a1.T @ jm_re + b1.T @ jm_im,  # trace . L(J-) R(J+)
-                      individual=individual)
+
+    def row(terms: list) -> np.ndarray:
+        """The real-coordinate row of the sum over ``terms`` of the
+        products of their per-group rows (the trace for groups left out)."""
+        return space.to_complex(sum(reduce(np.kron, [t.get(k, o["trace"]) for k, o in enumerate(obs)])
+                                    for t in terms))
+
+    each = {name: [{k: o[name]} for k, o in enumerate(obs)] for name in ("jm", "jpjm", "individual")}
+    cross = [{k: obs[k]["jm"], l: obs[l]["jp"]} for k, l in pairs]  # <J+_l J-_k>
+    return GroupParts(base=base, drive=drive, jm=row(each["jm"]),
+                      jpjm=row(each["jpjm"] + cross).real,
+                      individual=row(each["individual"]).real)
 
 
 # ---------------------------------------------------------------------------

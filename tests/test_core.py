@@ -247,6 +247,17 @@ class TestPropagate:
             assert drawn == np.random.random()  # the caller's stream is untouched
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
+    @pytest.mark.parametrize("times", [[10e-6, 5e-6], [25e-6, 5e-6], [math.nan], [-1e-6]])
+    def test_bad_observe_times_rejected(self, times, cavity, decoherence, g35):
+        """Decreasing or non-finite observe times raise instead of reporting
+        the state of another time (the pulse ends at 20 us)."""
+        model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(2, g35))
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            lindblad.pulsed_emission(model, 1e-6, 20e-6, times)
+        gen = dicke.build_block_generator(2, g35, 1e-6, cavity, decoherence)
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            dicke.block_evolve(gen, dicke.DickeBlockState.all_ground(2), times)
+
     def test_repeated_and_zero_steps(self):
         """A zero or repeated time returns the present vector unchanged."""
         decay = csr_matrix(np.array([[-1.0, 0.0], [1.0, 0.0]]))

@@ -12,6 +12,7 @@ from cavens.core import (
     SystemModel,
     mu_from_power,
 )
+from cavens.dicke import pulsed_block_emission
 from cavens.lindblad import (
     CapabilityError,
     DensityState,
@@ -271,19 +272,26 @@ _GROUPED = {
     "5-in-2": [(0.0, _G)] * 3 + [(_D1, _G)] * 2,
     "5-in-3": [(_D1, _G), (0.0, _G), (_D2, 1.1 * _G), (0.0, _G), (_D1, _G)],
 }
-#: (ensemble, delta_c in Hz, laser detuning in Hz)
-_GROUPED_CASES = ([(case, dc, 0.0) for case in _GROUPED for dc in (0.0, 1e9)]
-                  + [("3-in-3", 0.0, 2e6), ("5-in-2", 1e9, 2e6)])
+_RATES_HZ = (6000, 600)
+#: (ensemble, delta_c in Hz, laser detuning in Hz, (gamma_s, gamma_d) in Hz);
+#: the last four switch off one local channel each.
+_GROUPED_CASES = ([(case, dc, 0.0, _RATES_HZ) for case in _GROUPED for dc in (0.0, 1e9)]
+                  + [("3-in-3", 0.0, 2e6, _RATES_HZ), ("5-in-2", 1e9, 2e6, _RATES_HZ)]
+                  + [(case, 1e9, 0.0, rates) for case in ("3-in-2", "5-in-3")
+                     for rates in ((0, 600), (6000, 0))])
+#: test ids: the rates are named only where they differ from _RATES_HZ
+_GROUPED_IDS = ["-".join(map(str, case[:3] + (() if case[3] == _RATES_HZ else case[3])))
+                for case in _GROUPED_CASES]
 
 
 class TestGroupSpace:
     """pulsed_emission propagates in the group space; these pin it to the
     2^N generator."""
 
-    @pytest.mark.parametrize("case, dc_hz, laser_hz", _GROUPED_CASES)
-    def test_matches_full_space(self, case, dc_hz, laser_hz):
+    @pytest.mark.parametrize("case, dc_hz, laser_hz, rates_hz", _GROUPED_CASES, ids=_GROUPED_IDS)
+    def test_matches_full_space(self, case, dc_hz, laser_hz, rates_hz):
         cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
-        model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600),
+        model = SystemModel(cav, DecoherenceParams.from_hz(*rates_hz),
                             EmitterEnsemble.explicit(_GROUPED[case]))
         mu, pulse = 1e-6, 10e-6
         times = np.array([3e-6, 10e-6, 10.2e-6, 11e-6])
@@ -330,17 +338,20 @@ class TestGroupSpace:
     @pytest.mark.parametrize("bin_offset", [1, 20, 45])
     def test_binned_scurve_oracle_case(self, power_w, bin_offset):
         """The full-space check of the binned S-curve benchmark: one bin of 4
-        identical ions, 50 us pulse, against the 2^N space, at the nearest,
-        a middle and the outermost positive bin."""
+        identical ions, 50 us pulse, at the nearest, a middle and the
+        outermost positive bin.  The benchmark compares the block solver
+        with the group space, and both are built from ``block_parts``, so
+        each is checked here against the 2^N space."""
         cav = CavityParams.from_hz(44e9, 8.8e9)
-        ens = EmitterEnsemble.identical(4, hz_to_angular(10.6e6),
-                                        detuning=hz_to_angular(bin_offset * 150e6 / 90))
-        model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600), ens)
+        g, detuning = hz_to_angular(10.6e6), hz_to_angular(bin_offset * 150e6 / 90)
+        dec = DecoherenceParams.from_hz(6000, 600)
+        model = SystemModel(cav, dec, EmitterEnsemble.identical(4, g, detuning=detuning))
         mu, pulse = mu_from_power(power_w, cav), 50e-6
-        res = pulsed_emission(model, mu, pulse, [pulse])
         _, peak_instant, peak_counts = full_space_emission(model, mu, pulse, np.array([pulse]))
-        assert math.isclose(res.peak_instant, peak_instant, rel_tol=1e-10)
-        assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
+        for res in (pulsed_emission(model, mu, pulse, [pulse]),
+                    pulsed_block_emission(4, g, mu, cav, dec, pulse, detuning=detuning)):
+            assert math.isclose(res.peak_instant, peak_instant, rel_tol=1e-10)
+            assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
 
     def test_capability_limit(self, cavity, decoherence, g35):
         model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(9, g35))
