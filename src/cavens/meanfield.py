@@ -8,7 +8,10 @@ spectra, and the analytic transparency width/depth/center expressions.
 One solver serves every self-consistent point: the bracketed Newton of
 :func:`_newton`, vectorized over the frequency grid.  A spectrum and a
 single point (:func:`solve_selfconsistent_x`, the one-row case) share it
-through :func:`_solve`.
+through :func:`_solve`.  Its input, the ensemble response on the grid
+(:class:`_Response`), does not depend on the drive: a spectrum builds it
+once per (ensemble, grid, cavity, decoherence) and reuses it across drive
+powers, and an explicit ensemble's response is summed in real arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,8 +138,7 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
     """Closed-form saturation steady state of one emitter after adiabatic
     elimination of the cavity, plus the reflection including the bare-cavity
     interference term."""
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
+    _check_finite_drive(mu)
     kappa = cavity.kappa
     gamma_eff = dec.gamma + 2.0 * g**2 / kappa
     gamma_s_eff = dec.gamma_s + 4.0 * g**2 / kappa
@@ -169,7 +172,9 @@ class _Response:
     so the self-consistent solve is a root-find in t.  Each row is a grid
     point with its own cavity detuning ``delta_c``, which sets the cavity
     factor and the effective drive mu_eff = mu / (1 + (2 delta_c / kappa)^2).
-    Explicit ensembles sum over their emitters.  Parametric Lorentzian lines
+    Explicit ensembles sum over their emitters, with real and imaginary
+    parts of each coefficient stored apart, so the sums are real products
+    with the real saturation factors.  Parametric Lorentzian lines
     sum over coupling levels, each integrated over the line by residues:
 
         I = \\int rho(w) (gamma - i(w - w_L)) / (gamma^2 + y + (w - w_L)^2) dw
@@ -184,7 +189,6 @@ class _Response:
         self.gamma, self.gamma_s = dec.gamma, dec.gamma_s
         self.parametric = ens.is_parametric
         self.offset = offsets[:, None]  # laser minus ensemble center
-        kappa_eff = (cavity.kappa + 2j * delta_c)[:, None]
         self.mu_scale = 1.0 / (1.0 + (2.0 * delta_c / cavity.kappa) ** 2)
         if self.parametric:
             assert ens.delta_inh is not None
@@ -194,26 +198,56 @@ class _Response:
             else:
                 assert ens.g_hist is not None
                 weights, gs = np.array([(ens.n * p, g) for g, p in ens.g_hist if p > 0]).T
-            self.coef = weights * (2.0 * gs**2 / kappa_eff)
+            self.coef = weights * (2.0 * gs**2 / (cavity.kappa + 2j * delta_c)[:, None])
             sat = 4.0 * gs**2 * self.gamma / self.gamma_s if self.gamma_s > 0 else 0.0 * gs
             self.sat = np.broadcast_to(sat, self.coef.shape)
         else:
-            deltas = ens.detunings() - self.offset  # emitter minus laser
-            gs = ens.couplings()
-            self.coef = 2.0 * gs**2 / (kappa_eff * (self.gamma + 1j * deltas))
-            denom = self.gamma_s * (self.gamma**2 + deltas**2)
-            self.sat = np.divide(4.0 * gs**2 * self.gamma, denom,
-                                 out=np.zeros_like(denom), where=denom > 0)
+            self._build_explicit(ens, cavity, delta_c)
+        self.x_weak = self.x_of_t(0.0, np.ones(len(offsets)))  # the mu = 0 limit
+
+    def _build_explicit(self, ens: EmitterEnsemble, cavity: CavityParams, delta_c: np.ndarray):
+        """coef = 2 g^2 / (kappa_eff (gamma + i D)) per row and emitter, held
+        as its real and imaginary parts, coef[:, 0] and coef[:, 1], with D =
+        emitter minus laser.  Writing 2 / kappa_eff = p + i q and W = g^2 /
+        (gamma^2 + D^2), coef = W ((p gamma + q D) + i (q gamma - p D)), so
+        each part is built in place without a complex temporary."""
+        gamma, gs = self.gamma, ens.couplings()
+        deltas = ens.detunings() - self.offset
+        den = deltas**2
+        den += gamma**2
+        self.sat = self.gamma_s * den
+        np.divide(4.0 * gs**2 * gamma, self.sat, out=self.sat, where=self.sat > 0)
+        np.divide(gs**2, den, out=den)  # W
+        two_by_kappa = 2.0 / (cavity.kappa + 2j * delta_c)
+        p, q = two_by_kappa.real[:, None], two_by_kappa.imag[:, None]
+        self.coef = np.empty((len(deltas), 2, len(gs)))
+        re, im = self.coef[:, 0], self.coef[:, 1]
+        np.multiply(q, deltas, out=re)
+        re += p * gamma
+        re *= den
+        np.multiply(-p, deltas, out=im)
+        im += q * gamma
+        im *= den
+
+    #: The arrays with one row per grid point.
+    ROW_ARRAYS = ("offset", "mu_scale", "coef", "sat", "x_weak")
 
     def rows(self, index) -> "_Response":
         """The response at the grid points ``index`` (an index array) alone."""
         sub = copy.copy(self)
-        for name in ("offset", "mu_scale", "coef", "sat"):
+        for name in self.ROW_ARRAYS:
             setattr(sub, name, getattr(self, name)[index])
         return sub
 
-    def x_of_t(self, mu: float, t, slope: bool = False):
-        """x at each row's t; with ``slope``, the pair (x, dx/dt)."""
+    def work(self) -> Optional[np.ndarray]:
+        """Scratch for :meth:`x_of_t` on these rows; a parametric line needs none."""
+        return None if self.parametric else np.empty((2,) + self.sat.shape)
+
+    def x_of_t(self, mu: float, t, slope: bool = False, work: Optional[np.ndarray] = None):
+        """x at each row's t; with ``slope``, the pair (x, dx/dt).
+
+        An explicit ensemble's sums take two row-by-emitter arrays; ``work``
+        (from :meth:`work`) lends them instead of fresh ones."""
         m = (mu * self.mu_scale / t)[:, None]  # mu_eff / t
         if self.parametric:
             gamma, h, d = self.gamma, self.half_width, self.offset
@@ -228,17 +262,21 @@ class _Response:
             # dI/dG, and dG/dt = -y / (2 G t)
             di = -gamma * h / (width**2 * den) - 2.0 * s * num / den**2
             return x, -(self.coef * di * y / (2.0 * width)).sum(-1) / t
-        # u = 1 / (1 + sat m), in place; the row sums take no grid-by-emitter temporary
-        u = self.sat * m
-        u += 1.0
+        # y = sat m and u = 1 / (1 + y), in place (without the slope, y is not
+        # needed again and u takes its array); the row sums take no
+        # grid-by-emitter temporary, and each is a real (re, im) pair read as
+        # one complex number
+        y, u = (None, None) if work is None else work
+        y = np.multiply(self.sat, m, out=y)
+        u = np.add(y, 1.0, out=u if slope else y)
         np.reciprocal(u, out=u)
-        x = np.einsum("...j,...j->...", self.coef, u)
+        x = np.einsum("rkj,rj->rk", self.coef, u).view(complex)[:, 0]
         if not slope:
             return x
-        # dx/dt = sum coef sat m / (t (1 + sat m)^2) = sum coef u (1 - u) / t
-        w = 1.0 - u
-        w *= u
-        return x, np.einsum("...j,...j->...", self.coef, w) / t
+        # dx/dt = sum coef y u^2 / t, which is u (1 - u) without the cancellation
+        y *= u
+        y *= u
+        return x, np.einsum("rkj,rj->rk", self.coef, y).view(complex)[:, 0] / t
 
 
 def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
@@ -262,7 +300,9 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     of the rows being iterated are still open, the response is cut down to
     those rows (:meth:`_Response.rows`), so no copy is ever larger than half
     the grid-by-emitter arrays; until then done rows go on taking steps
-    below the bound.  A response with one coupling level (a parametric
+    below the bound.  The scratch of the row sums (:meth:`_Response.work`)
+    serves every iteration, and is freed before each cut and made again
+    for the rows kept.  A response with one coupling level (a parametric
     line of one g, or a single emitter) is never cut down: its rows are
     single numbers, and the copy would cost more than the rows it drops.
     Points still open after 100 iterations are left to the residual check.
@@ -273,8 +313,9 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     sub, tv = resp, t
     lo, hi = np.zeros_like(t), np.full_like(t, np.nan)  # hi: NaN until some h > 0
     cut_down = resp.coef.shape[-1] > 1
+    work = resp.work()
     for _ in range(100):
-        x, dx = sub.x_of_t(mu, tv, slope=True)
+        x, dx = sub.x_of_t(mu, tv, slope=True, work=work)
         x += 1.0
         h = tv - np.abs(x) ** 2
         hp = 1.0 - 2.0 * np.real(np.conj(x) * dx)
@@ -297,7 +338,9 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
             if n_open == 0:
                 break
             keep = np.flatnonzero(~done)
+            work = None  # freed before the copy, so the two are never held at once
             sub, rows, tv, lo, hi = sub.rows(keep), rows[keep], tv[keep], lo[keep], hi[keep]
+            work = sub.work()
     else:
         t[rows] = tv
     x = resp.x_of_t(mu, t)
@@ -310,12 +353,17 @@ def _solve(resp: _Response, mu: float) -> tuple[np.ndarray, np.ndarray]:
 
     mu = 0 gives the weak-excitation x; without relaxation (gamma_s = 0)
     any finite drive fully saturates the ensemble, so x = 0."""
-    x = resp.x_of_t(0.0, np.ones(len(resp.mu_scale)))  # weak limit
+    x = resp.x_weak
     if mu > 0 and resp.gamma_s == 0:
         x = np.zeros(len(x), dtype=complex)
     elif mu > 0:
         return _newton(resp, mu, x, _TOL)
     return x, np.zeros(len(x), dtype=bool)
+
+
+def _check_finite_drive(mu: float) -> None:
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ParameterError(f"mu must be finite and >= 0 (got {mu!r})")
 
 
 def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
@@ -328,9 +376,10 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
     :class:`SelfConsistencyError` (with the residual) where Newton misses
     the tolerance.
     """
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
+    _check_finite_drive(mu)
     dc = cavity.delta_c if delta_c is None else delta_c
+    if not (math.isfinite(omega_l) and math.isfinite(dc)):
+        raise ParameterError(f"omega_l and delta_c must be finite (got {omega_l!r}, {dc!r})")
     resp = _Response(ens, np.array([omega_l - ens.center]), cavity, dec, np.array([dc]))
     x, missed = _solve(resp, mu)
     if missed[0]:
@@ -366,16 +415,37 @@ def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
     three (the branch connected to the weak-excitation solution).  Points
     whose residual on x misses the tolerance are flagged as not converged
     and set to NaN rather than aborting the scan.
+
+    The response on the grid does not depend on mu, so consecutive calls
+    with equal ensemble, grid values, cavity and decoherence share one
+    (:func:`_spectrum_response`).  Non-finite mu or grid values raise
+    :class:`ParameterError`.
     """
+    _check_finite_drive(mu)
     freqs = np.asarray(grid, dtype=float)
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
+    if not np.isfinite(freqs).all():
+        raise ParameterError("grid frequencies must be finite")
+    x, missed = _solve(_spectrum_response(ens, freqs.tobytes(), cavity, dec), mu)
     dc = cavity.delta_c - freqs
-    x, missed = _solve(_Response(ens, freqs, cavity, dec, dc), mu)
     r, a = reflection_from_x(x, cavity, delta_c=dc)
     r[missed] = complex(np.nan, np.nan)
     a = np.where(missed, np.nan, a)
     return _make_spectrum(freqs, r, a, ~missed)
+
+
+# One entry: power sweeps ask for one key many times in a row, and an
+# explicit ensemble's entry holds three grid-by-emitter float arrays.
+@lru_cache(maxsize=1)
+def _spectrum_response(ens: EmitterEnsemble, grid: bytes, cavity: CavityParams,
+                       dec: DecoherenceParams) -> _Response:
+    """The response of ``reflection_spectrum`` on the grid whose float64
+    bytes are ``grid``.  It does not depend on mu, so the solves of one
+    grid at many drives share it; its arrays are read-only."""
+    freqs = np.frombuffer(grid)
+    resp = _Response(ens, freqs, cavity, dec, cavity.delta_c - freqs)
+    for name in _Response.ROW_ARRAYS:
+        getattr(resp, name).flags.writeable = False
+    return resp
 
 
 # ---------------------------------------------------------------------------

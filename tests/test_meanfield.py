@@ -5,7 +5,15 @@ import pytest
 
 from cavens import meanfield
 from cavens.analysis import DipNormalization, fit_lorentzian_dip
-from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
+from cavens.config import build_config
+from cavens.core import (
+    CavityParams,
+    DecoherenceParams,
+    EmitterEnsemble,
+    ParameterError,
+    SystemModel,
+)
+from cavens.experiments import run_reflection_spectrum
 from cavens.meanfield import (
     CitThresholdError,
     SelfConsistencyError,
@@ -527,6 +535,134 @@ class TestReflectionSpectrum:
                 reflection_spectrum(ens, 3e-5, grid, cavity, dec), norm)
             widths.append(fit.width)
         assert widths[0] < widths[1] < widths[2]
+
+
+class TestResponseReuse:
+    """reflection_spectrum builds its mu-independent response once per
+    (ensemble, grid values, cavity, decoherence) and reuses it; every
+    result is the solve on a freshly built response, bit for bit."""
+
+    @staticmethod
+    def _fresh(ens, mu, grid, cav, dec):
+        grid = np.array(grid, dtype=float)
+        dc = cav.delta_c - grid
+        x, missed = meanfield._solve(_Response(ens, grid, cav, dec, dc), mu)
+        assert not missed.any()
+        return reflection_from_x(x, cav, delta_c=dc)[0]
+
+    def test_one_response_per_power_sweep(self):
+        cfg = build_config("""
+experiment = reflection-spectrum
+cavity.kappa_hz = 44e9
+cavity.kappa_c_hz = 8.8e9
+decoherence.gamma_s_hz = 600
+decoherence.gamma_d_hz = 6000
+ensemble.kind = lorentzian
+ensemble.n_ions = 1000
+ensemble.delta_inh_hz = 150e6
+ensemble.g_hz = 140.7e6
+ensemble.explicit_quantiles = 200
+grid.freq.start_hz = -80e6
+grid.freq.stop_hz = 80e6
+grid.freq.num = 41
+grid.power.start_w = 1e-14
+grid.power.stop_w = 1e-10
+grid.power.num = 20
+grid.power.scale = log
+""")
+        meanfield._spectrum_response.cache_clear()
+        result = run_reflection_spectrum(cfg)
+        info = meanfield._spectrum_response.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+        assert len(result.tables) == 20 and result.metadata["not_converged"] == [0] * 20
+
+    def test_interleaved_inputs_match_fresh_responses(self, decoherence, delta_inh):
+        cavities = [CavityParams.from_hz(44e9, 8.8e9, 0.0), CavityParams.from_hz(44e9, 8.8e9, 1e9)]
+        grids = [np.linspace(-60e6, 60e6, 31) * TWO_PI, np.linspace(-20e6, 45e6, 14) * TWO_PI]
+        twins = [paper_like_ensemble(cavities[0], delta_inh, n=200).to_explicit()
+                 for _ in range(2)]
+        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        meanfield._spectrum_response.cache_clear()
+        calls = 0
+        for mu in (1e-7, 1e-5):
+            for grid in grids:
+                for cav in cavities:
+                    for ens in twins:  # the second twin finds the first's response
+                        spec = reflection_spectrum(ens, mu, grid, cav, decoherence)
+                        calls += 1
+                        assert spec.converged.all()
+                        assert np.array_equal(spec.r_complex,
+                                              self._fresh(ens, mu, grid, cav, decoherence))
+        info = meanfield._spectrum_response.cache_info()
+        assert info.hits + info.misses == calls and info.hits >= calls // 2
+        assert info.currsize == 1  # one response held at a time
+
+    def test_caller_grid_changed_after_a_call(self, cavity, decoherence, delta_inh):
+        ens = paper_like_ensemble(cavity, delta_inh, n=200).to_explicit()
+        grid = np.linspace(-60e6, 60e6, 31) * TWO_PI
+        reflection_spectrum(ens, 1e-6, grid, cavity, decoherence)
+        grid += hz_to_angular(3e6)  # in place, as a caller reusing its buffer would
+        spec = reflection_spectrum(ens, 1e-6, grid, cavity, decoherence)
+        assert np.array_equal(spec.r_complex, self._fresh(ens, 1e-6, grid, cavity, decoherence))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-7, 1e-4])
+    def test_real_layout_matches_complex_sum(self, decoherence, mu):
+        """x and dx/dt of a 50-emitter list against the complex direct sum
+        x = sum c_j / (1 + s_j m), with c_j = 2 g^2 / (kappa_eff (gamma + i D)),
+        s_j = 4 g^2 gamma / (gamma_s (gamma^2 + D^2)) and m = mu_eff / t, on
+        all 7 rows, on rows cut out in a new order, and with scratch lent."""
+        rng = np.random.default_rng(11)
+        det = hz_to_angular(rng.uniform(-30e6, 50e6, 50))
+        gs = hz_to_angular(rng.uniform(10e6, 40e6, 50))
+        ens = EmitterEnsemble.explicit(list(zip(det, gs)))
+        cav = CavityParams.from_hz(44e9, 8.8e9, 1e9)
+        freqs = hz_to_angular(np.array([-40e6, -7e6, 0.0, 3e6, 11e6, 25e6, 60e6]))
+        dc = cav.delta_c - freqs
+        resp = _Response(ens, freqs, cav, decoherence, dc)
+        gamma, gamma_s = decoherence.gamma, decoherence.gamma_s
+        d = det - freqs[:, None]
+        c = 2.0 * gs**2 / ((cav.kappa + 2j * dc)[:, None] * (gamma + 1j * d))
+        s = 4.0 * gs**2 * gamma / (gamma_s * (gamma**2 + d**2))
+        t = np.array([0.02, 0.3, 1.0, 2.5, 7.0, 40.0, 900.0])
+        m = (mu / (1.0 + (2.0 * dc / cav.kappa) ** 2) / t)[:, None]
+        x_ref = np.sum(c / (1.0 + s * m), axis=-1)
+        slope_ref = np.sum(c * s * m / (1.0 + s * m) ** 2, axis=-1) / t
+        cut = np.array([5, 0, 3])
+        for rows, sub in ((slice(None), resp), (cut, resp.rows(cut))):
+            for work in (None, sub.work()):
+                x, slope = sub.x_of_t(mu, t[rows], slope=True, work=work)
+                assert np.all(np.abs(x - x_ref[rows]) <= 1e-13 * np.abs(x_ref[rows]))
+                if mu > 0:
+                    assert np.all(np.abs(slope - slope_ref[rows])
+                                  <= 1e-13 * np.abs(slope_ref[rows]))
+                else:
+                    assert not slope.any()
+            assert np.array_equal(sub.x_weak, sub.x_of_t(0.0, np.ones(len(sub.x_weak))))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_the_solve(self, cavity, decoherence, delta_inh, g35, bad):
+        """A non-finite drive, grid point, laser frequency or cavity
+        detuning raises ParameterError, before any response is built."""
+        ens = paper_like_ensemble(cavity, delta_inh, n=50).to_explicit()
+        grid = np.linspace(-50e6, 50e6, 11) * TWO_PI
+        bad_grid = grid.copy()
+        bad_grid[4] = bad
+        before = meanfield._spectrum_response.cache_info()
+        with pytest.raises(ParameterError, match="mu"):
+            reflection_spectrum(ens, bad, grid, cavity, decoherence)
+        with pytest.raises(ParameterError, match="grid"):
+            reflection_spectrum(ens, 1e-6, bad_grid, cavity, decoherence)
+        assert meanfield._spectrum_response.cache_info() == before
+        with pytest.raises(ParameterError, match="mu"):
+            solve_selfconsistent_x(ens, bad, 0.0, cavity, decoherence)
+        with pytest.raises(ParameterError, match="omega_l"):
+            solve_selfconsistent_x(ens, 1e-6, bad, cavity, decoherence)
+        with pytest.raises(ParameterError, match="delta_c"):
+            solve_selfconsistent_x(ens, 1e-6, 0.0, cavity, decoherence, delta_c=bad)
+        with pytest.raises(ParameterError, match="mu"):
+            single_ion_steady_state(0.0, g35, bad, cavity, decoherence)
 
 
 class TestCitAnalytics:
