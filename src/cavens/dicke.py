@@ -363,18 +363,20 @@ def block_observables(gen: BlockLiouvillian) -> dict:
 
 @lru_cache(maxsize=None)
 def block_ladder(n: int) -> dict:
-    """The block-diagonal superoperators q -> J- q (``lm``), J+ q (``lp``),
+    """The sparse block-diagonal superoperators q -> J- q (``lm``), J+ q (``lp``),
     q J- (``rm``) and q J+ (``rp``) on the block vector of n emitters, with
     vec(A q B^T) = kron(A, B) vec(q) (cached: callers must not mutate them)."""
-    basis = dicke_basis(n)
-    dense = {name: np.zeros((basis.offsets[-1],) * 2) for name in ("lm", "lp", "rm", "rp")}
-    for lo, hi, j in zip(basis.offsets[:-1], basis.offsets[1:], basis.j_values):
+    blocks: dict = {name: [] for name in ("lm", "lp", "rm", "rp")}
+    for j in dicke_basis(n).j_values:
         blk = spin_block(j)
-        eye = np.eye(len(blk["m"]))
+        eye = sp.identity(len(blk["m"]))
         for side, op in (("m", blk["jm"]), ("p", blk["jp"])):
-            dense["l" + side][lo:hi, lo:hi] = np.kron(op, eye)
-            dense["r" + side][lo:hi, lo:hi] = np.kron(eye, op.T)
-    return {name: sp.csr_matrix(m) for name, m in dense.items()}
+            blocks["l" + side].append(sp.kron(op, eye))
+            blocks["r" + side].append(sp.kron(eye, op.T))
+    ladder = {name: sp.block_diag(mats, format="csr") for name, mats in blocks.items()}
+    for m in ladder.values():
+        m.eliminate_zeros()
+    return ladder
 
 
 # ---------------------------------------------------------------------------

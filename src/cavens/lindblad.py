@@ -5,19 +5,21 @@ elimination.
 
     drho/dt = -i[H_at, rho] + L_col + L_em + L_deph
 
-on the full 2^N space (capability-limited, N <= 8).  :func:`pulsed_emission`
-propagates the same generator on the permutation-symmetric space of the
-ensemble instead (:class:`GroupSpace`, :func:`group_parts`): emitters
-with the same (laser-frame detuning, g) form a group, and the space is the
-product of the groups' Dicke block spaces (:mod:`cavens.dicke`), C(n+3, 3)
-real coordinates for a group of n sites rather than 4^n.  The 2^N
-generator, :func:`evolve_expm` and the ODE oracle :func:`evolve` (DOP853 on
-the matrix-free generator) are the references the tests compare it with.
-Propagation and the pulse protocol are the ones the block solver uses
-(:func:`cavens.core.propagate`, :func:`cavens.core.pulse_protocol`).
-:func:`evolve` imports ``scipy.integrate`` when called, so no production
-run loads it.  States are projected onto the coupled angular-momentum
-basis by :func:`dicke_projection`.
+on the full 2^N space.  :func:`pulsed_emission` propagates the same
+generator on the permutation-symmetric space of the ensemble instead
+(:class:`GroupSpace`, :func:`group_parts`): emitters with the same
+(laser-frame detuning, g) form a group, and the space is the product of the
+groups' Dicke block spaces (:mod:`cavens.dicke`), C(n+3, 3) real
+coordinates for a group of n sites rather than 4^n.  Both are capped by
+operator-space dimension, ``DIM_MAX`` = 4^8: the 2^N generator at N = 8,
+the group space at 8 distinct emitters or, for example, one group of 64.
+The pulse-end state stays in the group space, as each group's reduced
+|J, M> block state.  The 2^N generator, :func:`evolve_expm` and the ODE
+oracle :func:`evolve` (DOP853 on the matrix-free generator) are the
+references the tests compare it with.  Propagation and the pulse protocol
+are the ones the block solver uses (:func:`cavens.core.propagate`,
+:func:`cavens.core.pulse_protocol`).  :func:`evolve` imports
+``scipy.integrate`` when called, so no production run loads it.
 
 Conventions pinned by tests:
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
@@ -48,8 +51,7 @@ from .core import (
     propagate,
     pulse_protocol,
 )
-from .dicke import DickeBlockState, block_ladder, block_parts, dicke_basis, spin_block
-from .meanfield import single_ion_steady_state
+from .dicke import DickeBlockState, _observable_rows, block_ladder, block_parts, dicke_basis
 
 #: Scale applied to the written dephasing form gamma_d (sz rho sz - rho);
 #: 1/2 makes the single-emitter coherence decay at gamma_s/2 + gamma_d.
@@ -59,7 +61,9 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 
-DEFAULT_N_MAX = 8
+#: Largest operator-space dimension: 4^N of the 2^N generator, or the
+#: group-space dimension of :func:`pulsed_emission` (8 distinct emitters).
+DIM_MAX = 4**8
 
 
 class IntegrationError(RuntimeError):
@@ -209,12 +213,8 @@ class Liouvillian:
 
 def _laser_frame(ens: EmitterEnsemble, cavity: CavityParams,
                  laser_detuning: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Laser-frame detunings, couplings and Purcell rate 4 <g^2> / kappa of
-    at most ``DEFAULT_N_MAX`` emitters."""
+    """Laser-frame detunings, couplings and Purcell rate 4 <g^2> / kappa."""
     expl = ens.to_explicit() if ens.is_parametric else ens
-    if expl.n > DEFAULT_N_MAX:
-        raise CapabilityError(f"full-space dynamics limited to {DEFAULT_N_MAX} emitters, "
-                              f"got {expl.n}")
     gs = expl.couplings()
     purcell = 4.0 * float(np.mean(gs**2)) / cavity.kappa
     return expl.detunings() + expl.center - laser_detuning, gs, purcell
@@ -240,6 +240,9 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     deltas, gs, purcell = _laser_frame(ens, cavity, laser_detuning)
     _check_mu(mu)
     n = len(gs)
+    if 4**n > DIM_MAX:
+        raise CapabilityError(f"the 2^N generator of {n} emitters has dimension 4^{n} = {4**n}, "
+                              f"above DIM_MAX = {DIM_MAX}")
     dc = cavity.delta_c
     denom = (0.5 * cavity.kappa) ** 2 + dc**2
 
@@ -277,6 +280,7 @@ class GroupSpace:
     is stored as the real vector r = Re q + Im q, so q = ((1 + i) r + (1 - i)
     P r) / 2 (:meth:`to_complex`), with P the transpose of every block.  A
     group of n sites has dimension C(n+3, 3); N distinct emitters give 4^N.
+    A space above ``DIM_MAX`` raises :class:`CapabilityError`.
     """
 
     def __init__(self, deltas: np.ndarray, gs: np.ndarray):
@@ -289,6 +293,12 @@ class GroupSpace:
         bases = [dicke_basis(len(ks)) for _, _, ks in self.groups]
         self.dims = [int(b.offsets[-1]) for b in bases]
         self.dim = math.prod(self.dims)
+        if self.dim > DIM_MAX:  # a parametric line of N ions gives N groups, so keep it short
+            sizes = ", ".join(f"{count} of size {size}" for size, count
+                              in Counter(len(ks) for _, _, ks in self.groups).items())
+            dim = self.dim if self.dim < 10**15 else f"about 10^{math.log10(self.dim):.0f}"
+            raise CapabilityError(f"the group space of {len(self.groups)} groups ({sizes}) has "
+                                  f"dimension {dim}, above DIM_MAX = {DIM_MAX}")
         transposes = [np.concatenate([lo + np.arange(d * d).reshape(d, d).T.reshape(-1)
                                       for lo, d in zip(b.offsets[:-1], b.dims)]) for b in bases]
         self.transpose = reduce(lambda a, b: (a[:, None] * len(b) + b).reshape(-1), transposes)
@@ -309,44 +319,15 @@ class GroupSpace:
         return reduce(np.kron, [DickeBlockState.all_ground(len(ks)).to_vec().real
                                 for _, _, ks in self.groups])
 
-    def lift(self, vec: np.ndarray) -> DensityState:
-        """The 2^N density matrix: each group's blocks q_J expanded as
-        sum_copies sum_{m, m'} q_J[m, m'] |J m><J m'| on its sites."""
+    def reduced(self, vec: np.ndarray) -> tuple[DickeBlockState, ...]:
+        """Each group's reduced state, in ``groups`` order: the block vector
+        q with every other group's axis contracted against that group's
+        ``trace`` observable row."""
         x = self.to_complex(np.asarray(vec)).reshape(self.dims)
-        for _, _, ks in self.groups:  # the leading axis becomes trailing (row, column) axes
-            basis = dicke_basis(len(ks))
-            x = sum(np.einsum("icm,mn...,jcn->...ij", states,
-                              x[lo:hi].reshape((d, d) + x.shape[1:]), states)
-                    for lo, hi, d, states in zip(basis.offsets[:-1], basis.offsets[1:],
-                                                 basis.dims, _dicke_states(len(ks))))
-        groups = len(self.groups)
-        x = x.transpose(list(range(0, 2 * groups, 2)) + list(range(1, 2 * groups, 2)))
-        sites = np.argsort([s for _, _, ks in self.groups for s in ks])  # qubit axis of each site
-        x = x.reshape((2,) * (2 * self.n)).transpose(np.concatenate([sites, sites + self.n]))
-        return DensityState(2**self.n, x.reshape(2**self.n, 2**self.n))
-
-
-@lru_cache(maxsize=16)
-def _dicke_states(n: int) -> list:
-    """Per J block of :func:`dicke_basis`: the states |J, m> of n sites, one
-    column per (copy, m), shape (2^n, d_n(J), 2J+1).  The copies at m = J
-    span the null space of J+ there, and each descends by J- with the
-    phases of :func:`spin_block`."""
-    index = np.arange(2**n)
-    jm = np.zeros((2**n, 2**n))  # a set bit is |g>; site 0 is the most significant
-    for k in range(n):
-        excited = index[index & (1 << (n - 1 - k)) == 0]
-        jm[excited | (1 << (n - 1 - k)), excited] = 1.0
-    basis, out = dicke_basis(n), []
-    for j, copies in zip(basis.j_values, basis.degeneracies):
-        sector = np.flatnonzero(np.bitwise_count(index) == round(n / 2.0 - j))  # m = J
-        top = np.zeros((2**n, copies))
-        top[sector] = np.linalg.svd(jm.T[:, sector])[2][len(sector) - copies:].T
-        ladder = [top]
-        for m in spin_block(j)["m"][:-1]:
-            ladder.append(jm @ ladder[-1] / math.sqrt((j + m) * (j - m + 1.0)))
-        out.append(np.stack(ladder, axis=2))
-    return out
+        traces = [_observable_rows(len(ks))["trace"] for _, _, ks in self.groups]
+        others = [reduce(np.kron, traces[:k] + traces[k + 1:], np.ones(1)) for k in range(len(traces))]
+        return tuple(DickeBlockState.from_vec(len(ks), np.moveaxis(x, k, 0).reshape(d, -1) @ rest)
+                     for k, ((_, _, ks), d, rest) in enumerate(zip(self.groups, self.dims, others)))
 
 
 @dataclass(frozen=True)
@@ -374,10 +355,10 @@ def group_parts(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams)
     denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
     rate, exch = cavity.kappa / denom, cavity.delta_c / denom
     parts = [block_parts(len(ks), g, cavity, dec) for _, g, ks in space.groups]
-    ladders = [block_ladder(len(ks)) for _, _, ks in space.groups]
     obs = [bp.observables for bp in parts]
     gs = [g for _, g, _ in space.groups]
     pairs = list(itertools.permutations(range(len(gs)), 2))
+    ladders = [block_ladder(len(ks)) for _, _, ks in space.groups] if pairs else []
 
     def real(m: sp.csr_matrix) -> sp.csr_matrix:
         """A term of L as it acts on the real coordinates."""
@@ -449,7 +430,7 @@ class PulsedEmission:
     peak_instant: float
     peak_counts: float
     pulse_length: float
-    final_state: DensityState
+    final_state: tuple[DickeBlockState, ...]
 
 
 def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
@@ -461,7 +442,8 @@ def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
 
     ``peak_instant`` is Gamma_c <J+J-> right at pulse end; ``peak_counts``
     integrates it over the 128 ns detection window after the pulse.
-    ``final_state`` is the pulse-end state lifted to the 2^N space.
+    ``final_state`` holds each group's reduced pulse-end state
+    (:meth:`GroupSpace.reduced`).
     ``laser_detuning`` is subtracted from every emitter's detuning (see
     :func:`build_generator`).  ``use_expm=False`` raises ParameterError: ODE
     stepping survives only as the test oracle :func:`evolve`.
@@ -484,95 +466,12 @@ def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
                              coherent_amp=obs @ parts.jm, cavity_pop=purcell * pop)
     return PulsedEmission(trace=emission, peak_instant=run.peak_instant,
                           peak_counts=run.peak_counts, pulse_length=pulse_length,
-                          final_state=space.lift(run.end))
-
-
-# ---------------------------------------------------------------------------
-# Angular-momentum diagnostics
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _jm_sectors(n: int) -> tuple:
-    """For each excitation sector: (indices, eigenvectors, j values, M).
-
-    Diagonalizes J^2 restricted to each fixed-excitation subspace; the
-    eigenvectors enumerate the (J, M) states including multiplicity copies.
-    """
-    ops = collective_operators(n)
-    j2 = (ops["jm"] @ ops["jp"] + ops["jz"] @ ops["jz"] + ops["jz"]).toarray()
-    # a set bit is |g>, so the excitation number is n minus the popcount
-    n_exc = n - np.array([bin(i).count("1") for i in range(2**n)])
-    sectors = []
-    for k in range(n + 1):
-        idx = np.where(n_exc == k)[0]
-        m_val = k - n / 2.0
-        block = j2[np.ix_(idx, idx)]
-        evals, evecs = np.linalg.eigh(block)
-        js = 0.5 * (np.sqrt(4.0 * np.clip(evals, 0.0, None) + 1.0) - 1.0)
-        js = np.round(2.0 * js) / 2.0
-        sectors.append((idx, evecs, js, m_val))
-    return tuple(sectors)
-
-
-@dataclass(frozen=True)
-class DickeProjection:
-    """Populations per (J, M), aggregated over multiplicity copies."""
-
-    n: int
-    populations: dict
-    ground: float
-    superradiant_ladder: float
-    subradiant: float
-
-
-def dicke_projection(state: DensityState, n: int) -> DickeProjection:
-    """Project a full-space state onto the |J, M> basis.
-
-    The superradiant ladder aggregates J = N/2 excluding the global ground
-    state; everything with J < N/2 counts as subradiant subspace.
-    """
-    if state.dim != 2**n:
-        raise ParameterError("state dimension does not match emitter count")
-    pops: dict = {}
-    for idx, evecs, js, m_val in _jm_sectors(n):
-        rho_sec = state.matrix[np.ix_(idx, idx)]
-        diag = np.einsum("ik,ij,jk->k", evecs.conj(), rho_sec, evecs).real
-        for j, p in zip(js, diag):
-            key = (float(j), float(m_val))
-            pops[key] = pops.get(key, 0.0) + float(p)
-    jmax = n / 2.0
-    ground = pops.get((jmax, -jmax), 0.0)
-    ladder = sum(p for (j, m), p in pops.items() if j == jmax and m > -jmax)
-    sub = sum(p for (j, _m), p in pops.items() if j < jmax)
-    return DickeProjection(n=n, populations=pops, ground=ground,
-                           superradiant_ladder=ladder, subradiant=sub)
-
-
-@dataclass(frozen=True)
-class SaturationCurves:
-    mu: np.ndarray
-    coherence_sq: np.ndarray
-    excited: np.ndarray
-
-
-def saturation_comparison(g: float, mu_grid: Sequence[float], cavity: CavityParams,
-                          dec: DecoherenceParams) -> SaturationCurves:
-    """|<sigma->|^2 (non-monotonic) vs excited population (monotonic) for one
-    resonant emitter as functions of drive."""
-    mu = np.asarray(mu_grid, dtype=float)
-    coh = np.empty(len(mu))
-    exc = np.empty(len(mu))
-    for i, m in enumerate(mu):
-        ss = single_ion_steady_state(0.0, g, m, cavity, dec)
-        coh[i] = abs(ss.sigma_minus) ** 2
-        exc[i] = 0.5 * (ss.sigma_z + 1.0)
-    return SaturationCurves(mu=mu, coherence_sq=coh, excited=exc)
+                          final_state=space.reduced(run.end))
 
 
 __all__ = [
     "DEPHASING_LINDBLAD_SCALE",
-    "DEFAULT_N_MAX",
+    "DIM_MAX",
     "CapabilityError",
     "IntegrationError",
     "DensityState",
@@ -588,8 +487,4 @@ __all__ = [
     "evolve_expm",
     "PulsedEmission",
     "pulsed_emission",
-    "DickeProjection",
-    "dicke_projection",
-    "SaturationCurves",
-    "saturation_comparison",
 ]

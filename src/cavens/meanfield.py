@@ -66,7 +66,7 @@ class Spectrum:
     converged: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
+        object.__setattr__(self, "freqs", np.array(self.freqs, dtype=float))  # not the caller's grid
         object.__setattr__(self, "r_complex", np.asarray(self.r_complex, dtype=complex))
         object.__setattr__(self, "reflectance", np.asarray(self.reflectance, dtype=float))
         object.__setattr__(self, "phase", np.asarray(self.phase, dtype=float))
@@ -155,6 +155,27 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
     r = ion + bare
     return SingleIonSteadyState(sigma_z=sigma_z, sigma_minus=sigma_minus,
                                 reflectance=abs(r) ** 2, r_complex=r)
+
+
+@dataclass(frozen=True)
+class SaturationCurves:
+    mu: np.ndarray
+    coherence_sq: np.ndarray
+    excited: np.ndarray
+
+
+def saturation_comparison(g: float, mu_grid: Sequence[float], cavity: CavityParams,
+                          dec: DecoherenceParams) -> SaturationCurves:
+    """|<sigma->|^2 (non-monotonic) vs excited population (monotonic) for one
+    resonant emitter as functions of drive."""
+    mu = np.asarray(mu_grid, dtype=float)
+    coh = np.empty(len(mu))
+    exc = np.empty(len(mu))
+    for i, m in enumerate(mu):
+        ss = single_ion_steady_state(0.0, g, m, cavity, dec)
+        coh[i] = abs(ss.sigma_minus) ** 2
+        exc[i] = 0.5 * (ss.sigma_z + 1.0)
+    return SaturationCurves(mu=mu, coherence_sq=coh, excited=exc)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +489,7 @@ class CitAnalytics:
 def cit_power_factor(model: SystemModel, mu: float) -> float:
     """The saturation factor B = (2 N <g> / (Delta_inh kappa)) sqrt(gamma_s gamma / mu);
     equals C sqrt(gamma_s gamma / (4 g^2 mu)) for uniform coupling."""
+    _check_finite_drive(mu)
     ens, dec, cav = model.ensemble, model.decoherence, model.cavity
     if ens.delta_inh is None:
         raise ParameterError("analytic dip expressions need a parametric ensemble")
@@ -535,6 +557,8 @@ __all__ = [
     "reflection_weak_excitation",
     "SingleIonSteadyState",
     "single_ion_steady_state",
+    "SaturationCurves",
+    "saturation_comparison",
     "solve_selfconsistent_x",
     "reflection_from_x",
     "reflection_spectrum",

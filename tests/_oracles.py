@@ -8,11 +8,13 @@ bracketed Newton, and is the reference the Newton spectra are checked
 against.  The mean-field ODE integrates the factorized equations of motion
 into their steady state, a third route to the same response.  The
 full-space emission pulse propagates the 2^N generator, the reference for
-the group space of ``lindblad.pulsed_emission``.
+the group space of ``lindblad.pulsed_emission``, and :func:`lift` maps
+group-space vectors to 2^N density matrices.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +24,7 @@ from scipy.optimize import root
 
 from cavens import meanfield
 from cavens.core import PEAK_WINDOW, ParameterError
+from cavens.dicke import dicke_basis, spin_block
 from cavens.lindblad import (
     DensityState,
     IntegrationError,
@@ -251,3 +254,44 @@ def full_space_emission(model, mu, pulse, times, laser_detuning=0.0):
                "coherent_real": jm.real, "coherent_imag": jm.imag,
                "cavity_pop": gen_on.purcell * jpjm}
     return columns, gen_on.purcell * counts[0], gen_on.purcell * np.trapezoid(counts, window)
+
+
+def lift(space, vec):
+    """The 2^N density matrix of a ``lindblad.GroupSpace`` vector: each
+    group's blocks q_J expanded as sum_copies sum_{m, m'} q_J[m, m']
+    |J m><J m'| on its sites."""
+    x = space.to_complex(np.asarray(vec)).reshape(space.dims)
+    for _, _, ks in space.groups:  # the leading axis becomes trailing (row, column) axes
+        basis = dicke_basis(len(ks))
+        x = sum(np.einsum("icm,mn...,jcn->...ij", states,
+                          x[lo:hi].reshape((d, d) + x.shape[1:]), states)
+                for lo, hi, d, states in zip(basis.offsets[:-1], basis.offsets[1:],
+                                             basis.dims, _dicke_states(len(ks))))
+    groups = len(space.groups)
+    x = x.transpose(list(range(0, 2 * groups, 2)) + list(range(1, 2 * groups, 2)))
+    sites = np.argsort([s for _, _, ks in space.groups for s in ks])  # qubit axis of each site
+    x = x.reshape((2,) * (2 * space.n)).transpose(np.concatenate([sites, sites + space.n]))
+    return DensityState(2**space.n, x.reshape(2**space.n, 2**space.n))
+
+
+@lru_cache(maxsize=16)
+def _dicke_states(n):
+    """Per J block of ``dicke_basis``: the states |J, m> of n sites, one
+    column per (copy, m), shape (2^n, d_n(J), 2J+1).  The copies at m = J
+    span the null space of J+ there, and each descends by J- with the
+    phases of ``spin_block``."""
+    index = np.arange(2**n)
+    jm = np.zeros((2**n, 2**n))  # a set bit is |g>; site 0 is the most significant
+    for k in range(n):
+        excited = index[index & (1 << (n - 1 - k)) == 0]
+        jm[excited | (1 << (n - 1 - k)), excited] = 1.0
+    basis, out = dicke_basis(n), []
+    for j, copies in zip(basis.j_values, basis.degeneracies):
+        sector = np.flatnonzero(np.bitwise_count(index) == round(n / 2.0 - j))  # m = J
+        top = np.zeros((2**n, copies))
+        top[sector] = np.linalg.svd(jm.T[:, sector])[2][len(sector) - copies:].T
+        ladder = [top]
+        for m in spin_block(j)["m"][:-1]:
+            ladder.append(jm @ ladder[-1] / math.sqrt((j + m) * (j - m + 1.0)))
+        out.append(np.stack(ladder, axis=2))
+    return out

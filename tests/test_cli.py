@@ -219,7 +219,13 @@ sweep.values = {values}
         assert not list(tmp_path.glob("nbins_*"))
 
     def test_exit_code_solver_failure(self, tmp_path, capsys):
-        cfg = BASE_MODEL.replace("ensemble.n_ions = 4", "ensemble.n_ions = 9") + """
+        """Nine distinct emitters span 4^9 operator-space dimensions, above
+        lindblad.DIM_MAX: a capability failure, exit 3."""
+        (tmp_path / "em.csv").write_text("detuning_hz,g_hz\n"
+                                         + "".join(f"{k}e6,35e6\n" for k in range(9)))
+        cfg = BASE_MODEL.replace("ensemble.kind = identical\nensemble.n_ions = 4\n"
+                                 "ensemble.g_hz = 35e6\n",
+                                 "ensemble.kind = explicit\nensemble.file = em.csv\n") + """
 experiment = emission-trace
 drive.mu = 1e-6
 drive.pulse_length_s = 10e-6
@@ -228,7 +234,8 @@ grid.time.stop_s = 30e-6
 grid.time.num = 5
 """
         assert self._run(tmp_path, cfg, "cap.cfg", "cap") == 3
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err and f"dimension {4**9}" in err
 
     CIT_CFG = LINE_MODEL + """
 experiment = cit-power-sweep

@@ -12,23 +12,22 @@ from cavens.core import (
     SystemModel,
     mu_from_power,
 )
-from cavens.dicke import pulsed_block_emission
+from cavens.dicke import DickeBlockState, dicke_basis, pulsed_block_emission, state_degeneracy
 from cavens.lindblad import (
+    DIM_MAX,
     CapabilityError,
     DensityState,
     GroupSpace,
     build_generator,
     collective_operators,
-    dicke_projection,
     evolve,
     evolve_expm,
     group_parts,
     pulsed_emission,
-    saturation_comparison,
 )
 from cavens.units import hz_to_angular
 
-from _oracles import cavity_included_trajectory, full_space_emission
+from _oracles import cavity_included_trajectory, full_space_emission, lift
 
 
 def purcell(cavity, g):
@@ -305,6 +304,10 @@ class TestGroupSpace:
             assert np.max(np.abs(got[name] - col)) <= 1e-10 * scale, name
         assert math.isclose(res.peak_instant, peak_instant, rel_tol=1e-10)
         assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
+        # the groups' reduced pulse-end states hold the individual excitation
+        excited = sum((0.5 * state.n + m) * p for state in res.final_state
+                      for (_j, m), p in state.jm_populations().items())
+        assert math.isclose(excited, ref["individual"][1], rel_tol=1e-10)
 
     @pytest.mark.parametrize("mu", [0.0, 1e-6])
     def test_lift_intertwines_generators(self, mu):
@@ -316,13 +319,13 @@ class TestGroupSpace:
         laser = hz_to_angular(2e6)
         space = GroupSpace(ens.detunings() + ens.center - laser, ens.couplings())
         assert space.dim == 10 * 4 * 4
-        lift = np.array([space.lift(e).matrix.reshape(-1) for e in np.eye(space.dim)]).T
+        e_lift = np.array([lift(space, e).matrix.reshape(-1) for e in np.eye(space.dim)]).T
         full = build_generator(ens, mu, cav, dec, laser_detuning=laser).superoperator()
         parts = group_parts(space, cav, dec)
         group = parts.base + math.sqrt(mu) * parts.drive
         assert group.dtype == np.float64
-        rhs = full @ lift
-        assert np.max(np.abs(lift @ group.toarray() - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+        rhs = full @ e_lift
+        assert np.max(np.abs(e_lift @ group.toarray() - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_dimensions(self):
         def dim(emitters):
@@ -354,53 +357,86 @@ class TestGroupSpace:
             assert math.isclose(res.peak_counts, peak_counts, rel_tol=1e-10)
 
     def test_capability_limit(self, cavity, decoherence, g35):
-        model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(9, g35))
-        with pytest.raises(CapabilityError):
+        """Nine distinct emitters span 4^9 > DIM_MAX and are refused before
+        the space is built."""
+        ens = EmitterEnsemble.explicit([(hz_to_angular(k * 1e6), g35) for k in range(9)])
+        model = SystemModel(cavity, decoherence, ens)
+        with pytest.raises(CapabilityError, match=f"dimension {4**9}, above DIM_MAX = {DIM_MAX}"):
             pulsed_emission(model, 1e-6, 10e-6, [10e-6])
 
 
+
+class TestPastFullSpace:
+    """Ensembles the 2^N generator cannot check: one group against the block
+    solver, and the emitter order."""
+
+    @pytest.mark.parametrize("n", [9, 12, 20])
+    def test_one_group_matches_block_solver(self, cavity, g35, n):
+        """n identical ions are one group of C(n+3, 3) rows; from 9 on, their
+        2^N generator is above DIM_MAX."""
+        dec = DecoherenceParams.from_hz(6000, 600)
+        model = SystemModel(cavity, dec, EmitterEnsemble.identical(n, g35))
+        mu, pulse = mu_from_power(3e-12, cavity), 20e-6
+        res = pulsed_emission(model, mu, pulse, [pulse])
+        ref = pulsed_block_emission(n, g35, mu, cavity, dec, pulse)
+        assert math.isclose(res.peak_instant, ref.peak_instant, rel_tol=1e-12)
+        assert math.isclose(res.peak_counts, ref.peak_counts, rel_tol=1e-12)
+        (state,) = res.final_state
+        state.validate()
+        for got, want in zip(state.blocks, ref.state_end.blocks, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_emitter_order_does_not_matter(self):
+        cav = CavityParams.from_hz(44e9, 8.8e9, 1e9)
+        dec = DecoherenceParams.from_hz(*_RATES_HZ)
+        times = np.array([3e-6, 10e-6, 10.2e-6, 11e-6])
+        emitters = _GROUPED["5-in-3"]
+        columns = [_group_columns(pulsed_emission(
+            SystemModel(cav, dec, EmitterEnsemble.explicit(order)), 1e-6, 10e-6, times))
+            for order in (emitters, [emitters[i] for i in (4, 2, 0, 3, 1)])]
+        for name, col in columns[0].items():
+            assert np.max(np.abs(columns[1][name] - col)) <= 1e-12 * np.max(np.abs(col)), name
+
+
 class TestDickeProjection:
-    def test_ground_state(self):
-        proj = dicke_projection(DensityState.ground(4), 4)
-        assert math.isclose(proj.ground, 1.0, abs_tol=1e-12)
-        assert proj.superradiant_ladder < 1e-12 and proj.subradiant < 1e-12
+    """The |J, M> populations of the pulse-end state: each group's reduced
+    state (GroupSpace.reduced)."""
+
+    def test_ground_state(self, cavity, decoherence):
+        model = SystemModel(cavity, decoherence, EmitterEnsemble.explicit(_GROUPED["4-in-2"]))
+        res = pulsed_emission(model, 0.0, 10e-6, [10e-6])
+        assert [state.n for state in res.final_state] == [3, 1]
+        for state in res.final_state:
+            weights = state.subspace_weights()
+            assert math.isclose(weights["ground"], 1.0, abs_tol=1e-12)
+            assert weights["superradiant_ladder"] < 1e-12 and weights["subradiant"] < 1e-12
 
     def test_completely_mixed_degeneracies(self):
+        """The completely mixed state of 4 + 1 emitters, reduced to the group
+        of 4."""
         n = 4
-        mixed = DensityState(2**n, np.eye(2**n, dtype=complex) / 2**n)
-        proj = dicke_projection(mixed, n)
+        space = GroupSpace(np.array([0.0] * n + [_D1]), np.full(n + 1, _G))
+
+        def mixed(sites):
+            return DickeBlockState(sites, [np.eye(d) / 2**sites
+                                           for d in dicke_basis(sites).dims]).to_vec()
+
+        state = space.reduced(np.kron(mixed(n), mixed(1)))[0]
         per_j = {}
-        for (j, _m), p in proj.populations.items():
+        for (j, _m), p in state.jm_populations().items():
             per_j[j] = per_j.get(j, 0.0) + p
         # weights proportional to degeneracy x (2J+1): d={1,3,2} for J={2,1,0}
         assert math.isclose(per_j[2.0], 5 / 16, rel_tol=1e-9)
         assert math.isclose(per_j[1.0], 9 / 16, rel_tol=1e-9)
         assert math.isclose(per_j[0.0], 2 / 16, rel_tol=1e-9)
-        assert math.isclose(sum(proj.populations.values()), 1.0, rel_tol=1e-9)
+        assert math.isclose(sum(state.jm_populations().values()), 1.0, rel_tol=1e-9)
 
     def test_strong_long_drive_approaches_mixed(self, cavity, g35):
         dec = DecoherenceParams.from_hz(6000, 600)
         n = 3
         model = SystemModel(cavity, dec, EmitterEnsemble.identical(n, g35))
         res = pulsed_emission(model, 0.1, 200e-6, [200e-6], use_expm=True)
-        proj = dicke_projection(res.final_state, n)
-        mixed = DensityState(2**n, np.eye(2**n, dtype=complex) / 2**n)
-        ref = dicke_projection(mixed, n)
-        for key, p in ref.populations.items():
-            assert abs(proj.populations[key] - p) < 0.05
-
-
-class TestSaturationComparison:
-    def test_monotonic_vs_nonmonotonic(self, cavity, decoherence, g35):
-        mu = np.geomspace(1e-9, 1e-1, 33)
-        curves = saturation_comparison(g35, mu, cavity, decoherence)
-        assert np.all(np.diff(curves.excited) >= -1e-15)
-        i_max = int(np.argmax(curves.coherence_sq))
-        assert 0 < i_max < len(mu) - 1
-        assert curves.coherence_sq[-1] < 0.05 * curves.coherence_sq[i_max]
-        assert curves.coherence_sq[0] < 0.05 * curves.coherence_sq[i_max]
-
-    def test_zero_drive(self, cavity, decoherence, g35):
-        curves = saturation_comparison(g35, [0.0], cavity, decoherence)
-        assert curves.coherence_sq[0] == 0.0
-        assert curves.excited[0] == 0.0
+        pops = res.final_state[0].jm_populations()
+        assert len(pops) == 4 + 2  # (J, M) levels at J = 3/2 and 1/2
+        for (j, _m), p in pops.items():
+            assert abs(p - state_degeneracy(n, j) / 2**n) < 0.05

@@ -25,6 +25,7 @@ from cavens.meanfield import (
     reflection_from_x,
     reflection_spectrum,
     reflection_weak_excitation,
+    saturation_comparison,
     single_contribution,
     single_ion_steady_state,
     solve_selfconsistent_x,
@@ -605,6 +606,17 @@ grid.power.scale = log
         spec = reflection_spectrum(ens, 1e-6, grid, cavity, decoherence)
         assert np.array_equal(spec.r_complex, self._fresh(ens, 1e-6, grid, cavity, decoherence))
 
+    def test_spectrum_keeps_its_own_freqs(self, cavity, decoherence, delta_inh):
+        """A grid shifted in place after the call leaves the spectrum's
+        frequencies as they were."""
+        ens = paper_like_ensemble(cavity, delta_inh, n=20).to_explicit()
+        grid = np.linspace(-60e6, 60e6, 5) * TWO_PI
+        spec = reflection_spectrum(ens, 1e-6, grid, cavity, decoherence)
+        before = grid.copy()
+        grid += 1.0
+        assert spec.freqs is not grid
+        assert np.array_equal(spec.freqs, before)
+
     @pytest.mark.parametrize("mu", [0.0, 1e-7, 1e-4])
     def test_real_layout_matches_complex_sum(self, decoherence, mu):
         """x and dx/dt of a 50-emitter list against the complex direct sum
@@ -664,6 +676,12 @@ class TestNonFiniteInput:
         with pytest.raises(ParameterError, match="mu"):
             single_ion_steady_state(0.0, g35, bad, cavity, decoherence)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cit_analytics_rejects_non_finite_drive(self, cavity, decoherence, delta_inh, bad):
+        model = SystemModel(cavity, decoherence, paper_like_ensemble(cavity, delta_inh))
+        with pytest.raises(ParameterError, match="mu"):
+            cit_analytics(model, bad, check=False)
+
 
 class TestCitAnalytics:
     def _model(self, cavity, decoherence, delta_inh, c=12.0):
@@ -701,6 +719,22 @@ class TestCitAnalytics:
         slope = (cit_center(omega0, 1e6, c, delta_inh, cavity.kappa)
                  - cit_center(omega0, 0.0, c, delta_inh, cavity.kappa)) / 1e6
         assert math.isclose(slope, -eps / (1 - eps), rel_tol=1e-9)
+
+
+class TestSaturationComparison:
+    def test_monotonic_vs_nonmonotonic(self, cavity, decoherence, g35):
+        mu = np.geomspace(1e-9, 1e-1, 33)
+        curves = saturation_comparison(g35, mu, cavity, decoherence)
+        assert np.all(np.diff(curves.excited) >= -1e-15)
+        i_max = int(np.argmax(curves.coherence_sq))
+        assert 0 < i_max < len(mu) - 1
+        assert curves.coherence_sq[-1] < 0.05 * curves.coherence_sq[i_max]
+        assert curves.coherence_sq[0] < 0.05 * curves.coherence_sq[i_max]
+
+    def test_zero_drive(self, cavity, decoherence, g35):
+        curves = saturation_comparison(g35, [0.0], cavity, decoherence)
+        assert curves.coherence_sq[0] == 0.0
+        assert curves.excited[0] == 0.0
 
 
 class TestPairContribution:
