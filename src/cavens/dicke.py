@@ -12,16 +12,21 @@ that factorize into per-side amplitudes; the complete coefficient table is
 hard-verified against the full-space solver for N = 2..6 in the test suite
 (the load-bearing oracle-equivalence check).
 
+States live in real coordinates: a Hermitian block vector q is held as
+r = Re q + Im q (:func:`to_complex` maps back), and a complex generator L
+acts on r as Re L + Im L P (:func:`real_generator`), P transposing each block.
+
 The generator is affine in the emitter-minus-laser detuning and in the drive
-amplitude g sqrt(mu), so :func:`block_parts` assembles three sparse parts
-once per (n, g, cavity, decoherence) and caches them; the observable rows
-depend on n alone and are cached per n.  :func:`build_block_generator` only
-sums the parts.  ``cavity.delta_c`` is taken as configured.  With the drive
-off, every term keeps m - m' fixed, so the populations (m = m') form an
-invariant sector on which <J+J-> lives: the detection window after a pulse
-runs on the population rate matrix of dimension sum_J (2J+1), which depends
-on neither detuning.  At delta_c = 0 the emission is even in the detuning,
-which lets :func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
+amplitude g sqrt(mu), so :func:`block_parts` assembles three complex sparse
+parts once per (n, g, cavity, decoherence) and caches them;
+:func:`build_block_generator` sums them in real coordinates.  The observable
+rows depend on n alone and are cached per n.  ``cavity.delta_c`` is taken
+as configured.  With the drive off, every term keeps m - m' fixed, so the
+populations (m = m') form an invariant sector on which <J+J-> lives: the
+detection window after a pulse runs on the population rate matrix of
+dimension sum_J (2J+1), which depends on neither detuning.  At delta_c = 0
+the emission is even in the detuning, which lets
+:func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
 
 :func:`pulsed_block_emission` is the one pulse driver of the block
 experiments: the S-curve runners call it once per power (and bin), and
@@ -34,7 +39,7 @@ collective terms between groups, :func:`block_ladder`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -50,7 +55,9 @@ from .core import (
     pulse_protocol,
 )
 
-BASIS_N_MAX = 64
+#: Largest operator-space dimension: C(n+3, 3) of n identical emitters, or
+#: the group space or 2^N generator of :mod:`cavens.lindblad` (8 distinct).
+DIM_MAX = 4**8
 
 BLOCK_TRACE_TOL = 1e-10
 BLOCK_POSITIVITY_TOL = 1e-8
@@ -64,7 +71,8 @@ class DickeBasis:
     The block vector concatenates the per-copy blocks, each stored
     row-major, from J = n/2 downward: block k has ``dims[k]`` = 2J+1 rows
     and occupies ``offsets[k]:offsets[k + 1]``; ``populations`` indexes its
-    m = m' entries."""
+    m = m' entries; ``transpose`` is the permutation P that transposes
+    every block."""
 
     n: int
     j_values: tuple[float, ...]
@@ -72,6 +80,7 @@ class DickeBasis:
     dims: tuple[int, ...]
     offsets: np.ndarray
     populations: np.ndarray
+    transpose: np.ndarray
 
 
 def state_degeneracy(n: int, j: float) -> int:
@@ -87,17 +96,31 @@ def state_degeneracy(n: int, j: float) -> int:
 @lru_cache(maxsize=None)
 def dicke_basis(n: int) -> DickeBasis:
     """The block layout for n emitters (cached: callers must not mutate it)."""
-    if not (1 <= n <= BASIS_N_MAX):
-        raise CapabilityError(f"emitter count must be in [1, {BASIS_N_MAX}], got {n}")
+    dim = math.comb(n + 3, 3)
+    if n < 1 or dim > DIM_MAX:
+        raise CapabilityError(f"{n} emitters: dimension {dim}, outside [4, DIM_MAX = {DIM_MAX}]")
     js = tuple(n / 2.0 - k for k in range(n // 2 + 1))
     degs = tuple(state_degeneracy(n, j) for j in js)
     dims = tuple(int(round(2 * j)) + 1 for j in js)
     assert sum(d * b for d, b in zip(degs, dims)) == 2**n
     offsets = np.cumsum([0] + [b * b for b in dims])
     pops = np.concatenate([off + np.arange(b) * (b + 1) for off, b in zip(offsets[:-1], dims)])
-    offsets.flags.writeable = pops.flags.writeable = False
+    perm = np.concatenate([lo + np.arange(b * b).reshape(b, b).T.reshape(-1)
+                           for lo, b in zip(offsets[:-1], dims)])
+    offsets.flags.writeable = pops.flags.writeable = perm.flags.writeable = False
     return DickeBasis(n=n, j_values=js, degeneracies=degs, dims=dims, offsets=offsets,
-                      populations=pops)
+                      populations=pops, transpose=perm)
+
+
+def to_complex(x: np.ndarray, transpose: np.ndarray) -> np.ndarray:
+    """The block vector q of real coordinates r, or the row w with
+    w . r = x . q of a block-vector row x (the same map)."""
+    return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[transpose])
+
+
+def real_generator(m: sp.spmatrix, transpose: np.ndarray) -> sp.csr_matrix:
+    """A complex generator L as it acts on the real coordinates: Re L + Im L P."""
+    return (m.real + m.imag[:, transpose]).tocsr()
 
 
 @lru_cache(maxsize=None)
@@ -113,37 +136,41 @@ def spin_block(j: float) -> dict:
 
 @dataclass
 class DickeBlockState:
-    """Per-copy block density matrices q_J; the physical (folded) weight of a
-    block is d_n(J) tr(q_J), and sum_J d_n(J) tr(q_J) = 1."""
+    """Per-copy block density matrices q_J (``blocks``), held as the real
+    coordinates r of the block vector (``vec``); the physical (folded) weight
+    of a block is d_n(J) tr(q_J), and sum_J d_n(J) tr(q_J) = 1."""
 
     n: int
-    blocks: list[np.ndarray] = field(default_factory=list)
+    vec: np.ndarray
 
     @classmethod
     def all_ground(cls, n: int) -> "DickeBlockState":
-        blocks = [np.zeros((d, d), dtype=complex) for d in dicke_basis(n).dims]
-        blocks[0][-1, -1] = 1.0  # top block, m = -n/2
-        return cls(n=n, blocks=blocks)
+        vec = np.zeros(int(dicke_basis(n).offsets[-1]))
+        vec[dicke_basis(n).dims[0] ** 2 - 1] = 1.0  # top block, m = -n/2
+        return cls(n, vec)
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """The blocks q_J, Hermitian by construction."""
+        b = dicke_basis(self.n)
+        return [x.reshape(d, d) for x, d in zip(np.split(to_complex(self.vec, b.transpose),
+                                                          b.offsets[1:-1]), b.dims)]
 
     def validate(self) -> None:
-        degs = dicke_basis(self.n).degeneracies
-        trace = sum(d * np.trace(b).real for d, b in zip(degs, self.blocks))
+        degs, blocks = dicke_basis(self.n).degeneracies, self.blocks
+        trace = sum(d * np.trace(b).real for d, b in zip(degs, blocks))
         if abs(trace - 1.0) > BLOCK_TRACE_TOL:
             raise ParameterError("degeneracy-weighted trace differs from 1")
-        for b in self.blocks:
-            if np.max(np.abs(b - b.conj().T)) > 1e-9:
-                raise ParameterError("block not Hermitian")
-            if np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() < -BLOCK_POSITIVITY_TOL:
+        for b in blocks:
+            if np.linalg.eigvalsh(b).min() < -BLOCK_POSITIVITY_TOL:
                 raise ParameterError("block not positive within tolerance")
 
     def to_vec(self) -> np.ndarray:
-        return np.concatenate([b.reshape(-1) for b in self.blocks])
+        return self.vec.copy()
 
     @classmethod
     def from_vec(cls, n: int, vec: np.ndarray) -> "DickeBlockState":
-        basis = dicke_basis(n)
-        return cls(n=n, blocks=[vec[lo:hi].reshape(d, d).copy() for lo, hi, d
-                                in zip(basis.offsets[:-1], basis.offsets[1:], basis.dims)])
+        return cls(n, np.array(vec, dtype=float))
 
     def jm_populations(self) -> dict:
         """Folded populations per (J, M)."""
@@ -157,11 +184,10 @@ class DickeBlockState:
     def subspace_weights(self) -> dict:
         """{'ground', 'superradiant_ladder', 'subradiant'} aggregate weights."""
         basis = dicke_basis(self.n)
-        top = self.blocks[0]
+        top, *rest = self.blocks
         ground = top[-1, -1].real
         ladder = np.trace(top).real - ground
-        sub = sum(d * np.trace(b).real
-                  for d, b in zip(basis.degeneracies[1:], self.blocks[1:]))
+        sub = sum(d * np.trace(b).real for d, b in zip(basis.degeneracies[1:], rest))
         return {"ground": float(ground), "superradiant_ladder": float(ladder),
                 "subradiant": float(sub)}
 
@@ -179,16 +205,16 @@ class BlockLiouvillian:
 @dataclass(frozen=True)
 class BlockParts:
     """The pieces of the block generator for one (n, g, cavity,
-    decoherence): L = l0 + detuning * lz + g sqrt(mu) * ld.
+    decoherence): L = l0 + detuning * lz + g sqrt(mu) * ld on q (complex).
 
     ``l0`` holds the dissipators and the exchange term, ``lz`` the J_z
     commutator and ``ld`` the commutator with -(J+ + J-) at unit drive.
-    ``window`` is ``l0`` restricted to the ``populations`` (the m = m'
-    entries of every block): with the drive off, no entry couples
-    populations and coherences and the population block depends on neither
-    detuning, so the detection window runs on this rate matrix.
-    ``observables`` holds the :func:`block_observables` rows.
-    """
+    ``window`` is ``l0`` in real coordinates restricted to the
+    ``populations`` (the m = m' entries of every block): with the drive
+    off, no entry couples populations and coherences and the population
+    block depends on neither detuning, so the detection window runs on
+    this rate matrix.  ``observables`` holds the :func:`block_observables`
+    rows."""
 
     l0: sp.csr_matrix
     lz: sp.csr_matrix
@@ -302,17 +328,17 @@ def block_parts(n: int, g: float, cavity: CavityParams,
     mat0 = to_csr(l0)
     pops = basis.populations
     return BlockParts(l0=mat0, lz=to_csr(lz), ld=to_csr(ld), purcell=4.0 * g**2 / cavity.kappa,
-                      populations=pops, window=mat0[pops][:, pops].tocsr(),
+                      populations=pops, window=real_generator(mat0, basis.transpose)[pops][:, pops],
                       observables=_observable_rows(n))
 
 
 def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
                           dec: DecoherenceParams, detuning: float = 0.0) -> BlockLiouvillian:
     """Generator for n identical emitters (coupling g) at ``detuning``
-    (emitter minus laser), summed from the cached :func:`block_parts`:
-    l0 + detuning * lz + g sqrt(mu) * ld.  ``cavity.delta_c`` is taken as
-    configured.  Beyond ``BASIS_N_MAX`` emitters, :func:`dicke_basis` raises
-    :class:`CapabilityError`."""
+    (emitter minus laser) on the real coordinates, summed from the cached
+    :func:`block_parts`: l0 + detuning * lz + g sqrt(mu) * ld, then
+    :func:`real_generator`.  ``cavity.delta_c`` is taken as configured.
+    Above ``DIM_MAX``, :func:`dicke_basis` raises :class:`CapabilityError`."""
     if not (mu >= 0 and math.isfinite(mu)):
         raise ParameterError(f"mu must be finite and >= 0, got {mu}")
     if not math.isfinite(detuning):
@@ -323,7 +349,7 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
         mat = mat + detuning * parts.lz
     if mu:
         mat = mat + (g * math.sqrt(mu)) * parts.ld
-    return BlockLiouvillian(n, mat, purcell=parts.purcell)
+    return BlockLiouvillian(n, real_generator(mat, dicke_basis(n).transpose), parts.purcell)
 
 
 # The generator cache is the parts cache: its misses count the assemblies.
@@ -339,10 +365,11 @@ def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
 
 
 @lru_cache(maxsize=None)
-def _observable_rows(n: int) -> dict:
-    """Weight vectors w with <O> = w . vec(q), w_J = d_J vec(O_J^T), for
+def _observable_rows(n: int, real: bool = True) -> dict:
+    """Weight vectors x with <O> = x . q, x_J = d_J vec(O_J^T), for
     O = J+J-, Jz, J-, J+, the individual excitation n/2 + Jz and the
-    identity (``trace``) (cached per n: callers must not mutate them)."""
+    identity (``trace``); with ``real``, the rows w with w . r = x . q, real
+    but for J- and J+ (cached: callers must not mutate them)."""
     basis = dicke_basis(n)
     rows = {name: np.zeros(int(basis.offsets[-1]), dtype=complex)
             for name in ("jpjm", "jz", "jm", "jp", "individual", "trace")}
@@ -353,11 +380,15 @@ def _observable_rows(n: int) -> dict:
                "jp": blk["jp"], "individual": n / 2.0 * eye + blk["jz"], "trace": eye}
         for name, op in ops.items():
             rows[name][basis.offsets[k]:basis.offsets[k + 1]] = deg * op.T.reshape(-1)
-    return rows
+    if not real:
+        return rows
+    return {name: to_complex(x, basis.transpose) if name in ("jm", "jp") else x.real.copy()
+            for name, x in rows.items()}
 
 
 def block_observables(gen: BlockLiouvillian) -> dict:
-    """Observable weight vectors (see :func:`_observable_rows`)."""
+    """Observable rows w with <O> = w . r on the real coordinates r of
+    :class:`DickeBlockState` (see :func:`_observable_rows`)."""
     return _observable_rows(gen.n)
 
 
@@ -494,11 +525,13 @@ def rate_map(n: int, gamma_c: float, gamma_s: float, gamma_d: float) -> RateMap:
 
 
 __all__ = [
-    "BASIS_N_MAX",
+    "DIM_MAX",
     "CapabilityError",
     "DickeBasis",
     "state_degeneracy",
     "dicke_basis",
+    "to_complex",
+    "real_generator",
     "spin_block",
     "DickeBlockState",
     "BlockLiouvillian",

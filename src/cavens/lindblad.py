@@ -9,12 +9,12 @@ on the full 2^N space.  :func:`pulsed_emission` propagates the same
 generator on the permutation-symmetric space of the ensemble instead
 (:class:`GroupSpace`, :func:`group_parts`): emitters with the same
 (laser-frame detuning, g) form a group, and the space is the product of the
-groups' Dicke block spaces (:mod:`cavens.dicke`), C(n+3, 3) real
-coordinates for a group of n sites rather than 4^n.  Both are capped by
-operator-space dimension, ``DIM_MAX`` = 4^8: the 2^N generator at N = 8,
-the group space at 8 distinct emitters or, for example, one group of 64.
-The pulse-end state stays in the group space, as each group's reduced
-|J, M> block state.  The 2^N generator, :func:`evolve_expm` and the ODE
+groups' Dicke block spaces (:mod:`cavens.dicke`), in their real
+coordinates: C(n+3, 3) for a group of n sites rather than 4^n.  Both are
+capped by operator-space dimension, ``DIM_MAX`` = 4^8: the 2^N generator
+at N = 8, the group space at 8 distinct emitters or one group of 71.  The
+pulse-end state stays in the group space, as each group's reduced |J, M>
+block state.  The 2^N generator, :func:`evolve_expm` and the ODE
 oracle :func:`evolve` (DOP853 on the matrix-free generator) are the
 references the tests compare it with.  Propagation and the pulse protocol
 are the ones the block solver uses (:func:`cavens.core.propagate`,
@@ -35,7 +35,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,7 +51,8 @@ from .core import (
     propagate,
     pulse_protocol,
 )
-from .dicke import DickeBlockState, _observable_rows, block_ladder, block_parts, dicke_basis
+from .dicke import (DIM_MAX, DickeBlockState, _observable_rows, block_ladder, block_parts,
+                    dicke_basis, real_generator, to_complex)
 
 #: Scale applied to the written dephasing form gamma_d (sz rho sz - rho);
 #: 1/2 makes the single-emitter coherence decay at gamma_s/2 + gamma_d.
@@ -60,10 +61,6 @@ DEPHASING_LINDBLAD_SCALE = 0.5
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-
-#: Largest operator-space dimension: 4^N of the 2^N generator, or the
-#: group-space dimension of :func:`pulsed_emission` (8 distinct emitters).
-DIM_MAX = 4**8
 
 
 class IntegrationError(RuntimeError):
@@ -276,11 +273,11 @@ class GroupSpace:
     Tieri & Holland, PRA 87, 062101 (2013), in its J-block form.
 
     Emitters with the same (laser-frame detuning, g) form one group, in the
-    order of their first appearance.  The block vector q of a Hermitian state
-    is stored as the real vector r = Re q + Im q, so q = ((1 + i) r + (1 - i)
-    P r) / 2 (:meth:`to_complex`), with P the transpose of every block.  A
-    group of n sites has dimension C(n+3, 3); N distinct emitters give 4^N.
-    A space above ``DIM_MAX`` raises :class:`CapabilityError`.
+    order of their first appearance.  States are held in the real
+    coordinates of :mod:`cavens.dicke`, with ``transpose`` the product of
+    the groups' ``DickeBasis.transpose``.  A group of n sites has dimension
+    C(n+3, 3); N distinct emitters give 4^N.  A space above ``DIM_MAX``
+    raises :class:`CapabilityError`.
     """
 
     def __init__(self, deltas: np.ndarray, gs: np.ndarray):
@@ -299,9 +296,8 @@ class GroupSpace:
             dim = self.dim if self.dim < 10**15 else f"about 10^{math.log10(self.dim):.0f}"
             raise CapabilityError(f"the group space of {len(self.groups)} groups ({sizes}) has "
                                   f"dimension {dim}, above DIM_MAX = {DIM_MAX}")
-        transposes = [np.concatenate([lo + np.arange(d * d).reshape(d, d).T.reshape(-1)
-                                      for lo, d in zip(b.offsets[:-1], b.dims)]) for b in bases]
-        self.transpose = reduce(lambda a, b: (a[:, None] * len(b) + b).reshape(-1), transposes)
+        self.transpose = reduce(lambda a, b: (a[:, None] * len(b) + b).reshape(-1),
+                                [b.transpose for b in bases])
 
     def embed(self, ops: dict) -> sp.csr_matrix:
         """The Kronecker product of ``ops[k]`` over the groups k, with the
@@ -309,21 +305,15 @@ class GroupSpace:
         return reduce(lambda a, b: sp.kron(a, b, format="csr"),
                       [ops.get(k, sp.identity(d)) for k, d in enumerate(self.dims)])
 
-    def to_complex(self, x: np.ndarray) -> np.ndarray:
-        """The block vector q of real coordinates r, or the row w with
-        w . r = x . q of a block-vector row x (the same map)."""
-        return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[self.transpose])
-
     def ground(self) -> np.ndarray:
         """|g...g><g...g|: the m = -n/2 population of every group's top block."""
-        return reduce(np.kron, [DickeBlockState.all_ground(len(ks)).to_vec().real
-                                for _, _, ks in self.groups])
+        return reduce(np.kron, [DickeBlockState.all_ground(len(ks)).vec for *_, ks in self.groups])
 
     def reduced(self, vec: np.ndarray) -> tuple[DickeBlockState, ...]:
-        """Each group's reduced state, in ``groups`` order: the block vector
-        q with every other group's axis contracted against that group's
-        ``trace`` observable row."""
-        x = self.to_complex(np.asarray(vec)).reshape(self.dims)
+        """Each group's reduced state, in ``groups`` order: the real
+        coordinates with every other group's axis contracted against that
+        group's (real) ``trace`` observable row."""
+        x = np.asarray(vec).reshape(self.dims)
         traces = [_observable_rows(len(ks))["trace"] for _, _, ks in self.groups]
         others = [reduce(np.kron, traces[:k] + traces[k + 1:], np.ones(1)) for k in range(len(traces))]
         return tuple(DickeBlockState.from_vec(len(ks), np.moveaxis(x, k, 0).reshape(d, -1) @ rest)
@@ -351,19 +341,16 @@ def group_parts(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams)
     - L(J+_l) L(J-_k) / 2 - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom)
     (L(J+_l) L(J-_k) - R(J-_k) R(J+_l)), with L(A) q = A q and
     R(A) q = q A (:func:`block_ladder`).  The complex generator L acts on
-    the real coordinates as Re L + Im L P."""
+    the real coordinates as Re L + Im L P (:func:`real_generator`)."""
     denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
     rate, exch = cavity.kappa / denom, cavity.delta_c / denom
     parts = [block_parts(len(ks), g, cavity, dec) for _, g, ks in space.groups]
-    obs = [bp.observables for bp in parts]
+    obs = [_observable_rows(len(ks), False) for _, _, ks in space.groups]
     gs = [g for _, g, _ in space.groups]
     pairs = list(itertools.permutations(range(len(gs)), 2))
     ladders = [block_ladder(len(ks)) for _, _, ks in space.groups] if pairs else []
 
-    def real(m: sp.csr_matrix) -> sp.csr_matrix:
-        """A term of L as it acts on the real coordinates."""
-        return (m.real + m.imag[:, space.transpose]).tocsr()
-
+    real = partial(real_generator, transpose=space.transpose)
     base = sum(real(space.embed({k: bp.l0 + delta * bp.lz}))
                for k, ((delta, _, _), bp) in enumerate(zip(space.groups, parts)))
     for k, l in pairs:
@@ -378,8 +365,8 @@ def group_parts(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams)
     def row(terms: list) -> np.ndarray:
         """The real-coordinate row of the sum over ``terms`` of the
         products of their per-group rows (the trace for groups left out)."""
-        return space.to_complex(sum(reduce(np.kron, [t.get(k, o["trace"]) for k, o in enumerate(obs)])
-                                    for t in terms))
+        return to_complex(sum(reduce(np.kron, [t.get(k, o["trace"]) for k, o in enumerate(obs)])
+                              for t in terms), space.transpose)
 
     each = {name: [{k: o[name]} for k, o in enumerate(obs)] for name in ("jm", "jpjm", "individual")}
     cross = [{k: obs[k]["jm"], l: obs[l]["jp"]} for k, l in pairs]  # <J+_l J-_k>

@@ -24,7 +24,7 @@ from scipy.optimize import root
 
 from cavens import meanfield
 from cavens.core import PEAK_WINDOW, ParameterError
-from cavens.dicke import dicke_basis, spin_block
+from cavens.dicke import dicke_basis, spin_block, to_complex
 from cavens.lindblad import (
     DensityState,
     IntegrationError,
@@ -260,7 +260,7 @@ def lift(space, vec):
     """The 2^N density matrix of a ``lindblad.GroupSpace`` vector: each
     group's blocks q_J expanded as sum_copies sum_{m, m'} q_J[m, m']
     |J m><J m'| on its sites."""
-    x = space.to_complex(np.asarray(vec)).reshape(space.dims)
+    x = to_complex(np.asarray(vec), space.transpose).reshape(space.dims)
     for _, _, ks in space.groups:  # the leading axis becomes trailing (row, column) axes
         basis = dicke_basis(len(ks))
         x = sum(np.einsum("icm,mn...,jcn->...ij", states,

@@ -333,8 +333,8 @@ def test_c13_beat_note_analytics(paper_cavity):
     # fully mixed state: the coherent amplitude vanishes identically
     n = 4
     basis = dicke.dicke_basis(n)
-    mixed = dicke.DickeBlockState(n=n, blocks=[
-        np.eye(int(2 * j) + 1, dtype=complex) / 2**n for j in basis.j_values])
+    mixed = dicke.DickeBlockState.from_vec(n, np.concatenate(  # real coordinates of real blocks
+        [np.eye(int(2 * j) + 1).reshape(-1) / 2**n for j in basis.j_values]))
     gen_off = dicke.build_block_generator(n, hz_to_angular(35e6), 0.0, paper_cavity,
                                           DecoherenceParams.from_hz(600, 6000))
     obs = dicke.block_observables(gen_off)

@@ -7,9 +7,10 @@ from cavens import core
 from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
 from cavens import lindblad as lb
 from cavens.dicke import (
-    BASIS_N_MAX,
+    DIM_MAX,
     CapabilityError,
     DickeBlockState,
+    _observable_rows,
     block_evolve,
     block_observables,
     block_parts,
@@ -17,6 +18,7 @@ from cavens.dicke import (
     dicke_basis,
     pulsed_block_emission,
     rate_map,
+    real_generator,
     state_degeneracy,
 )
 from cavens.units import hz_to_angular
@@ -49,14 +51,17 @@ class TestBasis:
                    for j, d in zip(b.j_values, b.degeneracies)) == 2**n
         assert b.dims == tuple(int(round(2 * j)) + 1 for j in b.j_values)
         assert b.offsets[-1] == sum(d * d for d in b.dims)
-        vec = np.random.default_rng(n).standard_normal(b.offsets[-1]) + 0j
+        vec = np.random.default_rng(n).standard_normal(b.offsets[-1])  # real coordinates
         assert np.array_equal(DickeBlockState.from_vec(n, vec).to_vec(), vec)
 
     def test_capability_bounds(self):
+        """The cap is on the block-space dimension C(n+3, 3): 71 emitters
+        (64,824) fit under DIM_MAX, 72 (67,525) do not."""
         with pytest.raises(CapabilityError):
             dicke_basis(0)
-        with pytest.raises(CapabilityError):
-            dicke_basis(BASIS_N_MAX + 1)
+        assert dicke_basis(71).offsets[-1] == math.comb(74, 3) <= DIM_MAX
+        with pytest.raises(CapabilityError, match=r"dimension 67525, outside \[4, DIM_MAX"):
+            dicke_basis(72)
 
     def test_degeneracy_formula(self):
         assert state_degeneracy(6, 3.0) == 1
@@ -125,10 +130,11 @@ class TestBlockGenerator:
     def test_parts_sum_to_generator(self, cavity, decoherence, g35):
         parts = block_parts(5, g35, cavity, decoherence)
         gen = build_block_generator(5, g35, 1e-6, cavity, decoherence, detuning=2.0e7)
+        perm = dicke_basis(5).transpose
         ref = parts.l0 + 2.0e7 * parts.lz + g35 * math.sqrt(1e-6) * parts.ld
-        assert abs(gen.matrix - ref).max() == 0.0
+        assert abs(gen.matrix - real_generator(ref, perm)).max() == 0.0
         off = build_block_generator(5, g35, 0.0, cavity, decoherence).matrix
-        assert abs(off - parts.l0).max() == 0.0
+        assert abs(off - real_generator(parts.l0, perm)).max() == 0.0
 
     def test_block_state_quality_along_trajectory(self, cavity, decoherence, g35):
         gen = build_block_generator(5, g35, 1e-5, cavity, decoherence)
@@ -140,6 +146,83 @@ class TestBlockGenerator:
         res = pulsed_block_emission(20, g35, 1e-6, cavity, decoherence, 20e-6)
         assert res.peak_instant > 0
         assert math.isclose(sum(res.weights.values()), 1.0, abs_tol=1e-8)
+
+
+class TestRealCoordinates:
+    """The block solver propagates r = Re q + Im q with Re L + Im L P
+    (``to_complex``, ``real_generator``)."""
+
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_generator_and_window_are_real(self, dc_hz, decoherence, g35):
+        """Also at delta_c != 0, where the exchange term makes l0 complex."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        gen = build_block_generator(5, g35, 1e-6, cav, decoherence, detuning=2.0e7)
+        assert gen.matrix.dtype == np.float64
+        assert block_parts(5, g35, cav, decoherence).window.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_pulse_matches_complex_propagation(self, n, dc_hz, decoherence, g35):
+        """A strongly driven, detuned pulse against the complex parts
+        propagated on the complex ground vector.  At delta_c = 2pi 1 GHz the
+        exchange term makes l0 complex."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        mu, det, pulse = 1e-3, hz_to_angular(3e6), 20e-6
+        parts = block_parts(n, g35, cav, decoherence)
+        assert (abs(parts.l0.imag).max() > 0) == bool(dc_hz)
+        basis, pops = dicke_basis(n), parts.populations
+        q0 = np.zeros(basis.offsets[-1], dtype=complex)
+        q0[basis.dims[0] ** 2 - 1] = 1.0
+        ref = core.pulse_protocol(parts.l0 + det * parts.lz + g35 * math.sqrt(mu) * parts.ld,
+                                  parts.l0[pops][:, pops], q0, pulse,
+                                  _observable_rows(n, False)["jpjm"], parts.purcell,
+                                  off_sector=pops)
+        res = pulsed_block_emission(n, g35, mu, cav, decoherence, pulse, detuning=det)
+        assert abs(res.peak_instant / ref.peak_instant - 1.0) < 1e-10
+        assert abs(res.peak_counts / ref.peak_counts - 1.0) < 1e-10
+        got = np.concatenate([b.reshape(-1) for b in res.state_end.blocks])
+        assert np.max(np.abs(got - ref.end)) < 1e-10
+        res.state_end.validate()
+
+    def test_rows_on_a_hermitian_state(self, cavity, decoherence, g35):
+        """w . r = x . q for the J- and J+ rows on a random Hermitian block
+        state; the rows of the diagonal operators keep their bits."""
+        n = 6
+        basis, rng = dicke_basis(n), np.random.default_rng(6)
+        blocks = []
+        for d in basis.dims:
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(a + a.conj().T)
+        q = np.concatenate([b.reshape(-1) for b in blocks])
+        state = DickeBlockState.from_vec(n, q.real + q.imag)
+        for got, want in zip(state.blocks, blocks, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        x = _observable_rows(n, False)
+        w = block_observables(build_block_generator(n, g35, 0.0, cavity, decoherence))
+        for name in ("jm", "jp"):
+            assert abs(w[name] @ state.vec - x[name] @ q) <= 1e-13 * (np.abs(x[name]) @ np.abs(q))
+        for name in ("jpjm", "jz", "individual", "trace"):
+            assert w[name].dtype == np.float64 and np.array_equal(w[name], x[name].real)
+
+    def test_peak_against_arbitrary_precision_expm(self, cavity, decoherence, g35):
+        """n = 3 (dimension 20) at 60 MHz over 50 us, where ||L t||_1 is
+        about 5.8e4: the peak lies within 10 ||L t||_1 u of a 40-digit
+        mpmath expm of the complex generator."""
+        import mpmath
+
+        n, mu, det, pulse = 3, 1e-3, hz_to_angular(60e6), 50e-6
+        parts = block_parts(n, g35, cavity, decoherence)
+        lt = (parts.l0 + det * parts.lz + g35 * math.sqrt(mu) * parts.ld).toarray() * pulse
+        norm = np.abs(lt).sum(axis=0).max()
+        assert norm >= 1e4
+        start = dicke_basis(n).dims[0] ** 2 - 1
+        with mpmath.workdps(40):
+            column = mpmath.expm(mpmath.matrix(lt.tolist()))[:, start]
+            jpjm = _observable_rows(n, False)["jpjm"]
+            ref = float(sum(mpmath.mpf(float(x.real)) * c.real for x, c in zip(jpjm, column)))
+        ref *= parts.purcell
+        res = pulsed_block_emission(n, g35, mu, cavity, decoherence, pulse, detuning=det)
+        assert abs(res.peak_instant - ref) <= 10 * norm * np.finfo(float).eps / 2 * ref
 
 
 class TestRateMap:

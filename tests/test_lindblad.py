@@ -12,7 +12,7 @@ from cavens.core import (
     SystemModel,
     mu_from_power,
 )
-from cavens.dicke import DickeBlockState, dicke_basis, pulsed_block_emission, state_degeneracy
+from cavens.dicke import dicke_basis, pulsed_block_emission, state_degeneracy
 from cavens.lindblad import (
     DIM_MAX,
     CapabilityError,
@@ -364,6 +364,14 @@ class TestGroupSpace:
         with pytest.raises(CapabilityError, match=f"dimension {4**9}, above DIM_MAX = {DIM_MAX}"):
             pulsed_emission(model, 1e-6, 10e-6, [10e-6])
 
+    def test_cap_is_the_group_dimension(self, cavity, decoherence, g35):
+        """65 identical ions (C(68, 3) = 50,116 rows) make a group space under
+        DIM_MAX; 72 (67,525 rows) are refused with their dimension named."""
+        space = GroupSpace(np.zeros(65), np.full(65, g35))
+        assert space.dim == math.comb(68, 3) <= DIM_MAX
+        model = SystemModel(cavity, decoherence, EmitterEnsemble.identical(72, g35))
+        with pytest.raises(CapabilityError, match="dimension 67525"):
+            pulsed_emission(model, 1e-6, 10e-6, [10e-6])
 
 
 class TestPastFullSpace:
@@ -417,9 +425,9 @@ class TestDickeProjection:
         n = 4
         space = GroupSpace(np.array([0.0] * n + [_D1]), np.full(n + 1, _G))
 
-        def mixed(sites):
-            return DickeBlockState(sites, [np.eye(d) / 2**sites
-                                           for d in dicke_basis(sites).dims]).to_vec()
+        def mixed(sites):  # real blocks: the real coordinates are their entries
+            return np.concatenate([np.eye(d).reshape(-1) / 2**sites
+                                   for d in dicke_basis(sites).dims])
 
         state = space.reduced(np.kron(mixed(n), mixed(1)))[0]
         per_j = {}
