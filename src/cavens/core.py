@@ -32,6 +32,12 @@ def _check_finite(**fields: Optional[float]) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+def check_drive(value: float, name: str = "mu") -> None:
+    """Raise :class:`ParameterError` unless the drive (mu or power) is finite and >= 0."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ParameterError(f"{name} must be finite and >= 0, got {value}")
+
+
 class CapabilityError(ValueError):
     """Requested system size exceeds a solver's capability limit."""
 
@@ -280,14 +286,14 @@ def mu_from_power(power_in: float, cavity: CavityParams) -> float:
     mu = kappa_c P_in / (((kappa/2)^2 + delta_c^2) hbar omega), at the
     configured ``cavity.delta_c``.
     """
-    if power_in < 0:
-        raise ParameterError("power_in must be >= 0")
+    check_drive(power_in, "power_in")
     return cavity.kappa_c * power_in / (
         ((0.5 * cavity.kappa) ** 2 + cavity.delta_c**2) * HBAR * cavity.omega)
 
 
 def power_from_mu(mu: float, cavity: CavityParams) -> float:
     """Inverse of :func:`mu_from_power`, at the configured ``cavity.delta_c``."""
+    check_drive(mu)
     return mu * ((0.5 * cavity.kappa) ** 2 + cavity.delta_c**2) * HBAR * cavity.omega / cavity.kappa_c
 
 
@@ -348,7 +354,8 @@ class AssumptionReport:
 def validate_assumptions(model: SystemModel, mu: float, ratio: float = 10.0,
                          fsr: Optional[float] = None) -> AssumptionReport:
     """Check the analytic-regime conditions at the bare-cavity photon number
-    ``mu``; warn-level reporting, raises only for a negative ``mu``.
+    ``mu``; warn-level reporting, raises only for a negative or non-finite
+    ``mu`` (:func:`check_drive`).
 
     Evaluated with ">>" interpreted as "larger by at least ``ratio``":
 
@@ -360,8 +367,7 @@ def validate_assumptions(model: SystemModel, mu: float, ratio: float = 10.0,
 
     The rms coupling stands in for g under inhomogeneous coupling.
     """
-    if mu < 0:
-        raise ParameterError("mu must be >= 0")
+    check_drive(mu)
     cav, dec, ens = model.cavity, model.decoherence, model.ensemble
     gamma = dec.gamma
     _, g2 = ens.g_moments()
@@ -489,7 +495,7 @@ def _krylov_step(a, vec: np.ndarray) -> np.ndarray:
 def _observe_times(times: Sequence[float]) -> np.ndarray:
     """``times`` as an array, if they are finite and non-decreasing from 0."""
     t = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(np.diff(t, prepend=0.0) < 0):
+    if t.size and not (t[0] >= 0 and math.isfinite(t[-1]) and (t[1:] >= t[:-1]).all()):
         raise ParameterError(f"times must be finite and non-decreasing from 0, got {t.tolist()}")
     return t
 
@@ -542,32 +548,47 @@ def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
     jpjm_row . vec; ``peak_counts`` integrates it over the 9-point
     PEAK_WINDOW after switch-off (NaN without ``compute_counts``).
 
-    ``gen_off`` acts on the entries ``off_sector`` of the state (the whole
-    space by default): a sector that the drive-off generator leaves
-    invariant and outside which ``jpjm_row`` vanishes.  States observed
-    after switch-off hold those entries only."""
-    if pulse_length <= 0:
-        raise ParameterError("pulse_length must be positive")
+    The window runs on ``gen_off`` restricted to the entries ``off_sector``
+    (the whole space by default), a sector that the drive-off generator
+    leaves invariant and outside which ``jpjm_row`` vanishes; the
+    restriction is reused while the same two objects come back, so neither
+    may change in place.  States observed after switch-off stay whole."""
+    if not (pulse_length > 0 and math.isfinite(pulse_length)):
+        raise ParameterError(f"pulse_length must be finite and positive, got {pulse_length}")
     times = _observe_times(observe_times)
     during = times <= pulse_length
     on = propagate(gen_on, vec0, np.append(times[during], pulse_length))
     end = on[-1]
     after = times[~during] - pulse_length
-    observed = on[:-1] + (propagate(gen_off, end[off_sector], after) if len(after) else [])
+    observed = on[:-1] + (propagate(gen_off, end, after) if len(after) else [])
     peak_instant = purcell * float(np.real(jpjm_row @ end))
     peak_counts = math.nan
     if compute_counts:
         window = np.linspace(0.0, PEAK_WINDOW, 9)
         row = jpjm_row[off_sector]
-        vals = [peak_instant] + [purcell * float(np.real(row @ v))
-                                 for v in propagate(gen_off, end[off_sector], window[1:])]
+        vals = [peak_instant] + [purcell * float(np.real(row @ v)) for v in
+                                 propagate(_on_sector(gen_off, off_sector), end[off_sector], window[1:])]
         peak_counts = float(np.trapezoid(vals, window))
     return PulseRun(observed=observed, end=end, peak_instant=peak_instant,
                     peak_counts=peak_counts)
 
 
+_window: tuple = (None, None, None)
+
+
+def _on_sector(gen_off, sector):
+    """``gen_off`` restricted to ``sector``, kept for the next call with the
+    same objects (:func:`cavens.dicke.group_pulse` passes its cached ones)."""
+    global _window
+    last = _window
+    if last[0] is not gen_off or last[1] is not sector:
+        last = _window = (gen_off, sector, gen_off[sector][:, sector])
+    return last[2]
+
+
 __all__ = [
     "ParameterError",
+    "check_drive",
     "CapabilityError",
     "CavityParams",
     "DecoherenceParams",

@@ -1,46 +1,36 @@
-"""Polynomial-size dynamics of identical emitters in the coupled |J, M> basis.
+"""Polynomial-size dynamics of emitters in the coupled |J, M> basis, and the
+one generator assembly and pulse driver of every emission experiment.
 
-The density matrix of N identical emitters evolving under collective and
-local (single-emitter) channels stays block-diagonal over total spin J.
-Blocks are stored per multiplicity copy (the d_N(J) copies of a J block are
-identical by symmetry); observables weight each block by its degeneracy.
+The density matrix of n identical emitters under collective and local
+channels stays block-diagonal over total spin J.  Blocks are stored per
+multiplicity copy (the d_n(J) copies of a J block are identical by
+symmetry); observables weight each block by its degeneracy.  Local emission
+and dephasing couple J to J' in {J-1, J, J+1} with (n, J, M) coefficients,
+checked against the full-space solver in the test suite.
 
-Collective channels (drive, exchange, collective decay) act within a block
-with the standard spin-J matrix elements.  Local emission and dephasing
-couple J to J' in {J-1, J, J+1} with coefficient functions of (N, J, M)
-that factorize into per-side amplitudes; the complete coefficient table is
-hard-verified against the full-space solver for N = 2..6 in the test suite
-(the load-bearing oracle-equivalence check).
-
-States live in real coordinates: a Hermitian block vector q is held as
-r = Re q + Im q (:func:`to_complex` maps back), and a complex generator L
-acts on r as Re L + Im L P (:func:`real_generator`), P transposing each block.
-
-The generator is affine in the emitter-minus-laser detuning and in the drive
-amplitude g sqrt(mu), so :func:`block_parts` assembles three complex sparse
-parts once per (n, g, cavity, decoherence) and caches them;
-:func:`build_block_generator` sums them in real coordinates.  The observable
-rows depend on n alone and are cached per n.  ``cavity.delta_c`` is taken
-as configured.  With the drive off, every term keeps m - m' fixed, so the
-populations (m = m') form an invariant sector on which <J+J-> lives: the
-detection window after a pulse runs on the population rate matrix of
-dimension sum_J (2J+1), which depends on neither detuning.  At delta_c = 0
-the emission is even in the detuning, which lets
-:func:`cavens.ensemble.incoherent_scurve` solve mirror bins once.
-
-:func:`pulsed_block_emission` is the one pulse driver of the block
-experiments: the S-curve runners call it once per power (and bin), and
-``dicke-populations`` and ``beat-note`` start from its pulse-end state.
-The emitter-group space of :mod:`cavens.lindblad` is the product of these
-block spaces, one per group, built from :func:`block_parts` and, for the
-collective terms between groups, :func:`block_ladder`.
+An ensemble is a :class:`GroupSpace`: emitters with equal (detuning, g)
+form a group, and the space is the product of the groups' block spaces
+(Xu, Tieri & Holland, PRA 87, 062101 (2013)); n identical emitters are its
+one-group case.  States live in real coordinates: a Hermitian vector q is
+held as r = Re q + Im q (:func:`to_complex` maps back), and a complex
+generator L acts on r as Re L + Im L P (:func:`real_generator`), P
+transposing each block.  :func:`group_generator` sums each group's cached
+:func:`block_parts` and the cross-group terms, and maps the sum once.  With
+the drive off, the total m - m' is conserved and <J+J-> reads only its zero
+sector (for one group, the populations), where :func:`group_pulse`, the one
+pulse driver, runs the detection window.  At delta_c = 0 the emission is
+even in the detuning, so :func:`cavens.ensemble.incoherent_scurve` solves
+mirror bins once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +41,8 @@ from .core import (
     CavityParams,
     DecoherenceParams,
     ParameterError,
+    PulseRun,
+    check_drive,
     propagate,
     pulse_protocol,
 )
@@ -70,16 +62,16 @@ class DickeBasis:
 
     The block vector concatenates the per-copy blocks, each stored
     row-major, from J = n/2 downward: block k has ``dims[k]`` = 2J+1 rows
-    and occupies ``offsets[k]:offsets[k + 1]``; ``populations`` indexes its
-    m = m' entries; ``transpose`` is the permutation P that transposes
-    every block."""
+    and occupies ``offsets[k]:offsets[k + 1]``; ``order`` holds m - m' of
+    every entry (0 on the populations); ``transpose`` is the permutation P
+    that transposes every block."""
 
     n: int
     j_values: tuple[float, ...]
     degeneracies: tuple[int, ...]
     dims: tuple[int, ...]
     offsets: np.ndarray
-    populations: np.ndarray
+    order: np.ndarray
     transpose: np.ndarray
 
 
@@ -104,12 +96,12 @@ def dicke_basis(n: int) -> DickeBasis:
     dims = tuple(int(round(2 * j)) + 1 for j in js)
     assert sum(d * b for d, b in zip(degs, dims)) == 2**n
     offsets = np.cumsum([0] + [b * b for b in dims])
-    pops = np.concatenate([off + np.arange(b) * (b + 1) for off, b in zip(offsets[:-1], dims)])
+    order = np.concatenate([(np.arange(b) - np.arange(b)[:, None]).reshape(-1) for b in dims])
     perm = np.concatenate([lo + np.arange(b * b).reshape(b, b).T.reshape(-1)
                            for lo, b in zip(offsets[:-1], dims)])
-    offsets.flags.writeable = pops.flags.writeable = perm.flags.writeable = False
+    offsets.flags.writeable = order.flags.writeable = perm.flags.writeable = False
     return DickeBasis(n=n, j_values=js, degeneracies=degs, dims=dims, offsets=offsets,
-                      populations=pops, transpose=perm)
+                      order=order, transpose=perm)
 
 
 def to_complex(x: np.ndarray, transpose: np.ndarray) -> np.ndarray:
@@ -118,9 +110,12 @@ def to_complex(x: np.ndarray, transpose: np.ndarray) -> np.ndarray:
     return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[transpose])
 
 
-def real_generator(m: sp.spmatrix, transpose: np.ndarray) -> sp.csr_matrix:
-    """A complex generator L as it acts on the real coordinates: Re L + Im L P."""
-    return (m.real + m.imag[:, transpose]).tocsr()
+def real_generator(m: sp.csr_matrix, transpose: np.ndarray) -> sp.csr_matrix:
+    """A complex generator L as it acts on the real coordinates: Re L + Im L P.
+    P is an involution, so Im L P is Im L with column c renamed P[c]: the
+    arrays of ``m.imag[:, transpose]``, without its index search."""
+    im_p = sp.csr_matrix((m.data.imag, transpose[m.indices], m.indptr), shape=m.shape)
+    return (m.real + im_p).tocsr()
 
 
 @lru_cache(maxsize=None)
@@ -208,21 +203,12 @@ class BlockParts:
     decoherence): L = l0 + detuning * lz + g sqrt(mu) * ld on q (complex).
 
     ``l0`` holds the dissipators and the exchange term, ``lz`` the J_z
-    commutator and ``ld`` the commutator with -(J+ + J-) at unit drive.
-    ``window`` is ``l0`` in real coordinates restricted to the
-    ``populations`` (the m = m' entries of every block): with the drive
-    off, no entry couples populations and coherences and the population
-    block depends on neither detuning, so the detection window runs on
-    this rate matrix.  ``observables`` holds the :func:`block_observables`
-    rows."""
+    commutator and ``ld`` the commutator with -(J+ + J-) at unit drive."""
 
     l0: sp.csr_matrix
     lz: sp.csr_matrix
     ld: sp.csr_matrix
     purcell: float
-    populations: np.ndarray
-    window: sp.csr_matrix
-    observables: dict
 
 
 @lru_cache(maxsize=128)
@@ -325,31 +311,18 @@ def block_parts(n: int, g: float, cavity: CavityParams,
         return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(dim, dim)).tocsr()
 
-    mat0 = to_csr(l0)
-    pops = basis.populations
-    return BlockParts(l0=mat0, lz=to_csr(lz), ld=to_csr(ld), purcell=4.0 * g**2 / cavity.kappa,
-                      populations=pops, window=real_generator(mat0, basis.transpose)[pops][:, pops],
-                      observables=_observable_rows(n))
+    return BlockParts(l0=to_csr(l0), lz=to_csr(lz), ld=to_csr(ld),
+                      purcell=4.0 * g**2 / cavity.kappa)
 
 
 def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
                           dec: DecoherenceParams, detuning: float = 0.0) -> BlockLiouvillian:
     """Generator for n identical emitters (coupling g) at ``detuning``
-    (emitter minus laser) on the real coordinates, summed from the cached
-    :func:`block_parts`: l0 + detuning * lz + g sqrt(mu) * ld, then
-    :func:`real_generator`.  ``cavity.delta_c`` is taken as configured.
-    Above ``DIM_MAX``, :func:`dicke_basis` raises :class:`CapabilityError`."""
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise ParameterError(f"mu must be finite and >= 0, got {mu}")
-    if not math.isfinite(detuning):
-        raise ParameterError(f"detuning must be finite, got {detuning}")
-    parts = block_parts(n, g, cavity, dec)
-    mat = parts.l0
-    if detuning:
-        mat = mat + detuning * parts.lz
-    if mu:
-        mat = mat + (g * math.sqrt(mu)) * parts.ld
-    return BlockLiouvillian(n, real_generator(mat, dicke_basis(n).transpose), parts.purcell)
+    (emitter minus laser) on the real coordinates: :func:`group_generator`
+    of their one group.  ``cavity.delta_c`` is taken as configured.  Above
+    ``DIM_MAX``, :func:`dicke_basis` raises :class:`CapabilityError`."""
+    space = GroupSpace(np.full(n, detuning), np.full(n, g))
+    return BlockLiouvillian(n, group_generator(space, mu, cavity, dec), 4.0 * g**2 / cavity.kappa)
 
 
 # The generator cache is the parts cache: its misses count the assemblies.
@@ -365,11 +338,10 @@ def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
 
 
 @lru_cache(maxsize=None)
-def _observable_rows(n: int, real: bool = True) -> dict:
+def _observable_rows(n: int) -> dict:
     """Weight vectors x with <O> = x . q, x_J = d_J vec(O_J^T), for
     O = J+J-, Jz, J-, J+, the individual excitation n/2 + Jz and the
-    identity (``trace``); with ``real``, the rows w with w . r = x . q, real
-    but for J- and J+ (cached: callers must not mutate them)."""
+    identity (``trace``) (cached: callers must not mutate them)."""
     basis = dicke_basis(n)
     rows = {name: np.zeros(int(basis.offsets[-1]), dtype=complex)
             for name in ("jpjm", "jz", "jm", "jp", "individual", "trace")}
@@ -380,16 +352,13 @@ def _observable_rows(n: int, real: bool = True) -> dict:
                "jp": blk["jp"], "individual": n / 2.0 * eye + blk["jz"], "trace": eye}
         for name, op in ops.items():
             rows[name][basis.offsets[k]:basis.offsets[k + 1]] = deg * op.T.reshape(-1)
-    if not real:
-        return rows
-    return {name: to_complex(x, basis.transpose) if name in ("jm", "jp") else x.real.copy()
-            for name, x in rows.items()}
+    return rows
 
 
 def block_observables(gen: BlockLiouvillian) -> dict:
     """Observable rows w with <O> = w . r on the real coordinates r of
-    :class:`DickeBlockState` (see :func:`_observable_rows`)."""
-    return _observable_rows(gen.n)
+    :class:`DickeBlockState`: the rows of its one group (:attr:`GroupSpace.rows`)."""
+    return _group_rows((gen.n,))
 
 
 @lru_cache(maxsize=None)
@@ -411,8 +380,161 @@ def block_ladder(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Pulsed protocol
+# Permutation-symmetric group space
 # ---------------------------------------------------------------------------
+
+
+class GroupSpace:
+    """Kronecker product of the block spaces (:func:`dicke_basis`) of the
+    emitter groups, in the order of their first appearance.  ``transpose``
+    is the product of the groups' P; a group of n sites has dimension
+    C(n+3, 3), so N distinct emitters give 4^N.  A space above ``DIM_MAX``
+    raises :class:`CapabilityError`.  Spaces with equal groups compare
+    equal."""
+
+    def __init__(self, deltas: np.ndarray, gs: np.ndarray):
+        if not np.isfinite(deltas).all():
+            raise ParameterError("detunings must be finite")
+        sites: dict = {}
+        for k, key in enumerate(zip(np.asarray(deltas, float).tolist(),
+                                    np.asarray(gs, float).tolist())):
+            sites.setdefault(key, []).append(k)
+        self.n = len(gs)
+        self.groups = tuple((delta, g, tuple(ks)) for (delta, g), ks in sites.items())
+        self.bases = [dicke_basis(len(ks)) for _, _, ks in self.groups]
+        self.dims = [int(b.offsets[-1]) for b in self.bases]
+        self.dim = math.prod(self.dims)
+        if self.dim > DIM_MAX:  # a parametric line of N ions gives N groups, so keep it short
+            sizes = ", ".join(f"{count} of size {size}" for size, count
+                              in Counter(len(ks) for _, _, ks in self.groups).items())
+            dim = self.dim if self.dim < 10**15 else f"about 10^{math.log10(self.dim):.0f}"
+            raise CapabilityError(f"the group space of {len(self.groups)} groups ({sizes}) has "
+                                  f"dimension {dim}, above DIM_MAX = {DIM_MAX}")
+        self.transpose = _product_index(lambda a, b: a * len(b) + b, [b.transpose for b in self.bases])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroupSpace) and self.groups == other.groups
+
+    def __hash__(self) -> int:
+        return hash(self.groups)
+
+    def embed(self, ops: dict) -> sp.csr_matrix:
+        """The Kronecker product of ``ops[k]`` over the groups k, with the
+        identity for every group not in ``ops``."""
+        return reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                      [ops[k] if k in ops else sp.identity(d) for k, d in enumerate(self.dims)])
+
+    def ground(self) -> np.ndarray:
+        """|g...g><g...g|: the m = -n/2 population of every group's top block."""
+        return reduce(np.kron, [DickeBlockState.all_ground(len(ks)).vec for *_, ks in self.groups])
+
+    def sector(self) -> np.ndarray:
+        """The entries with sum_g (m - m') = 0, the only ones <J+J-> reads."""
+        return np.flatnonzero(_product_index(np.add, [b.order for b in self.bases]) == 0)
+
+    @property
+    def rows(self) -> dict:
+        """The rows w with <O> = w . r for O = J+J-, Jz, J-, J+, sum_j sp_j sm_j
+        (``individual``) and the identity (``trace``) of the whole ensemble,
+        real but for J- and J+ (cached: callers must not mutate them)."""
+        return _group_rows(tuple(len(ks) for *_, ks in self.groups))
+
+    def reduced(self, vec: np.ndarray) -> tuple[DickeBlockState, ...]:
+        """Each group's reduced state, in ``groups`` order: the real
+        coordinates with every other group's axis contracted against that
+        group's (real) ``trace`` observable row."""
+        x = np.asarray(vec).reshape(self.dims)
+        traces = [_group_rows((len(ks),))["trace"] for _, _, ks in self.groups]
+        others = [reduce(np.kron, traces[:k] + traces[k + 1:], np.ones(1)) for k in range(len(traces))]
+        return tuple(DickeBlockState.from_vec(len(ks), np.moveaxis(x, k, 0).reshape(d, -1) @ rest)
+                     for k, ((_, _, ks), d, rest) in enumerate(zip(self.groups, self.dims, others)))
+
+
+def _product_index(combine, arrays: list) -> np.ndarray:
+    """``combine`` of the per-group arrays over the product space."""
+    return reduce(lambda a, b: combine(a[:, None], b).reshape(-1), arrays)
+
+
+@lru_cache(maxsize=16)
+def _group_rows(sizes: tuple[int, ...]) -> dict:
+    obs = [_observable_rows(n) for n in sizes]
+    transpose = _product_index(lambda a, b: a * len(b) + b, [dicke_basis(n).transpose for n in sizes])
+    terms = {name: [{k: o[name]} for k, o in enumerate(obs)]
+             for name in ("jpjm", "jz", "jm", "jp", "individual")}
+    terms["jpjm"] += [{k: obs[k]["jm"], l: obs[l]["jp"]}  # <J+_l J-_k>
+                      for k, l in itertools.permutations(range(len(obs)), 2)]
+    terms["trace"] = [{}]
+    rows = {}
+    for name, products in terms.items():  # a group a product leaves out enters by its trace
+        x = sum(reduce(np.kron, [t.get(k, o["trace"]) for k, o in enumerate(obs)]) for t in products)
+        w = to_complex(x, transpose)
+        # contiguous, so that dot products sum in the same order for every row
+        rows[name] = w if name in ("jm", "jp") else np.ascontiguousarray(w.real)
+    return rows
+
+
+def group_generator(space: GroupSpace, mu: float, cavity: CavityParams,
+                    dec: DecoherenceParams) -> sp.csr_matrix:
+    """The adiabatically eliminated generator on ``space`` at drive mu, on the
+    real coordinates: the drive-off sum (:func:`_off_sum`) plus each group's
+    g sqrt(mu) ld of :func:`block_parts`, taken to the real coordinates once
+    (:func:`real_generator`).  Raises :class:`ParameterError` for a negative
+    or non-finite mu."""
+    check_drive(mu)
+    mat = _off_sum(space, cavity, dec)
+    if mu:
+        mat = mat + reduce(operator.add, [
+            space.embed({k: (g * math.sqrt(mu)) * block_parts(len(ks), g, cavity, dec).ld})
+            for k, (_, g, ks) in enumerate(space.groups)])
+    return real_generator(mat, space.transpose)
+
+
+# One entry each: a power sweep drives one space many times in a row.
+@lru_cache(maxsize=1)
+def _off_sum(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams) -> sp.csr_matrix:
+    """The complex drive-off generator of ``space`` (cached: callers must not
+    mutate it).  Each group's terms are its :func:`block_parts`,
+    l0 + detuning * lz.  With Jg- = sum_k g_k J-_k, the cross-group parts of
+    (kappa / denom) D[Jg-] - i (Delta_c / denom) [Jg+ Jg-, .] are, for each
+    ordered pair k != l, g_k g_l times (kappa / denom) (L(J-_k) R(J+_l)
+    - L(J+_l) L(J-_k) / 2 - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom)
+    (L(J+_l) L(J-_k) - R(J-_k) R(J+_l)), with L(A) q = A q and R(A) q = q A
+    (:func:`block_ladder`)."""
+    terms = []
+    for k, (delta, g, ks) in enumerate(space.groups):
+        parts = block_parts(len(ks), g, cavity, dec)
+        terms.append(space.embed({k: parts.l0 + delta * parts.lz if delta else parts.l0}))
+    denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
+    rate, exch = cavity.kappa / denom, cavity.delta_c / denom
+    for k, l in itertools.permutations(range(len(space.groups)), 2):
+        (_, g_k, ks), (_, g_l, ls) = space.groups[k], space.groups[l]
+        lm, rm = block_ladder(len(ks))["lm"], block_ladder(len(ks))["rm"]
+        lp, rp = block_ladder(len(ls))["lp"], block_ladder(len(ls))["rp"]
+        terms.append(g_k * g_l * (space.embed({k: lm, l: rate * rp - (0.5 * rate + 1j * exch) * lp})
+                                  + space.embed({k: rm, l: (1j * exch - 0.5 * rate) * rp})))
+    return reduce(operator.add, terms)
+
+
+@lru_cache(maxsize=1)
+def _drive_off(space: GroupSpace, cavity: CavityParams,
+               dec: DecoherenceParams) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The drive-off generator of ``space`` and its sector (cached: callers
+    must not mutate them)."""
+    return group_generator(space, 0.0, cavity, dec), space.sector()
+
+
+def group_pulse(space: GroupSpace, mu: float, cavity: CavityParams, dec: DecoherenceParams,
+                pulse_length: float, purcell: float, observe_times: Sequence[float] = (),
+                compute_counts: bool = True) -> PulseRun:
+    """The one pulse driver: :func:`cavens.core.pulse_protocol` from the
+    ground state of ``space``, under :func:`group_generator` at mu, then
+    with the drive off, whose detection window runs on the sector
+    (:meth:`GroupSpace.sector`).  Gamma_c is ``purcell``."""
+    gen_on = group_generator(space, mu, cavity, dec)
+    gen_off, sector = _drive_off(space, cavity, dec)
+    return pulse_protocol(gen_on, gen_off, space.ground(), pulse_length, space.rows["jpjm"],
+                          purcell, observe_times, compute_counts, off_sector=sector)
+
 
 @dataclass(frozen=True)
 class BlockPulseResult:
@@ -429,15 +551,10 @@ def pulsed_block_emission(n: int, g: float, mu: float, cavity: CavityParams,
     """Drive n identical emitters at ``detuning`` (emitter minus laser) from
     the ground state for ``pulse_length``; report Gamma_c <J+J-> at pulse
     end (instant) and its integral over the detection window after
-    switch-off (counts; skipped when ``compute_counts`` is false).  The
-    window runs on the population rate matrix of :class:`BlockParts`.  See
-    :func:`cavens.core.pulse_protocol`."""
-    gen_on = build_block_generator(n, g, mu, cavity, dec, detuning=detuning)
-    parts = block_parts(n, g, cavity, dec)
-    run = pulse_protocol(gen_on.matrix, parts.window,
-                         DickeBlockState.all_ground(n).to_vec(), pulse_length,
-                         parts.observables["jpjm"], gen_on.purcell,
-                         compute_counts=compute_counts, off_sector=parts.populations)
+    switch-off (counts; skipped when ``compute_counts`` is false).  This is
+    :func:`group_pulse` on their one group."""
+    run = group_pulse(GroupSpace(np.full(n, detuning), np.full(n, g)), mu, cavity, dec,
+                      pulse_length, 4.0 * g**2 / cavity.kappa, compute_counts=compute_counts)
     q_end = DickeBlockState.from_vec(n, run.end)
     return BlockPulseResult(peak_instant=run.peak_instant, peak_counts=run.peak_counts,
                             weights=q_end.subspace_weights(), state_end=q_end)
@@ -541,6 +658,9 @@ __all__ = [
     "block_evolve",
     "block_observables",
     "block_ladder",
+    "GroupSpace",
+    "group_generator",
+    "group_pulse",
     "BlockPulseResult",
     "pulsed_block_emission",
     "RateEntry",

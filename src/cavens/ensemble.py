@@ -68,8 +68,9 @@ def bin_lorentzian(total_n: int, delta_inh: float, n_bins: int, bin_width: float
         raise ParameterError("n_bins must be odd so a bin sits on resonance")
     if n_bins > total_n:
         raise ParameterError(f"cannot allocate {total_n} ions over {n_bins} bins")
-    if bin_width <= 0 or delta_inh <= 0:
-        raise ParameterError("bin_width and delta_inh must be positive")
+    if not (0 < bin_width < math.inf and 0 < delta_inh < math.inf):
+        raise ParameterError(f"bin_width and delta_inh must be finite and positive, "
+                             f"got {bin_width} and {delta_inh}")
     half = n_bins // 2
     offsets = (np.arange(n_bins) - half) * bin_width
     edges_lo = offsets - 0.5 * bin_width
@@ -132,7 +133,8 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
     if peak_mode not in ("counts", "instant"):
         raise ParameterError("peak_mode must be 'counts' or 'instant'")
     powers = np.asarray(power_grid, dtype=float)
-    mus = np.array([mu_from_power(p, model.cavity) for p in powers])
+    # a non-finite power fails at every bin, as the solve of a NaN mu
+    mus = np.array([mu_from_power(p, model.cavity) if math.isfinite(p) else math.nan for p in powers])
     entries = [e for e in subensembles.entries]
     per = np.zeros((len(powers), len(entries)))
     failures: list[tuple[int, int, str]] = []

@@ -5,21 +5,12 @@ elimination.
 
     drho/dt = -i[H_at, rho] + L_col + L_em + L_deph
 
-on the full 2^N space.  :func:`pulsed_emission` propagates the same
-generator on the permutation-symmetric space of the ensemble instead
-(:class:`GroupSpace`, :func:`group_parts`): emitters with the same
-(laser-frame detuning, g) form a group, and the space is the product of the
-groups' Dicke block spaces (:mod:`cavens.dicke`), in their real
-coordinates: C(n+3, 3) for a group of n sites rather than 4^n.  Both are
-capped by operator-space dimension, ``DIM_MAX`` = 4^8: the 2^N generator
-at N = 8, the group space at 8 distinct emitters or one group of 71.  The
-pulse-end state stays in the group space, as each group's reduced |J, M>
-block state.  The 2^N generator, :func:`evolve_expm` and the ODE
-oracle :func:`evolve` (DOP853 on the matrix-free generator) are the
-references the tests compare it with.  Propagation and the pulse protocol
-are the ones the block solver uses (:func:`cavens.core.propagate`,
-:func:`cavens.core.pulse_protocol`).  :func:`evolve` imports
-``scipy.integrate`` when called, so no production run loads it.
+on the full 2^N space, up to N = 8 (``DIM_MAX`` = 4^8).  It, :func:`evolve_expm`
+and the ODE oracle :func:`evolve` (DOP853; it imports ``scipy.integrate``
+when called) are the references the tests and the benchmark checks use.
+:func:`pulsed_emission` runs the same generator on the ensemble's
+permutation-symmetric group space instead, through the one pulse driver
+:func:`cavens.dicke.group_pulse`, and keeps the pulse-end state there.
 
 Conventions pinned by tests:
 
@@ -31,11 +22,9 @@ Conventions pinned by tests:
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,11 +37,10 @@ from .core import (
     EmitterEnsemble,
     ParameterError,
     SystemModel,
+    check_drive,
     propagate,
-    pulse_protocol,
 )
-from .dicke import (DIM_MAX, DickeBlockState, _observable_rows, block_ladder, block_parts,
-                    dicke_basis, real_generator, to_complex)
+from .dicke import DIM_MAX, DickeBlockState, GroupSpace, group_pulse
 
 #: Scale applied to the written dephasing form gamma_d (sz rho sz - rho);
 #: 1/2 makes the single-emitter coherence decay at gamma_s/2 + gamma_d.
@@ -217,11 +205,6 @@ def _laser_frame(ens: EmitterEnsemble, cavity: CavityParams,
     return expl.detunings() + expl.center - laser_detuning, gs, purcell
 
 
-def _check_mu(mu: float) -> None:
-    if not (mu >= 0 and math.isfinite(mu)):
-        raise ParameterError(f"mu must be finite and >= 0, got {mu}")
-
-
 def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
                     dec: DecoherenceParams, laser_detuning: float = 0.0) -> Liouvillian:
     """Adiabatically eliminated generator for an explicit ensemble.
@@ -235,7 +218,7 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     configured.
     """
     deltas, gs, purcell = _laser_frame(ens, cavity, laser_detuning)
-    _check_mu(mu)
+    check_drive(mu)
     n = len(gs)
     if 4**n > DIM_MAX:
         raise CapabilityError(f"the 2^N generator of {n} emitters has dimension 4^{n} = {4**n}, "
@@ -260,119 +243,6 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
         if dec.gamma_d > 0:
             collapse.append((DEPHASING_LINDBLAD_SCALE * dec.gamma_d, site_operator(n, k, "sz")))
     return Liouvillian(n, h, collapse, purcell)
-
-
-# ---------------------------------------------------------------------------
-# Permutation-symmetric group space
-# ---------------------------------------------------------------------------
-
-
-class GroupSpace:
-    """Kronecker product of the Dicke block spaces (:func:`dicke_basis`) of
-    the emitter groups: the permutation-symmetric operator space of Xu,
-    Tieri & Holland, PRA 87, 062101 (2013), in its J-block form.
-
-    Emitters with the same (laser-frame detuning, g) form one group, in the
-    order of their first appearance.  States are held in the real
-    coordinates of :mod:`cavens.dicke`, with ``transpose`` the product of
-    the groups' ``DickeBasis.transpose``.  A group of n sites has dimension
-    C(n+3, 3); N distinct emitters give 4^N.  A space above ``DIM_MAX``
-    raises :class:`CapabilityError`.
-    """
-
-    def __init__(self, deltas: np.ndarray, gs: np.ndarray):
-        sites: dict = {}
-        for k, key in enumerate(zip(np.asarray(deltas, float).tolist(),
-                                    np.asarray(gs, float).tolist())):
-            sites.setdefault(key, []).append(k)
-        self.n = len(gs)
-        self.groups = [(delta, g, tuple(ks)) for (delta, g), ks in sites.items()]
-        bases = [dicke_basis(len(ks)) for _, _, ks in self.groups]
-        self.dims = [int(b.offsets[-1]) for b in bases]
-        self.dim = math.prod(self.dims)
-        if self.dim > DIM_MAX:  # a parametric line of N ions gives N groups, so keep it short
-            sizes = ", ".join(f"{count} of size {size}" for size, count
-                              in Counter(len(ks) for _, _, ks in self.groups).items())
-            dim = self.dim if self.dim < 10**15 else f"about 10^{math.log10(self.dim):.0f}"
-            raise CapabilityError(f"the group space of {len(self.groups)} groups ({sizes}) has "
-                                  f"dimension {dim}, above DIM_MAX = {DIM_MAX}")
-        self.transpose = reduce(lambda a, b: (a[:, None] * len(b) + b).reshape(-1),
-                                [b.transpose for b in bases])
-
-    def embed(self, ops: dict) -> sp.csr_matrix:
-        """The Kronecker product of ``ops[k]`` over the groups k, with the
-        identity for every group not in ``ops``."""
-        return reduce(lambda a, b: sp.kron(a, b, format="csr"),
-                      [ops.get(k, sp.identity(d)) for k, d in enumerate(self.dims)])
-
-    def ground(self) -> np.ndarray:
-        """|g...g><g...g|: the m = -n/2 population of every group's top block."""
-        return reduce(np.kron, [DickeBlockState.all_ground(len(ks)).vec for *_, ks in self.groups])
-
-    def reduced(self, vec: np.ndarray) -> tuple[DickeBlockState, ...]:
-        """Each group's reduced state, in ``groups`` order: the real
-        coordinates with every other group's axis contracted against that
-        group's (real) ``trace`` observable row."""
-        x = np.asarray(vec).reshape(self.dims)
-        traces = [_observable_rows(len(ks))["trace"] for _, _, ks in self.groups]
-        others = [reduce(np.kron, traces[:k] + traces[k + 1:], np.ones(1)) for k in range(len(traces))]
-        return tuple(DickeBlockState.from_vec(len(ks), np.moveaxis(x, k, 0).reshape(d, -1) @ rest)
-                     for k, ((_, _, ks), d, rest) in enumerate(zip(self.groups, self.dims, others)))
-
-
-@dataclass(frozen=True)
-class GroupParts:
-    """:func:`build_generator` on a :class:`GroupSpace` as two real
-    matrices, the generator at drive mu being ``base + sqrt(mu) * drive``,
-    and the rows w of <J->, <J+J-> and sum_j <sp_j sm_j> = w . r."""
-
-    base: sp.csr_matrix
-    drive: sp.csr_matrix
-    jm: np.ndarray
-    jpjm: np.ndarray
-    individual: np.ndarray
-
-
-def group_parts(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams) -> GroupParts:
-    """Each group's terms are its :func:`block_parts` (l0 + detuning * lz,
-    g * ld).  With Jg- = sum_k g_k J-_k, the cross-group parts of
-    (kappa / denom) D[Jg-] - i (Delta_c / denom) [Jg+ Jg-, .] are, for each
-    ordered pair k != l, g_k g_l times (kappa / denom) (L(J-_k) R(J+_l)
-    - L(J+_l) L(J-_k) / 2 - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom)
-    (L(J+_l) L(J-_k) - R(J-_k) R(J+_l)), with L(A) q = A q and
-    R(A) q = q A (:func:`block_ladder`).  The complex generator L acts on
-    the real coordinates as Re L + Im L P (:func:`real_generator`)."""
-    denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
-    rate, exch = cavity.kappa / denom, cavity.delta_c / denom
-    parts = [block_parts(len(ks), g, cavity, dec) for _, g, ks in space.groups]
-    obs = [_observable_rows(len(ks), False) for _, _, ks in space.groups]
-    gs = [g for _, g, _ in space.groups]
-    pairs = list(itertools.permutations(range(len(gs)), 2))
-    ladders = [block_ladder(len(ks)) for _, _, ks in space.groups] if pairs else []
-
-    real = partial(real_generator, transpose=space.transpose)
-    base = sum(real(space.embed({k: bp.l0 + delta * bp.lz}))
-               for k, ((delta, _, _), bp) in enumerate(zip(space.groups, parts)))
-    for k, l in pairs:
-        lm, rm, lp, rp = ladders[k]["lm"], ladders[k]["rm"], ladders[l]["lp"], ladders[l]["rp"]
-        base = base + real(gs[k] * gs[l] * (
-            space.embed({k: lm, l: rate * rp - (0.5 * rate + 1j * exch) * lp})
-            + space.embed({k: rm, l: (1j * exch - 0.5 * rate) * rp})))
-    drive = sum(real(g * space.embed({k: bp.ld})) for k, (g, bp) in enumerate(zip(gs, parts)))
-    base.eliminate_zeros()
-    drive.eliminate_zeros()
-
-    def row(terms: list) -> np.ndarray:
-        """The real-coordinate row of the sum over ``terms`` of the
-        products of their per-group rows (the trace for groups left out)."""
-        return to_complex(sum(reduce(np.kron, [t.get(k, o["trace"]) for k, o in enumerate(obs)])
-                              for t in terms), space.transpose)
-
-    each = {name: [{k: o[name]} for k, o in enumerate(obs)] for name in ("jm", "jpjm", "individual")}
-    cross = [{k: obs[k]["jm"], l: obs[l]["jp"]} for k, l in pairs]  # <J+_l J-_k>
-    return GroupParts(base=base, drive=drive, jm=row(each["jm"]),
-                      jpjm=row(each["jpjm"] + cross).real,
-                      individual=row(each["individual"]).real)
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +293,27 @@ class PulsedEmission:
 def pulsed_emission(model: SystemModel, mu: float, pulse_length: float,
                     observe_times: Sequence[float], *, use_expm: bool = True,
                     laser_detuning: float = 0.0) -> PulsedEmission:
-    """Drive on for ``pulse_length`` from all-ground, then drive off, by
-    matrix exponentials (:func:`cavens.core.pulse_protocol`) on the
-    :class:`GroupSpace` of the ensemble, with :func:`group_parts`.
-
+    """Drive on for ``pulse_length`` from all-ground, then drive off, on the
+    ensemble's :class:`~cavens.dicke.GroupSpace` (:func:`cavens.dicke.group_pulse`).
     ``peak_instant`` is Gamma_c <J+J-> right at pulse end; ``peak_counts``
     integrates it over the 128 ns detection window after the pulse.
-    ``final_state`` holds each group's reduced pulse-end state
-    (:meth:`GroupSpace.reduced`).
+    ``final_state`` holds each group's reduced pulse-end state.
     ``laser_detuning`` is subtracted from every emitter's detuning (see
     :func:`build_generator`).  ``use_expm=False`` raises ParameterError: ODE
-    stepping survives only as the test oracle :func:`evolve`.
-    """
+    stepping survives only as the test oracle :func:`evolve`."""
     if not use_expm:
         raise ParameterError("pulsed_emission propagates by matrix exponentials only; "
                              "lindblad.evolve is the ODE oracle")
     times = np.asarray(observe_times, dtype=float)
     deltas, gs, purcell = _laser_frame(model.ensemble, model.cavity, laser_detuning)
-    _check_mu(mu)
     space = GroupSpace(deltas, gs)
-    parts = group_parts(space, model.cavity, model.decoherence)
-    gen_on = parts.base + math.sqrt(mu) * parts.drive
-    run = pulse_protocol(gen_on, parts.base, space.ground(), pulse_length, parts.jpjm,
-                         purcell, times)
+    run = group_pulse(space, mu, model.cavity, model.decoherence, pulse_length, purcell, times)
+    rows = space.rows
     obs = np.array(run.observed).reshape(len(times), space.dim)
-    pop = obs @ parts.jpjm
-    emission = EmissionTrace(times=times, jpjm=pop, individual=obs @ parts.individual,
-                             correlation=obs @ (parts.jpjm - parts.individual),
-                             coherent_amp=obs @ parts.jm, cavity_pop=purcell * pop)
+    pop = obs @ rows["jpjm"]
+    emission = EmissionTrace(times=times, jpjm=pop, individual=obs @ rows["individual"],
+                             correlation=obs @ (rows["jpjm"] - rows["individual"]),
+                             coherent_amp=obs @ rows["jm"], cavity_pop=purcell * pop)
     return PulsedEmission(trace=emission, peak_instant=run.peak_instant,
                           peak_counts=run.peak_counts, pulse_length=pulse_length,
                           final_state=space.reduced(run.end))
@@ -467,9 +330,6 @@ __all__ = [
     "collective_operators",
     "Liouvillian",
     "build_generator",
-    "GroupSpace",
-    "GroupParts",
-    "group_parts",
     "evolve",
     "evolve_expm",
     "PulsedEmission",

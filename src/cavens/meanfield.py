@@ -31,6 +31,7 @@ from .core import (
     EmitterEnsemble,
     ParameterError,
     SystemModel,
+    check_drive,
     ensemble_cooperativity,
     validate_assumptions,
 )
@@ -138,7 +139,7 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
     """Closed-form saturation steady state of one emitter after adiabatic
     elimination of the cavity, plus the reflection including the bare-cavity
     interference term."""
-    _check_finite_drive(mu)
+    check_drive(mu)
     kappa = cavity.kappa
     gamma_eff = dec.gamma + 2.0 * g**2 / kappa
     gamma_s_eff = dec.gamma_s + 4.0 * g**2 / kappa
@@ -382,11 +383,6 @@ def _solve(resp: _Response, mu: float) -> tuple[np.ndarray, np.ndarray]:
     return x, np.zeros(len(x), dtype=bool)
 
 
-def _check_finite_drive(mu: float) -> None:
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ParameterError(f"mu must be finite and >= 0 (got {mu!r})")
-
-
 def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
                            cavity: CavityParams, dec: DecoherenceParams, *,
                            delta_c: Optional[float] = None) -> complex:
@@ -397,7 +393,7 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
     :class:`SelfConsistencyError` (with the residual) where Newton misses
     the tolerance.
     """
-    _check_finite_drive(mu)
+    check_drive(mu)
     dc = cavity.delta_c if delta_c is None else delta_c
     if not (math.isfinite(omega_l) and math.isfinite(dc)):
         raise ParameterError(f"omega_l and delta_c must be finite (got {omega_l!r}, {dc!r})")
@@ -442,7 +438,7 @@ def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
     (:func:`_spectrum_response`).  Non-finite mu or grid values raise
     :class:`ParameterError`.
     """
-    _check_finite_drive(mu)
+    check_drive(mu)
     freqs = np.asarray(grid, dtype=float)
     if not np.isfinite(freqs).all():
         raise ParameterError("grid frequencies must be finite")
@@ -489,7 +485,7 @@ class CitAnalytics:
 def cit_power_factor(model: SystemModel, mu: float) -> float:
     """The saturation factor B = (2 N <g> / (Delta_inh kappa)) sqrt(gamma_s gamma / mu);
     equals C sqrt(gamma_s gamma / (4 g^2 mu)) for uniform coupling."""
-    _check_finite_drive(mu)
+    check_drive(mu)
     ens, dec, cav = model.ensemble, model.decoherence, model.cavity
     if ens.delta_inh is None:
         raise ParameterError("analytic dip expressions need a parametric ensemble")

@@ -9,7 +9,9 @@ against.  The mean-field ODE integrates the factorized equations of motion
 into their steady state, a third route to the same response.  The
 full-space emission pulse propagates the 2^N generator, the reference for
 the group space of ``lindblad.pulsed_emission``, and :func:`lift` maps
-group-space vectors to 2^N density matrices.
+group-space vectors to 2^N density matrices.  :func:`block_pulse` sets up
+one pulse of identical emitters straight from ``dicke.block_parts``, the
+reference for their one-group case of ``dicke.group_pulse``.
 """
 
 import math
@@ -23,8 +25,9 @@ from scipy.linalg import expm
 from scipy.optimize import root
 
 from cavens import meanfield
-from cavens.core import PEAK_WINDOW, ParameterError
-from cavens.dicke import dicke_basis, spin_block, to_complex
+from cavens.core import PEAK_WINDOW, ParameterError, pulse_protocol
+from cavens.dicke import (DickeBlockState, _observable_rows, block_parts, dicke_basis,
+                          real_generator, spin_block, to_complex)
 from cavens.lindblad import (
     DensityState,
     IntegrationError,
@@ -256,8 +259,27 @@ def full_space_emission(model, mu, pulse, times, laser_detuning=0.0):
     return columns, gen_on.purcell * counts[0], gen_on.purcell * np.trapezoid(counts, window)
 
 
+def block_pulse(n, g, mu, cavity, dec, pulse, detuning=0.0, compute_counts=True):
+    """``dicke.pulsed_block_emission``'s pulse, set up from the block parts
+    alone: l0 + detuning lz + g sqrt(mu) ld and l0 in real coordinates, the
+    window on the populations (m = m'), the J+J- row and Gamma_c = 4 g^2 /
+    kappa.  Returns the ``core.PulseRun``."""
+    parts, basis = block_parts(n, g, cavity, dec), dicke_basis(n)
+    on = parts.l0
+    if detuning:
+        on = on + detuning * parts.lz
+    if mu:
+        on = on + (g * math.sqrt(mu)) * parts.ld
+    pops = np.concatenate([lo + np.arange(d) * (d + 1)
+                           for lo, d in zip(basis.offsets[:-1], basis.dims)])
+    return pulse_protocol(real_generator(on, basis.transpose),
+                          real_generator(parts.l0, basis.transpose),
+                          DickeBlockState.all_ground(n).vec, pulse, _observable_rows(n)["jpjm"].real.copy(),
+                          parts.purcell, compute_counts=compute_counts, off_sector=pops)
+
+
 def lift(space, vec):
-    """The 2^N density matrix of a ``lindblad.GroupSpace`` vector: each
+    """The 2^N density matrix of a ``dicke.GroupSpace`` vector: each
     group's blocks q_J expanded as sum_copies sum_{m, m'} q_J[m, m']
     |J m><J m'| on its sites."""
     x = to_complex(np.asarray(vec), space.transpose).reshape(space.dims)

@@ -162,6 +162,21 @@ class TestMuPower:
         assert math.isclose(power_from_mu(mu, cavity), p, rel_tol=1e-12)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_drive_rejected(self, cavity, bad):
+        """NaN or inf went through both conversions unchecked."""
+        with pytest.raises(ParameterError, match="power_in must be finite and >= 0"):
+            mu_from_power(bad, cavity)
+        with pytest.raises(ParameterError, match="mu must be finite and >= 0"):
+            power_from_mu(bad, cavity)
+
+    def test_negative_drive_rejected(self, cavity):
+        with pytest.raises(ParameterError, match="power_in must be finite and >= 0"):
+            mu_from_power(-1e-9, cavity)
+        with pytest.raises(ParameterError, match="mu must be finite and >= 0"):
+            power_from_mu(-1e-3, cavity)
+
+
 class TestValidateAssumptions:
     def _model(self, cavity, decoherence, delta_inh, c=12.0, n=1000):
         from conftest import coupling_for_cooperativity
@@ -181,6 +196,12 @@ class TestValidateAssumptions:
         report = validate_assumptions(model, 1e-3, fsr=hz_to_angular(25e12))
         tc = report["tavis_cummings"]
         assert tc.passed and math.isclose(tc.ratio, 50.0, rel_tol=0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_bad_drive_raises(self, cavity, decoherence, delta_inh, bad):
+        """A NaN mu returned a report quietly."""
+        with pytest.raises(ParameterError, match="mu must be finite and >= 0"):
+            validate_assumptions(self._model(cavity, decoherence, delta_inh), bad)
 
     def test_mu_zero_fails_lower_bound(self, cavity, decoherence, delta_inh):
         model = self._model(cavity, decoherence, delta_inh)
@@ -257,6 +278,28 @@ class TestPropagate:
         gen = dicke.build_block_generator(2, g35, 1e-6, cavity, decoherence)
         with pytest.raises(ParameterError, match="non-decreasing"):
             dicke.block_evolve(gen, dicke.DickeBlockState.all_ground(2), times)
+
+    @pytest.mark.parametrize("pulse", [math.nan, math.inf, 0.0, -1e-6])
+    def test_bad_pulse_length_rejected(self, pulse):
+        """A NaN pulse length was reported as a bad observe time."""
+        decay = csr_matrix(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(ParameterError, match="pulse_length must be finite and positive"):
+            core.pulse_protocol(decay, decay, np.array([1.0, 0.0]), pulse, np.array([1.0, 0.0]),
+                                1.0)
+
+    def test_window_follows_the_drive_off_matrix(self):
+        """The window restricted to a sector is reused only for the same
+        matrix: a second drive-off matrix with the same sector object gets
+        its own window."""
+        sector, vec0, row = np.array([0, 1]), np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        offs = [csr_matrix(np.array([[-rate, 0.0, 0.0], [rate, 0.0, 0.0], [0.0, 0.0, -1.0]]))
+                for rate in (1e6, 3e7)]
+        on_sector = [core.pulse_protocol(off, off, vec0, 1e-6, row, 1.0, off_sector=sector)
+                     for off in offs]
+        for off, run in zip(offs, on_sector):
+            fresh = core.pulse_protocol(off, off, vec0, 1e-6, row, 1.0, off_sector=sector.copy())
+            assert run.peak_counts == fresh.peak_counts
+        assert on_sector[1].peak_counts < on_sector[0].peak_counts
 
     def test_repeated_and_zero_steps(self):
         """A zero or repeated time returns the present vector unchanged."""

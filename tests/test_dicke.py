@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from cavens import core
+from cavens import core, dicke
 from cavens.core import CavityParams, DecoherenceParams, EmitterEnsemble, SystemModel
 from cavens import lindblad as lb
 from cavens.dicke import (
     DIM_MAX,
     CapabilityError,
     DickeBlockState,
+    GroupSpace,
     _observable_rows,
     block_evolve,
     block_observables,
     block_parts,
     build_block_generator,
     dicke_basis,
+    group_generator,
     pulsed_block_emission,
     rate_map,
     real_generator,
@@ -158,7 +160,26 @@ class TestRealCoordinates:
         cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
         gen = build_block_generator(5, g35, 1e-6, cav, decoherence, detuning=2.0e7)
         assert gen.matrix.dtype == np.float64
-        assert block_parts(5, g35, cav, decoherence).window.dtype == np.float64
+        assert build_block_generator(5, g35, 0.0, cav, decoherence).matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("sizes", [(5,), (3, 2)], ids=["5", "3+2"])
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_real_generator_arrays(self, sizes, dc_hz, decoherence, g35):
+        """``real_generator`` renames the columns of Im L; it gives the
+        arrays of Re L + (Im L)[:, P] by column indexing, in the same order
+        (a Krylov step sums each row in that order)."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        space = GroupSpace(np.repeat(hz_to_angular(np.array([2.0, -5.0])[:len(sizes)]), sizes),
+                           np.full(sum(sizes), g35))
+        for mu in (0.0, 1e-6):
+            m = dicke._off_sum(space, cav, decoherence)
+            if mu:
+                m = m + space.embed({0: g35 * math.sqrt(mu) * block_parts(sizes[0], g35, cav,
+                                                                          decoherence).ld})
+            got = real_generator(m, space.transpose)
+            want = (m.real + m.imag[:, space.transpose]).tocsr()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     @pytest.mark.parametrize("n", [5, 9])
     @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
@@ -170,12 +191,13 @@ class TestRealCoordinates:
         mu, det, pulse = 1e-3, hz_to_angular(3e6), 20e-6
         parts = block_parts(n, g35, cav, decoherence)
         assert (abs(parts.l0.imag).max() > 0) == bool(dc_hz)
-        basis, pops = dicke_basis(n), parts.populations
+        basis = dicke_basis(n)
+        pops = np.flatnonzero(basis.order == 0)
         q0 = np.zeros(basis.offsets[-1], dtype=complex)
         q0[basis.dims[0] ** 2 - 1] = 1.0
         ref = core.pulse_protocol(parts.l0 + det * parts.lz + g35 * math.sqrt(mu) * parts.ld,
-                                  parts.l0[pops][:, pops], q0, pulse,
-                                  _observable_rows(n, False)["jpjm"], parts.purcell,
+                                  parts.l0, q0, pulse,
+                                  _observable_rows(n)["jpjm"], parts.purcell,
                                   off_sector=pops)
         res = pulsed_block_emission(n, g35, mu, cav, decoherence, pulse, detuning=det)
         assert abs(res.peak_instant / ref.peak_instant - 1.0) < 1e-10
@@ -197,7 +219,7 @@ class TestRealCoordinates:
         state = DickeBlockState.from_vec(n, q.real + q.imag)
         for got, want in zip(state.blocks, blocks, strict=True):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        x = _observable_rows(n, False)
+        x = _observable_rows(n)
         w = block_observables(build_block_generator(n, g35, 0.0, cavity, decoherence))
         for name in ("jm", "jp"):
             assert abs(w[name] @ state.vec - x[name] @ q) <= 1e-13 * (np.abs(x[name]) @ np.abs(q))
@@ -218,7 +240,7 @@ class TestRealCoordinates:
         start = dicke_basis(n).dims[0] ** 2 - 1
         with mpmath.workdps(40):
             column = mpmath.expm(mpmath.matrix(lt.tolist()))[:, start]
-            jpjm = _observable_rows(n, False)["jpjm"]
+            jpjm = _observable_rows(n)["jpjm"]
             ref = float(sum(mpmath.mpf(float(x.real)) * c.real for x, c in zip(jpjm, column)))
         ref *= parts.purcell
         res = pulsed_block_emission(n, g35, mu, cavity, decoherence, pulse, detuning=det)
@@ -285,16 +307,17 @@ class TestRateMap:
         g_use = g if mix in ("collective", "all") else 0.0
         gs = 0.25 if mix in ("emission", "all") else 0.0
         gd = 0.3 if mix in ("dephasing", "all") else 0.0
-        parts = block_parts(n, g_use, cav, DecoherenceParams(gamma_s=gs, gamma_d=gd))
+        off = build_block_generator(n, g_use, 0.0, cav, DecoherenceParams(gamma_s=gs, gamma_d=gd))
         rm = rate_map(n, gamma_c=4.0 * g_use**2 / kappa, gamma_s=gs, gamma_d=gd)
         basis = dicke_basis(n)
+        pops = np.flatnonzero(basis.order == 0)
         levels, degs = [], []
         for j, d in zip(basis.j_values, basis.degeneracies):
             for m in j - np.arange(int(round(2 * j)) + 1):
                 levels.append((j, float(m)))
                 degs.append(d)
         degs = np.array(degs, dtype=float)
-        folded = parts.window.toarray() * degs[:, None] / degs[None, :]
+        folded = off.matrix[pops][:, pops].toarray() * degs[:, None] / degs[None, :]
         assert np.all(folded.imag == 0)
         folded = folded.real
         expect = np.zeros_like(folded)
@@ -318,23 +341,26 @@ class TestPopulationWindow:
     @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
     def test_window_on_populations_matches_full(self, n, dc_hz, decoherence, g35):
         """With the drive off no entry couples populations and coherences,
-        and the counts of the population window match the full window."""
+        the populations are the sector of the one group, and the counts of
+        the population window match the full window."""
         cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
         det = hz_to_angular(3e6)
-        parts = block_parts(n, g35, cav, decoherence)
         off = build_block_generator(n, g35, 0.0, cav, decoherence, detuning=det).matrix
-        pops = parts.populations
+        basis = dicke_basis(n)
+        pops = np.concatenate([lo + np.arange(d) * (d + 1)
+                               for lo, d in zip(basis.offsets[:-1], basis.dims)])
+        assert np.array_equal(GroupSpace(np.full(n, det), np.full(n, g35)).sector(), pops)
         coh = np.setdiff1d(np.arange(off.shape[0]), pops)
         assert off[pops][:, coh].count_nonzero() == 0
         assert off[coh][:, pops].count_nonzero() == 0
-        assert abs(off[pops][:, pops] - parts.window).max() == 0.0
-        assert np.all(parts.observables["jpjm"][coh] == 0)
+        jpjm = block_observables(build_block_generator(n, g35, 0.0, cav, decoherence))["jpjm"]
+        assert np.all(jpjm[coh] == 0)
 
         mu = 1e-6
         reduced = pulsed_block_emission(n, g35, mu, cav, decoherence, 20e-6, detuning=det)
         gen_on = build_block_generator(n, g35, mu, cav, decoherence, detuning=det)
         full = core.pulse_protocol(gen_on.matrix, off, DickeBlockState.all_ground(n).to_vec(),
-                                   20e-6, parts.observables["jpjm"], parts.purcell)
+                                   20e-6, jpjm, gen_on.purcell)
         assert reduced.peak_counts > 0
         assert abs(reduced.peak_counts / full.peak_counts - 1.0) < 1e-12
 
@@ -342,10 +368,12 @@ class TestPopulationWindow:
     def test_population_block_independent_of_detuning(self, dc_hz, decoherence, g35):
         cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
         parts = block_parts(6, g35, cav, decoherence)
-        pops = parts.populations
+        basis = dicke_basis(6)
+        pops = np.flatnonzero(basis.order == 0)
+        window = real_generator(parts.l0, basis.transpose)[pops][:, pops]
         for det in (0.0, hz_to_angular(3e6), hz_to_angular(-40e6)):
             off = build_block_generator(6, g35, 0.0, cav, decoherence, detuning=det).matrix
-            assert abs(off[pops][:, pops] - parts.window).max() == 0.0
+            assert abs(off[pops][:, pops] - window).max() == 0.0
 
 
 class TestPulseEdgeCases:
@@ -411,3 +439,38 @@ def test_mixed_state_jpjm_enumeration():
             for m in (j - np.arange(int(round(2 * j)) + 1)):
                 total += d * (j * (j + 1) - m * (m - 1))
         assert math.isclose(total / 2**n, n / 2.0, rel_tol=1e-12)
+
+
+class TestGroupSpaceKey:
+    def test_equal_groups_compare_equal(self, g35):
+        """The drive-off generator is cached per space, so spaces compare by
+        their groups: equal (detuning, g, sites), not the same object."""
+        space = GroupSpace(np.array([0.0, 0.0, 1e6]), np.full(3, g35))
+        same = GroupSpace([0.0, 0.0, 1e6], [g35] * 3)
+        assert space == same and hash(space) == hash(same)
+        assert space != GroupSpace(np.array([0.0, 0.0, 2e6]), np.full(3, g35))
+        assert space != GroupSpace(np.array([0.0, 0.0, 1e6]), np.array([g35, g35, 0.5 * g35]))
+        assert space != GroupSpace(np.array([0.0, 1e6, 0.0]), np.full(3, g35))
+
+
+class TestSector:
+    """The drive-off generator keeps sum_g (m - m') fixed, so the detection
+    window runs on the sector where it is 0 (``GroupSpace.sector``)."""
+
+    @pytest.mark.parametrize("sizes", [(4,), (3, 2), (2, 1, 1)], ids=["4", "3+2", "2+1+1"])
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_drive_off_keeps_the_sector(self, sizes, dc_hz, decoherence, g35):
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        deltas = np.repeat(hz_to_angular(np.array([0.0, 5e6, -7e6]))[:len(sizes)], sizes)
+        gs = np.repeat(np.array([g35, 0.8 * g35, 1.1 * g35])[:len(sizes)], sizes)
+        space = GroupSpace(deltas, gs)
+        assert len(space.groups) == len(sizes)
+        off = group_generator(space, 0.0, cav, decoherence)
+        sector = space.sector()
+        rest = np.setdiff1d(np.arange(space.dim), sector)
+        assert 0 < len(sector) < space.dim
+        assert off[sector][:, rest].count_nonzero() == 0
+        assert off[rest][:, sector].count_nonzero() == 0
+        assert np.all(space.rows["jpjm"][rest] == 0)
+        # the drive couples the sector with the rest
+        assert group_generator(space, 1e-6, cav, decoherence)[rest][:, sector].count_nonzero() > 0

@@ -19,6 +19,8 @@ from cavens.ensemble import (
 )
 from cavens.units import TWO_PI, hz_to_angular
 
+from _oracles import block_pulse
+
 
 class TestBinning:
     def test_paper_scale_binning(self, delta_inh, g35):
@@ -52,6 +54,14 @@ class TestBinning:
         with pytest.raises(ParameterError):
             bin_lorentzian(10, delta_inh, 4, delta_inh / 4, g35)  # even bins
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_width_and_linewidth_must_be_finite_and_positive(self, delta_inh, g35, bad):
+        """A NaN passed a `<= 0` test and failed later as a bare ValueError."""
+        with pytest.raises(ParameterError, match="bin_width and delta_inh"):
+            bin_lorentzian(11, delta_inh, 5, bad, g35)
+        with pytest.raises(ParameterError, match="bin_width and delta_inh"):
+            bin_lorentzian(11, bad, 5, delta_inh / 5, g35)
+
     def test_default_width_from_purcell(self):
         rates = DerivedRates(gamma_total=1.0, purcell=2.5)
         assert default_bin_width(rates) == 2.5
@@ -73,6 +83,26 @@ class TestIncoherentSCurve:
         ref = [pulsed_block_emission(5, g35, mu_from_power(p, cavity), cavity,
                                      model.decoherence, 50e-6).peak_counts for p in powers]
         assert np.allclose(inc.total, ref, rtol=1e-12)
+
+    def test_binned_line_matches_block_setup(self, cavity):
+        """The binned S-curve of acceptance 11 at 5e-14 and 3e-8 W, counts:
+        every bin's peak is the pulse set up straight from the block parts
+        (``_oracles.block_pulse``), bit for bit."""
+        g, delta_inh = hz_to_angular(10.6e6), hz_to_angular(150e6)
+        model = SystemModel(cavity, DecoherenceParams.from_hz(6000, 600),
+                            EmitterEnsemble.lorentzian(n_ions=569, delta_inh=delta_inh, g=g))
+        subs = bin_lorentzian(569, delta_inh, 91, delta_inh / 90.0, g)
+        powers = (5e-14, 3e-8)
+        res = incoherent_scurve(subs, powers, 50e-6, model)
+        assert not res.failures
+        for i, p in enumerate(powers):
+            mu = mu_from_power(p, cavity)
+            refs = {(e.n_ions, abs(e.detuning)): block_pulse(
+                e.n_ions, g, mu, cavity, model.decoherence, 50e-6, abs(e.detuning)).peak_counts
+                for e in subs.entries}
+            got = {(e.n_ions, abs(e.detuning)): res.per_subensemble[i, j]
+                   for j, e in enumerate(subs.entries)}
+            assert got == refs
 
     @pytest.mark.parametrize("error", [CapabilityError, ParameterError, np.linalg.LinAlgError,
                                        ValueError])
