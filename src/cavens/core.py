@@ -541,18 +541,18 @@ def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
                    jpjm_row: np.ndarray, purcell: float,
                    observe_times: Sequence[float] = (),
                    compute_counts: bool = True,
-                   off_sector: np.ndarray | slice = slice(None)) -> PulseRun:
+                   off_window: tuple | None = None) -> PulseRun:
     """Drive from ``vec0`` under ``gen_on`` for ``pulse_length``, then under
     ``gen_off`` (needed only for counts or later observe times).
     ``peak_instant`` is Gamma_c <J+J-> at pulse end, with <J+J-> =
     jpjm_row . vec; ``peak_counts`` integrates it over the 9-point
     PEAK_WINDOW after switch-off (NaN without ``compute_counts``).
 
-    The window runs on ``gen_off`` restricted to the entries ``off_sector``
-    (the whole space by default), a sector that the drive-off generator
-    leaves invariant and outside which ``jpjm_row`` vanishes; the
-    restriction is reused while the same two objects come back, so neither
-    may change in place.  States observed after switch-off stay whole."""
+    The window runs on ``off_window`` = (sector, ``gen_off`` restricted to
+    the entries ``sector``), given by the caller, or on the whole space by
+    default; the sector must be one that the drive-off generator leaves
+    invariant and outside which ``jpjm_row`` vanishes.  States observed
+    after switch-off stay whole."""
     if not (pulse_length > 0 and math.isfinite(pulse_length)):
         raise ParameterError(f"pulse_length must be finite and positive, got {pulse_length}")
     times = _observe_times(observe_times)
@@ -564,26 +564,14 @@ def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
     peak_instant = purcell * float(np.real(jpjm_row @ end))
     peak_counts = math.nan
     if compute_counts:
+        sector, gen_window = off_window or (slice(None), gen_off)
         window = np.linspace(0.0, PEAK_WINDOW, 9)
-        row = jpjm_row[off_sector]
-        vals = [peak_instant] + [purcell * float(np.real(row @ v)) for v in
-                                 propagate(_on_sector(gen_off, off_sector), end[off_sector], window[1:])]
+        row = jpjm_row[sector]
+        vals = [peak_instant] + [purcell * float(np.real(row @ v))
+                                 for v in propagate(gen_window, end[sector], window[1:])]
         peak_counts = float(np.trapezoid(vals, window))
     return PulseRun(observed=observed, end=end, peak_instant=peak_instant,
                     peak_counts=peak_counts)
-
-
-_window: tuple = (None, None, None)
-
-
-def _on_sector(gen_off, sector):
-    """``gen_off`` restricted to ``sector``, kept for the next call with the
-    same objects (:func:`cavens.dicke.group_pulse` passes its cached ones)."""
-    global _window
-    last = _window
-    if last[0] is not gen_off or last[1] is not sector:
-        last = _window = (gen_off, sector, gen_off[sector][:, sector])
-    return last[2]
 
 
 __all__ = [

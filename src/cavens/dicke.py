@@ -14,13 +14,16 @@ form a group, and the space is the product of the groups' block spaces
 one-group case.  States live in real coordinates: a Hermitian vector q is
 held as r = Re q + Im q (:func:`to_complex` maps back), and a complex
 generator L acts on r as Re L + Im L P (:func:`real_generator`), P
-transposing each block.  :func:`group_generator` sums each group's cached
-:func:`block_parts` and the cross-group terms, and maps the sum once.  With
-the drive off, the total m - m' is conserved and <J+J-> reads only its zero
-sector (for one group, the populations), where :func:`group_pulse`, the one
-pulse driver, runs the detection window.  At delta_c = 0 the emission is
-even in the detuning, so :func:`cavens.ensemble.incoherent_scurve` solves
-mirror bins once.
+transposing each block.  One cache entry of real matrices is the only
+record of a space's drive-off state (:func:`_drive_off`): the map of the
+complex sum of each group's :func:`block_parts` and the cross-group terms,
+and its restriction to the sector where the total m - m' is zero, the only
+one <J+J-> reads and one the drive-off generator keeps (for one group, the
+populations).  :func:`group_generator` adds the real map of each group's
+drive to it, and :func:`group_pulse`, the one pulse driver, runs the
+detection window on the sector.  At delta_c = 0 the emission is even in
+the detuning, so :func:`cavens.ensemble.incoherent_scurve` solves mirror
+bins once.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ class DickeBlockState:
 
 
 class BlockLiouvillian:
-    """Sparse generator on the concatenated per-copy block space."""
+    """Sparse generator on the concatenated per-copy block space.  It and
+    the block wrappers below are called only by perfbench and the tests."""
 
     def __init__(self, n: int, matrix: sp.csr_matrix, purcell: float):
         self.n = n
@@ -320,7 +324,8 @@ def build_block_generator(n: int, g: float, mu: float, cavity: CavityParams,
     """Generator for n identical emitters (coupling g) at ``detuning``
     (emitter minus laser) on the real coordinates: :func:`group_generator`
     of their one group.  ``cavity.delta_c`` is taken as configured.  Above
-    ``DIM_MAX``, :func:`dicke_basis` raises :class:`CapabilityError`."""
+    ``DIM_MAX``, :func:`dicke_basis` raises :class:`CapabilityError`.  Only
+    perfbench and the tests call it."""
     space = GroupSpace(np.full(n, detuning), np.full(n, g))
     return BlockLiouvillian(n, group_generator(space, mu, cavity, dec), 4.0 * g**2 / cavity.kappa)
 
@@ -332,7 +337,8 @@ build_block_generator.cache_info = block_parts.cache_info  # type: ignore[attr-d
 def block_evolve(gen: BlockLiouvillian, state: DickeBlockState,
                  times: Sequence[float]) -> list[DickeBlockState]:
     """Propagate through the time-independent block generator at the given
-    times (non-decreasing, measured from the state's present)."""
+    times (non-decreasing, measured from the state's present).  Only
+    perfbench and the tests call it."""
     return [DickeBlockState.from_vec(gen.n, v)
             for v in propagate(gen.matrix, state.to_vec(), times)]
 
@@ -357,7 +363,8 @@ def _observable_rows(n: int) -> dict:
 
 def block_observables(gen: BlockLiouvillian) -> dict:
     """Observable rows w with <O> = w . r on the real coordinates r of
-    :class:`DickeBlockState`: the rows of its one group (:attr:`GroupSpace.rows`)."""
+    :class:`DickeBlockState`: the rows of its one group (:attr:`GroupSpace.rows`).
+    Only perfbench and the tests call it."""
     return _group_rows((gen.n,))
 
 
@@ -476,51 +483,54 @@ def _group_rows(sizes: tuple[int, ...]) -> dict:
 def group_generator(space: GroupSpace, mu: float, cavity: CavityParams,
                     dec: DecoherenceParams) -> sp.csr_matrix:
     """The adiabatically eliminated generator on ``space`` at drive mu, on the
-    real coordinates: the drive-off sum (:func:`_off_sum`) plus each group's
-    g sqrt(mu) ld of :func:`block_parts`, taken to the real coordinates once
-    (:func:`real_generator`).  Raises :class:`ParameterError` for a negative
-    or non-finite mu."""
+    real coordinates: the cached drive-off generator (:func:`_drive_off`; at
+    mu = 0 that matrix itself, which callers must not mutate) plus, for each
+    group k, :func:`real_generator` of g_k sqrt(mu) ld_k from
+    :func:`block_parts`.  Every ld is imaginary and shares no entry with an
+    imaginary entry of the drive-off sum, which are diagonal or change two
+    groups, so this is the real map of the whole complex sum, bit for bit.
+    Raises :class:`ParameterError` for a negative or non-finite mu."""
     check_drive(mu)
-    mat = _off_sum(space, cavity, dec)
-    if mu:
-        mat = mat + reduce(operator.add, [
-            space.embed({k: (g * math.sqrt(mu)) * block_parts(len(ks), g, cavity, dec).ld})
-            for k, (_, g, ks) in enumerate(space.groups)])
-    return real_generator(mat, space.transpose)
+    gen_off = _drive_off(space, cavity, dec)[0]
+    if not mu:
+        return gen_off
+    return gen_off + reduce(operator.add, (
+        real_generator(space.embed({k: (g * math.sqrt(mu)) * block_parts(len(ks), g, cavity, dec).ld}),
+                       space.transpose)
+        for k, (_, g, ks) in enumerate(space.groups)))
 
 
-# One entry each: a power sweep drives one space many times in a row.
-@lru_cache(maxsize=1)
-def _off_sum(space: GroupSpace, cavity: CavityParams, dec: DecoherenceParams) -> sp.csr_matrix:
-    """The complex drive-off generator of ``space`` (cached: callers must not
-    mutate it).  Each group's terms are its :func:`block_parts`,
-    l0 + detuning * lz.  With Jg- = sum_k g_k J-_k, the cross-group parts of
-    (kappa / denom) D[Jg-] - i (Delta_c / denom) [Jg+ Jg-, .] are, for each
-    ordered pair k != l, g_k g_l times (kappa / denom) (L(J-_k) R(J+_l)
-    - L(J+_l) L(J-_k) / 2 - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom)
-    (L(J+_l) L(J-_k) - R(J-_k) R(J+_l)), with L(A) q = A q and R(A) q = q A
-    (:func:`block_ladder`)."""
-    terms = []
-    for k, (delta, g, ks) in enumerate(space.groups):
-        parts = block_parts(len(ks), g, cavity, dec)
-        terms.append(space.embed({k: parts.l0 + delta * parts.lz if delta else parts.l0}))
-    denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
-    rate, exch = cavity.kappa / denom, cavity.delta_c / denom
-    for k, l in itertools.permutations(range(len(space.groups)), 2):
-        (_, g_k, ks), (_, g_l, ls) = space.groups[k], space.groups[l]
-        lm, rm = block_ladder(len(ks))["lm"], block_ladder(len(ks))["rm"]
-        lp, rp = block_ladder(len(ls))["lp"], block_ladder(len(ls))["rp"]
-        terms.append(g_k * g_l * (space.embed({k: lm, l: rate * rp - (0.5 * rate + 1j * exch) * lp})
-                                  + space.embed({k: rm, l: (1j * exch - 0.5 * rate) * rp})))
-    return reduce(operator.add, terms)
-
-
+# One entry: a power sweep drives one space many times in a row.
 @lru_cache(maxsize=1)
 def _drive_off(space: GroupSpace, cavity: CavityParams,
-               dec: DecoherenceParams) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The drive-off generator of ``space`` and its sector (cached: callers
-    must not mutate them)."""
-    return group_generator(space, 0.0, cavity, dec), space.sector()
+               dec: DecoherenceParams) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix]:
+    """The drive-off generator of ``space`` on the real coordinates, its
+    sector (:meth:`GroupSpace.sector`) and the generator restricted to the
+    sector, where the detection window runs (cached, all real: callers must
+    not mutate them).  The complex sum is mapped once and not kept.  Each
+    group's terms are its :func:`block_parts`, l0 + detuning * lz.  With
+    Jg- = sum_k g_k J-_k, the cross-group parts of (kappa / denom) D[Jg-]
+    - i (Delta_c / denom) [Jg+ Jg-, .] are, for each ordered pair k != l,
+    g_k g_l times (kappa / denom) (L(J-_k) R(J+_l) - L(J+_l) L(J-_k) / 2
+    - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom) (L(J+_l) L(J-_k)
+    - R(J-_k) R(J+_l)), with L(A) q = A q and R(A) q = q A
+    (:func:`block_ladder`)."""
+    def terms():  # made one at a time, so that only the running sum is held
+        for k, (delta, g, ks) in enumerate(space.groups):
+            parts = block_parts(len(ks), g, cavity, dec)
+            yield space.embed({k: parts.l0 + delta * parts.lz if delta else parts.l0})
+        denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
+        rate, exch = cavity.kappa / denom, cavity.delta_c / denom
+        for k, l in itertools.permutations(range(len(space.groups)), 2):
+            (_, g_k, ks), (_, g_l, ls) = space.groups[k], space.groups[l]
+            lm, rm = block_ladder(len(ks))["lm"], block_ladder(len(ks))["rm"]
+            lp, rp = block_ladder(len(ls))["lp"], block_ladder(len(ls))["rp"]
+            yield g_k * g_l * (space.embed({k: lm, l: rate * rp - (0.5 * rate + 1j * exch) * lp})
+                               + space.embed({k: rm, l: (1j * exch - 0.5 * rate) * rp}))
+
+    gen = real_generator(reduce(operator.add, terms()), space.transpose)
+    sector = space.sector()
+    return gen, sector, gen[sector][:, sector]
 
 
 def group_pulse(space: GroupSpace, mu: float, cavity: CavityParams, dec: DecoherenceParams,
@@ -528,12 +538,13 @@ def group_pulse(space: GroupSpace, mu: float, cavity: CavityParams, dec: Decoher
                 compute_counts: bool = True) -> PulseRun:
     """The one pulse driver: :func:`cavens.core.pulse_protocol` from the
     ground state of ``space``, under :func:`group_generator` at mu, then
-    with the drive off, whose detection window runs on the sector
-    (:meth:`GroupSpace.sector`).  Gamma_c is ``purcell``."""
+    with the drive off, whose detection window runs on the cached sector
+    (:meth:`GroupSpace.sector`) and window of :func:`_drive_off`.  Gamma_c
+    is ``purcell``."""
     gen_on = group_generator(space, mu, cavity, dec)
-    gen_off, sector = _drive_off(space, cavity, dec)
+    gen_off, sector, window = _drive_off(space, cavity, dec)
     return pulse_protocol(gen_on, gen_off, space.ground(), pulse_length, space.rows["jpjm"],
-                          purcell, observe_times, compute_counts, off_sector=sector)
+                          purcell, observe_times, compute_counts, off_window=(sector, window))
 
 
 @dataclass(frozen=True)

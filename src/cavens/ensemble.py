@@ -169,56 +169,6 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GStats:
-    """Coupling statistics of an (optionally truncated) g histogram."""
-
-    g_mean: float
-    g_rms: float
-    total_coupling: Optional[float]
-    retained_probability: float
-    retained_coupling_fraction: float
-    cutoff: Optional[float]
-
-    def as_dict(self) -> dict:
-        return {
-            "g_mean": self.g_mean,
-            "g_rms": self.g_rms,
-            "total_coupling": self.total_coupling,
-            "retained_probability": self.retained_probability,
-            "retained_coupling_fraction": self.retained_coupling_fraction,
-            "cutoff": self.cutoff,
-        }
-
-
-def ingest_g_histogram(rows: Sequence[tuple[float, float]], cutoff: Optional[float] = None,
-                       n_ions: Optional[int] = None) -> GStats:
-    """Reduce a (g, probability) histogram to coupling statistics.
-
-    An optional low-g cutoff drops weak emitters; the retained fraction of
-    the total coupling Omega = sqrt(N <g^2>) is reported against the
-    untruncated histogram.  Moments are over the renormalized truncated
-    distribution; ``total_coupling`` needs ``n_ions``.
-    """
-    g = np.array([r[0] for r in rows], dtype=float)
-    p = np.array([r[1] for r in rows], dtype=float)
-    if len(g) == 0:
-        raise ParameterError("empty histogram")
-    if np.any(p < 0) or np.any(g <= 0):
-        raise ParameterError("need positive g and non-negative probabilities")
-    total = p.sum()
-    if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-12):
-        raise ParameterError(f"probabilities must sum to 1 (got {total!r})")
-    g2_full = float(np.sum(p * g**2))
-    g, p, kept_prob = truncate_g_histogram(g, p, cutoff)
-    g2 = float(np.sum(p * g**2))
-    omega = math.sqrt(n_ions * g2) if n_ions is not None else None
-    return GStats(g_mean=float(np.sum(p * g)), g_rms=math.sqrt(g2), total_coupling=omega,
-                  retained_probability=kept_prob,
-                  retained_coupling_fraction=math.sqrt(kept_prob * g2 / g2_full),
-                  cutoff=cutoff)
-
-
 def truncate_g_histogram(g: np.ndarray, p: np.ndarray,
                          cutoff: Optional[float]) -> tuple[np.ndarray, np.ndarray, float]:
     """Drop the bins below ``cutoff`` (none when it is None) and renormalize;
@@ -246,21 +196,6 @@ def estimate_superradiant_n(tau_measured: float, rms_g: float, kappa: float) -> 
     return kappa / (4.0 * rms_g**2) / tau_measured
 
 
-@dataclass(frozen=True)
-class SuperradianceThreshold:
-    above: bool
-    margin: float
-
-
-def superradiance_threshold(cooperativity: float) -> SuperradianceThreshold:
-    """Superradiance requires C > pi/2 (strict)."""
-    if cooperativity < 0:
-        raise ParameterError("cooperativity must be >= 0")
-    half_pi = 0.5 * math.pi
-    return SuperradianceThreshold(above=cooperativity > half_pi,
-                                  margin=cooperativity / half_pi)
-
-
 __all__ = [
     "Subensemble",
     "SubensembleSet",
@@ -268,11 +203,7 @@ __all__ = [
     "bin_lorentzian",
     "IncoherentSCurve",
     "incoherent_scurve",
-    "GStats",
-    "ingest_g_histogram",
     "truncate_g_histogram",
     "read_g_histogram_csv",
     "estimate_superradiant_n",
-    "SuperradianceThreshold",
-    "superradiance_threshold",
 ]

@@ -23,6 +23,7 @@ from .core import (
     derive_rates,
     mu_from_power,
     power_from_mu,
+    propagate,
     validate_assumptions,
 )
 from .units import TWO_PI, angular_to_hz
@@ -282,11 +283,12 @@ def run_beat_note(cfg: ExperimentConfig) -> ExperimentResult:
     n, g = _identical_count_and_g(cfg)
     detuning = _identical_detuning(cfg)
     cav, dec = cfg.model.cavity, cfg.model.decoherence
-    q_end = dicke.pulsed_block_emission(n, g, mu, cav, dec, pulse, detuning=detuning,
-                                        compute_counts=False).state_end
-    gen_off = dicke.build_block_generator(n, g, 0.0, cav, dec, detuning=detuning)
-    jm = dicke.block_observables(gen_off)["jm"]
-    amp = np.array([complex(jm @ s.to_vec()) for s in dicke.block_evolve(gen_off, q_end, times)])
+    space = dicke.GroupSpace(np.full(n, detuning), np.full(n, g))
+    end = dicke.group_pulse(space, mu, cav, dec, pulse, 4.0 * g**2 / cav.kappa,
+                            compute_counts=False).end
+    jm = space.rows["jm"]
+    amp = np.array([complex(jm @ v) for v in propagate(dicke.group_generator(space, 0.0, cav, dec),
+                                                       end, times)])
     lo = cfg.lo_offset * TWO_PI
     fit = analysis.beat_spectrum(times, amp, lo, window=cfg.beat_window)
     rows = [(float(t), float(a.real), float(a.imag)) for t, a in zip(times, amp)]

@@ -158,27 +158,6 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
                                 reflectance=abs(r) ** 2, r_complex=r)
 
 
-@dataclass(frozen=True)
-class SaturationCurves:
-    mu: np.ndarray
-    coherence_sq: np.ndarray
-    excited: np.ndarray
-
-
-def saturation_comparison(g: float, mu_grid: Sequence[float], cavity: CavityParams,
-                          dec: DecoherenceParams) -> SaturationCurves:
-    """|<sigma->|^2 (non-monotonic) vs excited population (monotonic) for one
-    resonant emitter as functions of drive."""
-    mu = np.asarray(mu_grid, dtype=float)
-    coh = np.empty(len(mu))
-    exc = np.empty(len(mu))
-    for i, m in enumerate(mu):
-        ss = single_ion_steady_state(0.0, g, m, cavity, dec)
-        coh[i] = abs(ss.sigma_minus) ** 2
-        exc[i] = 0.5 * (ss.sigma_z + 1.0)
-    return SaturationCurves(mu=mu, coherence_sq=coh, excited=exc)
-
-
 # ---------------------------------------------------------------------------
 # Self-consistent ensemble response
 # ---------------------------------------------------------------------------
@@ -553,8 +532,6 @@ __all__ = [
     "reflection_weak_excitation",
     "SingleIonSteadyState",
     "single_ion_steady_state",
-    "SaturationCurves",
-    "saturation_comparison",
     "solve_selfconsistent_x",
     "reflection_from_x",
     "reflection_spectrum",

@@ -12,8 +12,12 @@ the group space of ``lindblad.pulsed_emission``, and :func:`lift` maps
 group-space vectors to 2^N density matrices.  :func:`block_pulse` sets up
 one pulse of identical emitters straight from ``dicke.block_parts``, the
 reference for their one-group case of ``dicke.group_pulse``.
+:func:`complex_drive_off` sums a group space's complex drive-off generator
+term by term, the reference for ``dicke.group_generator``, and
+:func:`split_space` splits equal emitters into several groups.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,8 +30,8 @@ from scipy.optimize import root
 
 from cavens import meanfield
 from cavens.core import PEAK_WINDOW, ParameterError, pulse_protocol
-from cavens.dicke import (DickeBlockState, _observable_rows, block_parts, dicke_basis,
-                          real_generator, spin_block, to_complex)
+from cavens.dicke import (DickeBlockState, GroupSpace, _observable_rows, block_ladder, block_parts,
+                          dicke_basis, real_generator, spin_block, to_complex)
 from cavens.lindblad import (
     DensityState,
     IntegrationError,
@@ -272,10 +276,44 @@ def block_pulse(n, g, mu, cavity, dec, pulse, detuning=0.0, compute_counts=True)
         on = on + (g * math.sqrt(mu)) * parts.ld
     pops = np.concatenate([lo + np.arange(d) * (d + 1)
                            for lo, d in zip(basis.offsets[:-1], basis.dims)])
-    return pulse_protocol(real_generator(on, basis.transpose),
-                          real_generator(parts.l0, basis.transpose),
+    off = real_generator(parts.l0, basis.transpose)
+    return pulse_protocol(real_generator(on, basis.transpose), off,
                           DickeBlockState.all_ground(n).vec, pulse, _observable_rows(n)["jpjm"].real.copy(),
-                          parts.purcell, compute_counts=compute_counts, off_sector=pops)
+                          parts.purcell, compute_counts=compute_counts,
+                          off_window=(pops, off[pops][:, pops]))
+
+
+def complex_drive_off(space, cavity, dec):
+    """The complex drive-off generator of a ``dicke.GroupSpace``, in the
+    arithmetic of the sum that ``dicke._drive_off`` maps to the real
+    coordinates: each group's l0 + detuning lz, and for each ordered pair
+    k != l of groups g_k g_l ((kappa / denom) (L(J-_k) R(J+_l) - L(J+_l)
+    L(J-_k) / 2 - R(J-_k) R(J+_l) / 2) - i (Delta_c / denom) (L(J+_l)
+    L(J-_k) - R(J-_k) R(J+_l))), with L(A) q = A q and R(A) q = q A."""
+    terms = []
+    for k, (delta, g, ks) in enumerate(space.groups):
+        parts = block_parts(len(ks), g, cavity, dec)
+        terms.append(space.embed({k: parts.l0 + delta * parts.lz if delta else parts.l0}))
+    denom = (0.5 * cavity.kappa) ** 2 + cavity.delta_c**2
+    rate, exch = cavity.kappa / denom, cavity.delta_c / denom
+    for k, l in itertools.permutations(range(len(space.groups)), 2):
+        (_, g_k, ks), (_, g_l, ls) = space.groups[k], space.groups[l]
+        ladder_k, ladder_l = block_ladder(len(ks)), block_ladder(len(ls))
+        terms.append(g_k * g_l * (
+            space.embed({k: ladder_k["lm"], l: rate * ladder_l["rp"] - (0.5 * rate + 1j * exch) * ladder_l["lp"]})
+            + space.embed({k: ladder_k["rm"], l: (1j * exch - 0.5 * rate) * ladder_l["rp"]})))
+    return sum(terms[1:], terms[0])
+
+
+def split_space(delta, g, sizes):
+    """A ``dicke.GroupSpace`` of sum(sizes) emitters of equal (delta, g),
+    split into groups of ``sizes`` sites.  The constructor merges equal
+    emitters, so the split is built from distinct placeholder detunings and
+    every group then gets (delta, g)."""
+    space = GroupSpace(np.repeat(np.arange(len(sizes), dtype=float), sizes),
+                       np.full(sum(sizes), g))
+    space.groups = tuple((delta, g, ks) for _, _, ks in space.groups)
+    return space
 
 
 def lift(space, vec):

@@ -505,7 +505,8 @@ grid.power.scale = log
 
     def test_beat_note_run(self, tmp_path):
         """The beat note starts from the pulse-end state of
-        pulsed_block_emission and fits a finite beat width."""
+        pulsed_block_emission, evolves it under the drive-off generator,
+        and fits a finite beat width."""
         from cavens import dicke
         from cavens.core import mu_from_power
 
@@ -531,8 +532,10 @@ grid.time.num = 401
                                           model.decoherence, 5e-6, detuning=d).state_end
         gen_off = dicke.build_block_generator(4, g, 0.0, model.cavity, model.decoherence,
                                               detuning=d)
-        amp = complex(dicke.block_observables(gen_off)["jm"] @ end.to_vec())
-        assert (float(rows[0][1]), float(rows[0][2])) == (amp.real, amp.imag)
+        jm = dicke.block_observables(gen_off)["jm"]
+        amp = [complex(jm @ s.to_vec())
+               for s in dicke.block_evolve(gen_off, end, [float(r[0]) for r in rows])]
+        assert [(float(r[1]), float(r[2])) for r in rows] == [(a.real, a.imag) for a in amp]
 
     def test_rate_map_csv(self, tmp_path):
         cfg = BASE_MODEL + "experiment = rate-map\n"

@@ -287,19 +287,23 @@ class TestPropagate:
             core.pulse_protocol(decay, decay, np.array([1.0, 0.0]), pulse, np.array([1.0, 0.0]),
                                 1.0)
 
-    def test_window_follows_the_drive_off_matrix(self):
-        """The window restricted to a sector is reused only for the same
-        matrix: a second drive-off matrix with the same sector object gets
-        its own window."""
+    def test_window_on_the_callers_sector(self):
+        """The detection window runs on the (sector, restricted matrix) pair
+        the caller passes: on a sector the drive-off matrix keeps, it gives
+        the counts of the whole space, and another matrix gives others."""
         sector, vec0, row = np.array([0, 1]), np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
         offs = [csr_matrix(np.array([[-rate, 0.0, 0.0], [rate, 0.0, 0.0], [0.0, 0.0, -1.0]]))
                 for rate in (1e6, 3e7)]
-        on_sector = [core.pulse_protocol(off, off, vec0, 1e-6, row, 1.0, off_sector=sector)
+        on_sector = [core.pulse_protocol(off, off, vec0, 1e-6, row, 1.0,
+                                         off_window=(sector, off[sector][:, sector]))
                      for off in offs]
         for off, run in zip(offs, on_sector):
-            fresh = core.pulse_protocol(off, off, vec0, 1e-6, row, 1.0, off_sector=sector.copy())
-            assert run.peak_counts == fresh.peak_counts
+            whole = core.pulse_protocol(off, off, vec0, 1e-6, row, 1.0)
+            assert math.isclose(run.peak_counts, whole.peak_counts, rel_tol=1e-12)
         assert on_sector[1].peak_counts < on_sector[0].peak_counts
+        other = core.pulse_protocol(offs[0], offs[0], vec0, 1e-6, row, 1.0,
+                                    off_window=(sector, offs[1][sector][:, sector]))
+        assert other.peak_counts < on_sector[0].peak_counts
 
     def test_repeated_and_zero_steps(self):
         """A zero or repeated time returns the present vector unchanged."""

@@ -25,7 +25,7 @@ from cavens.dicke import (
 )
 from cavens.units import hz_to_angular
 
-from _oracles import full_space_emission
+from _oracles import complex_drive_off, full_space_emission, split_space
 
 
 class TestBasis:
@@ -172,7 +172,7 @@ class TestRealCoordinates:
         space = GroupSpace(np.repeat(hz_to_angular(np.array([2.0, -5.0])[:len(sizes)]), sizes),
                            np.full(sum(sizes), g35))
         for mu in (0.0, 1e-6):
-            m = dicke._off_sum(space, cav, decoherence)
+            m = complex_drive_off(space, cav, decoherence)
             if mu:
                 m = m + space.embed({0: g35 * math.sqrt(mu) * block_parts(sizes[0], g35, cav,
                                                                           decoherence).ld})
@@ -198,7 +198,7 @@ class TestRealCoordinates:
         ref = core.pulse_protocol(parts.l0 + det * parts.lz + g35 * math.sqrt(mu) * parts.ld,
                                   parts.l0, q0, pulse,
                                   _observable_rows(n)["jpjm"], parts.purcell,
-                                  off_sector=pops)
+                                  off_window=(pops, parts.l0[pops][:, pops]))
         res = pulsed_block_emission(n, g35, mu, cav, decoherence, pulse, detuning=det)
         assert abs(res.peak_instant / ref.peak_instant - 1.0) < 1e-10
         assert abs(res.peak_counts / ref.peak_counts - 1.0) < 1e-10
@@ -474,3 +474,77 @@ class TestSector:
         assert np.all(space.rows["jpjm"][rest] == 0)
         # the drive couples the sector with the rest
         assert group_generator(space, 1e-6, cav, decoherence)[rest][:, sector].count_nonzero() > 0
+
+
+class TestDriveOff:
+    """One cache entry, ``dicke._drive_off``, is the only record of a
+    space's drive-off state: its real generator, its sector and the
+    generator restricted to the sector.  ``group_generator`` adds the real
+    map of each group's drive to it."""
+
+    @pytest.mark.parametrize("sizes", [(5,), (3, 2), (1,) * 5], ids=["5", "3+2", "1x5"])
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    @pytest.mark.parametrize("gd_hz", [0.0, 600.0])
+    def test_generator_is_the_map_of_the_complex_sum(self, sizes, dc_hz, gd_hz, g35):
+        """Mapping the drive-off sum and each drive term apart gives the
+        map of the whole complex sum, bit for bit: every ld is imaginary and
+        meets no imaginary entry of the drive-off sum."""
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        dec = DecoherenceParams.from_hz(600, gd_hz)
+        deltas = np.repeat(hz_to_angular(np.array([0.0, 5e6, -7e6, 2e6, 11e6]))[:len(sizes)], sizes)
+        gs = np.repeat(np.array([1.0, 0.8, 1.1, 0.9, 1.2])[:len(sizes)] * g35, sizes)
+        space = GroupSpace(deltas, gs)
+        assert len(space.groups) == len(sizes)
+        off = complex_drive_off(space, cav, dec)
+        for mu in (0.0, 1e-9, 1e-5, 3e-3):
+            drives = [space.embed({k: (g * math.sqrt(mu)) * block_parts(len(ks), g, cav, dec).ld})
+                      for k, (_, g, ks) in enumerate(space.groups)]
+            want = real_generator(sum(drives, off) if mu else off, space.transpose)
+            got = group_generator(space, mu, cav, dec)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.toarray(), want.toarray()), mu
+
+    def test_cached_matrix_and_window(self, cavity, decoherence, g35):
+        """At mu = 0 ``group_generator`` returns the cached matrix, which an
+        equal space built apart shares; the sector is the space's and the
+        window is the generator restricted to it; all of them are real."""
+        space = GroupSpace(hz_to_angular(np.array([0.0, 0.0, 3e6])), np.full(3, g35))
+        gen_off, sector, window = dicke._drive_off(space, cavity, decoherence)
+        assert group_generator(space, 0.0, cavity, decoherence) is gen_off
+        twin = GroupSpace(hz_to_angular(np.array([0.0, 0.0, 3e6])), np.full(3, g35))
+        assert twin is not space
+        assert group_generator(twin, 0.0, cavity, decoherence) is gen_off
+        assert dicke._drive_off.cache_info().maxsize == 1
+        assert np.array_equal(sector, space.sector())
+        assert (window != gen_off[sector][:, sector]).count_nonzero() == 0
+        assert window.shape == (len(sector), len(sector))
+        assert gen_off.dtype == window.dtype == np.float64
+        assert group_generator(space, 1e-6, cavity, decoherence).dtype == np.float64
+
+
+class TestSplitGroup:
+    """5 identical ions as one group against the same ions split 3 + 2 into
+    two groups of equal (delta, g): the cross-group terms of the drive-off
+    sum against the collective terms within one group."""
+
+    @pytest.mark.parametrize("dc_hz", [0.0, 1e9])
+    def test_split_matches_one_group(self, dc_hz, g35, monkeypatch):
+        cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
+        model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600),
+                            EmitterEnsemble.identical(5, g35, detuning=hz_to_angular(3e6)))
+        times = np.array([2e-6, 6e-6, 10e-6, 10.05e-6, 10.5e-6, 12e-6])
+        one = lb.pulsed_emission(model, 1e-5, 10e-6, times)
+
+        def split(deltas, gs):
+            assert np.all(deltas == deltas[0]) and np.all(gs == gs[0])
+            return split_space(float(deltas[0]), float(gs[0]), (3, 2))
+
+        monkeypatch.setattr(lb, "GroupSpace", split)
+        two = lb.pulsed_emission(model, 1e-5, 10e-6, times)
+        assert [len(s.vec) for s in two.final_state] == [20, 10]
+        assert one.peak_counts > 0
+        assert math.isclose(two.peak_instant, one.peak_instant, rel_tol=1e-10)
+        assert math.isclose(two.peak_counts, one.peak_counts, rel_tol=1e-10)
+        for name in ("jpjm", "individual", "correlation", "coherent_amp", "cavity_pop"):
+            col, col_two = getattr(one.trace, name), getattr(two.trace, name)
+            assert np.max(np.abs(col_two - col)) <= 1e-10 * np.max(np.abs(col)), name

@@ -13,9 +13,8 @@ from cavens.ensemble import (
     default_bin_width,
     estimate_superradiant_n,
     incoherent_scurve,
-    ingest_g_histogram,
     read_g_histogram_csv,
-    superradiance_threshold,
+    truncate_g_histogram,
 )
 from cavens.units import TWO_PI, hz_to_angular
 
@@ -267,20 +266,20 @@ class TestIncoherentSCurve:
 class TestGHistogram:
     def test_delta_distribution(self):
         g0 = hz_to_angular(10e6)
-        stats = ingest_g_histogram([(g0, 1.0)], n_ions=100)
-        assert math.isclose(stats.g_mean, g0)
-        assert math.isclose(stats.g_rms, g0)
-        assert math.isclose(stats.total_coupling, 10.0 * g0)
-        assert stats.retained_coupling_fraction == 1.0
+        ens = EmitterEnsemble.lorentzian(n_ions=100, delta_inh=hz_to_angular(1e9),
+                                         g_hist=((g0, 1.0),))
+        assert math.isclose(ens.g_moments()[0], g0)
+        assert math.isclose(ens.g_rms, g0)
+        assert math.isclose(ens.total_coupling, 10.0 * g0)
+        g, p, kept = truncate_g_histogram(np.array([g0]), np.array([1.0]), None)
+        assert g.tolist() == [g0] and p.tolist() == [1.0] and kept == 1.0
 
     def test_cutoff_renormalizes(self):
-        rows = [(1.0, 0.5), (10.0, 0.5)]
-        stats = ingest_g_histogram(rows, cutoff=2.0)
-        assert math.isclose(stats.g_mean, 10.0)
-        assert math.isclose(stats.retained_probability, 0.5)
-        # coupling fraction sqrt(0.5*100 / (0.5*1 + 0.5*100))
-        assert math.isclose(stats.retained_coupling_fraction,
-                            math.sqrt(50.0 / 50.5), rel_tol=1e-12)
+        g, p, kept = truncate_g_histogram(np.array([1.0, 10.0]), np.array([0.5, 0.5]), 2.0)
+        assert g.tolist() == [10.0] and p.tolist() == [1.0]
+        assert kept == 0.5
+        ens = EmitterEnsemble.lorentzian(n_ions=100, delta_inh=1e9, g_hist=tuple(zip(g, p)))
+        assert math.isclose(ens.g_moments()[0], 10.0)
 
     def test_rms_from_total_coupling_paper_numbers(self):
         # Omega = 2pi x 8.86 GHz over 7e5 ions -> rms g = 2pi x 10.6 MHz
@@ -289,8 +288,8 @@ class TestGHistogram:
         assert math.isclose(omega / math.sqrt(n), hz_to_angular(10.6e6), rel_tol=0.01)
 
     def test_empty_after_cutoff(self):
-        with pytest.raises(ParameterError):
-            ingest_g_histogram([(1.0, 1.0)], cutoff=2.0)
+        with pytest.raises(ParameterError, match="no histogram mass above the cutoff"):
+            truncate_g_histogram(np.array([1.0]), np.array([1.0]), 2.0)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "hist.csv"
@@ -298,8 +297,8 @@ class TestGHistogram:
         rows = read_g_histogram_csv(str(path))
         assert len(rows) == 2
         assert math.isclose(rows[0][0], hz_to_angular(1e6))
-        stats = ingest_g_histogram(rows)
-        assert math.isclose(stats.g_mean, hz_to_angular(1.75e6))
+        ens = EmitterEnsemble.lorentzian(n_ions=10, delta_inh=1e9, g_hist=tuple(rows))
+        assert math.isclose(ens.g_moments()[0], hz_to_angular(1.75e6))
 
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "hist.csv"
@@ -320,8 +319,3 @@ class TestEstimators:
         assert math.isclose(estimate_superradiant_n(purcell_time, rms_g, cavity.kappa), 1.0)
         assert math.isclose(estimate_superradiant_n(purcell_time / 2, rms_g, cavity.kappa), 2.0)
 
-    def test_threshold(self):
-        assert superradiance_threshold(12.0).above
-        assert math.isclose(superradiance_threshold(12.0).margin, 12.0 / (math.pi / 2))
-        assert not superradiance_threshold(math.pi / 2).above
-        assert not superradiance_threshold(0.0).above

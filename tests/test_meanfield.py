@@ -25,7 +25,6 @@ from cavens.meanfield import (
     reflection_from_x,
     reflection_spectrum,
     reflection_weak_excitation,
-    saturation_comparison,
     single_contribution,
     single_ion_steady_state,
     solve_selfconsistent_x,
@@ -722,19 +721,28 @@ class TestCitAnalytics:
 
 
 class TestSaturationComparison:
+    """|<sigma->|^2 (non-monotonic) against the excited population
+    (monotonic) of one resonant emitter as functions of drive."""
+
+    @staticmethod
+    def curves(g, mu_grid, cavity, dec):
+        states = [single_ion_steady_state(0.0, g, mu, cavity, dec) for mu in mu_grid]
+        return (np.array([abs(ss.sigma_minus) ** 2 for ss in states]),
+                np.array([0.5 * (ss.sigma_z + 1.0) for ss in states]))
+
     def test_monotonic_vs_nonmonotonic(self, cavity, decoherence, g35):
         mu = np.geomspace(1e-9, 1e-1, 33)
-        curves = saturation_comparison(g35, mu, cavity, decoherence)
-        assert np.all(np.diff(curves.excited) >= -1e-15)
-        i_max = int(np.argmax(curves.coherence_sq))
+        coherence_sq, excited = self.curves(g35, mu, cavity, decoherence)
+        assert np.all(np.diff(excited) >= -1e-15)
+        i_max = int(np.argmax(coherence_sq))
         assert 0 < i_max < len(mu) - 1
-        assert curves.coherence_sq[-1] < 0.05 * curves.coherence_sq[i_max]
-        assert curves.coherence_sq[0] < 0.05 * curves.coherence_sq[i_max]
+        assert coherence_sq[-1] < 0.05 * coherence_sq[i_max]
+        assert coherence_sq[0] < 0.05 * coherence_sq[i_max]
 
     def test_zero_drive(self, cavity, decoherence, g35):
-        curves = saturation_comparison(g35, [0.0], cavity, decoherence)
-        assert curves.coherence_sq[0] == 0.0
-        assert curves.excited[0] == 0.0
+        coherence_sq, excited = self.curves(g35, [0.0], cavity, decoherence)
+        assert coherence_sq[0] == 0.0
+        assert excited[0] == 0.0
 
 
 class TestPairContribution:
