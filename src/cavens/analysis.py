@@ -4,7 +4,10 @@ feature extraction.
 
 All fitters are damped Gauss-Newton (Levenberg-Marquardt family) through
 ``scipy.optimize.least_squares``; the Lorentzian fits carry analytic
-Jacobians, the stretched-exponential fits use central differences.
+Jacobians, the stretched-exponential fits use central differences.  Each
+fitter imports it when called, so importing this module loads no scipy;
+the experiments that fit list ``scipy.optimize`` in
+:data:`cavens.config.EXPERIMENTS`, which imports it at set-up.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import ParameterError
 from .meanfield import Spectrum
@@ -89,6 +91,8 @@ def fit_lorentzian_dip(spectrum: Spectrum | tuple, normalization: DipNormalizati
     baseline (the "no dip" outcome).  ``p0`` = (baseline, depth, center,
     width) overrides the automatic start.
     """
+    from scipy.optimize import least_squares
+
     if isinstance(spectrum, Spectrum):
         freqs, refl = spectrum.freqs, spectrum.reflectance
     else:
@@ -153,6 +157,8 @@ def fit_cit_power_laws(powers: Sequence[float], widths: Sequence[float],
     Residual blocks are scaled by the rms of each observable so widths
     (rad/s) and depths (order 1) weigh comparably.
     """
+    from scipy.optimize import least_squares
+
     p_arr = np.asarray(powers, dtype=float)
     w_arr = np.asarray(widths, dtype=float)
     d_arr = np.asarray(depths, dtype=float)
@@ -222,6 +228,8 @@ def fit_emission_trace(times: Sequence[float], values: Sequence[float],
     residual wins, ties broken by smaller tau1.  ``regime_hint="III"`` forces
     x1 = 1 (no distinct fast component).
     """
+    from scipy.optimize import least_squares
+
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if len(t) < 8:
@@ -320,6 +328,8 @@ def beat_spectrum(times: Sequence[float], coherent_amp: Sequence[complex],
     The trace must be uniformly sampled; ``lo_offset`` must sit inside the
     Nyquist band.  ``a_beat`` is the fitted Lorentzian area.
     """
+    from scipy.optimize import least_squares
+
     t = np.asarray(times, dtype=float)
     s = np.asarray(coherent_amp, dtype=complex)
     if len(t) < 16:

@@ -8,6 +8,7 @@ seconds; conversion to internal angular units happens here.
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -18,16 +19,25 @@ import numpy as np
 from .core import CavityParams, DecoherenceParams, EmitterEnsemble, ParameterError, SystemModel
 from .units import hz_to_angular
 
-EXPERIMENTS = (
-    "reflection-spectrum",
-    "cit-power-sweep",
-    "emission-trace",
-    "s-curve",
-    "dicke-populations",
-    "rate-map",
-    "beat-note",
-    "phase-map",
-)
+_DYNAMICS = ("scipy.sparse.linalg", "scipy.linalg")
+
+#: Each experiment and the scipy modules its solvers use.  No module of the
+#: package loads scipy at import; :func:`build_config` imports these once it
+#: knows the experiment, so a run's set-up holds every import and its solve
+#: none.  The mean-field spectra and rate tables need numpy alone, the fits
+#: ``scipy.optimize``, and the pulsed dynamics ``scipy.sparse.linalg`` (it
+#: loads ``scipy.sparse``; Krylov ``expm_multiply``) and ``scipy.linalg``
+#: (dense ``expm``).
+EXPERIMENTS = {
+    "reflection-spectrum": (),
+    "cit-power-sweep": ("scipy.optimize",),
+    "emission-trace": _DYNAMICS,
+    "s-curve": _DYNAMICS,
+    "dicke-populations": _DYNAMICS,
+    "rate-map": (),
+    "beat-note": _DYNAMICS + ("scipy.optimize",),
+    "phase-map": (),
+}
 
 SWEEP_AXES = ("power_w", "detuning_hz", "n_ions")
 
@@ -258,6 +268,8 @@ def build_config(text: str, base_dir: str = ".",
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}' (choose from {', '.join(EXPERIMENTS)})",
                           line=view.line("experiment"))
+    for module in EXPERIMENTS[experiment]:
+        importlib.import_module(module)
     cavity = CavityParams.from_hz(
         kappa_hz=view.get_float("cavity.kappa_hz", _REQUIRED),
         kappa_c_hz=view.get_float("cavity.kappa_c_hz", _REQUIRED),

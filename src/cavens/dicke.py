@@ -37,7 +37,6 @@ from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     CapabilityError,
@@ -117,6 +116,8 @@ def real_generator(m: sp.csr_matrix, transpose: np.ndarray) -> sp.csr_matrix:
     """A complex generator L as it acts on the real coordinates: Re L + Im L P.
     P is an involution, so Im L P is Im L with column c renamed P[c]: the
     arrays of ``m.imag[:, transpose]``, without its index search."""
+    import scipy.sparse as sp
+
     im_p = sp.csr_matrix((m.data.imag, transpose[m.indices], m.indptr), shape=m.shape)
     return (m.real + im_p).tocsr()
 
@@ -226,6 +227,8 @@ def block_parts(n: int, g: float, cavity: CavityParams,
     the per-copy convention (folded rates scaled by d_src/d_dest).  Results
     are cached (callers must not mutate them).
     """
+    import scipy.sparse as sp
+
     basis = dicke_basis(n)
     dims, offsets = basis.dims, basis.offsets
     dim = int(offsets[-1])
@@ -373,6 +376,8 @@ def block_ladder(n: int) -> dict:
     """The sparse block-diagonal superoperators q -> J- q (``lm``), J+ q (``lp``),
     q J- (``rm``) and q J+ (``rp``) on the block vector of n emitters, with
     vec(A q B^T) = kron(A, B) vec(q) (cached: callers must not mutate them)."""
+    import scipy.sparse as sp
+
     blocks: dict = {name: [] for name in ("lm", "lp", "rm", "rp")}
     for j in dicke_basis(n).j_values:
         blk = spin_block(j)
@@ -428,6 +433,8 @@ class GroupSpace:
     def embed(self, ops: dict) -> sp.csr_matrix:
         """The Kronecker product of ``ops[k]`` over the groups k, with the
         identity for every group not in ``ops``."""
+        import scipy.sparse as sp
+
         return reduce(lambda a, b: sp.kron(a, b, format="csr"),
                       [ops[k] if k in ops else sp.identity(d) for k, d in enumerate(self.dims)])
 

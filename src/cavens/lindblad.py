@@ -6,8 +6,10 @@ elimination.
     drho/dt = -i[H_at, rho] + L_col + L_em + L_deph
 
 on the full 2^N space, up to N = 8 (``DIM_MAX`` = 4^8).  It, :func:`evolve_expm`
-and the ODE oracle :func:`evolve` (DOP853; it imports ``scipy.integrate``
-when called) are the references the tests and the benchmark checks use.
+and the ODE oracle :func:`evolve` (DOP853) are the references the tests and
+the benchmark checks use.  Like every module of the package, this one loads
+no scipy at import: the builders import ``scipy.sparse``, and :func:`evolve`
+``scipy.integrate``, when called.
 :func:`pulsed_emission` runs the same generator on the ensemble's
 permutation-symmetric group space instead, through the one pulse driver
 :func:`cavens.dicke.group_pulse`, and keeps the pulse-end state there.
@@ -28,7 +30,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     CapabilityError,
@@ -112,19 +113,21 @@ class EmissionTrace:
 # Spin operators
 # ---------------------------------------------------------------------------
 
-_SM = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))  # |g><e|
-_SP = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-_SZ = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-_ID = sp.identity(2, dtype=complex, format="csr")
+_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
+_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_ID = np.identity(2, dtype=complex)
 
 
 @lru_cache(maxsize=64)
 def site_operator(n: int, site: int, which: str) -> sp.csr_matrix:
     """Single-site operator embedded in the n-emitter space; site 0 owns the
     most significant qubit (|e> first)."""
+    import scipy.sparse as sp
+
     table = {"sm": _SM, "sp": _SP, "sz": _SZ}
     op = table[which]
-    mats = [op if k == site else _ID for k in range(n)]
+    mats = [sp.csr_matrix(op if k == site else _ID) for k in range(n)]
     out = mats[0]
     for m in mats[1:]:
         out = sp.kron(out, m, format="csr")
@@ -184,6 +187,8 @@ class Liouvillian:
     def superoperator(self) -> sp.csr_matrix:
         """Row-major-vec superoperator: vec(A X B) = kron(A, B^T) vec(X)."""
         if self._superop is None:
+            import scipy.sparse as sp
+
             d = self.dim
             eye = sp.identity(d, dtype=complex, format="csr")
             h = self.hamiltonian
@@ -217,6 +222,8 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
     minus ``laser_detuning`` (laser frame); ``cavity.delta_c`` is taken as
     configured.
     """
+    import scipy.sparse as sp
+
     deltas, gs, purcell = _laser_frame(ens, cavity, laser_detuning)
     check_drive(mu)
     n = len(gs)
