@@ -91,11 +91,13 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     powers = _resolve_powers(cfg)
     tables = []
     not_converged = []
+    threads = 1
     for i, p in enumerate(powers):
         mu = mu_from_power(p, cfg.model.cavity)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cfg.model.cavity,
                                              cfg.model.decoherence)
         not_converged.append(int(np.count_nonzero(~spec.converged)))
+        threads = max(threads, spec.response_threads)
         rows = [(f, float(r.real), float(r.imag), float(refl), float(ph), int(ok))
                 for f, r, refl, ph, ok in zip(grid_hz, spec.r_complex, spec.reflectance,
                                               spec.phase, spec.converged)]
@@ -105,7 +107,7 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
                             rows=rows))
     meta = {"powers_w": [float(p) for p in powers],
             "mu": [float(mu_from_power(p, cfg.model.cavity)) for p in powers],
-            "not_converged": not_converged}
+            "not_converged": not_converged, "response_threads": threads}
     return ExperimentResult(tables=tables, metadata=meta)
 
 
@@ -121,10 +123,12 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     fitted = []
     not_converged = []
     failures = []
+    threads = 1
     for i, p in enumerate(powers):
         mu = mu_from_power(p, cfg.model.cavity)
         spec = meanfield.reflection_spectrum(ens, mu, grid, cav, cfg.model.decoherence)
         not_converged.append(int(np.count_nonzero(~spec.converged)))
+        threads = max(threads, spec.response_threads)
         try:
             fit = analysis.fit_lorentzian_dip(spec, norm)
         except analysis.FitError as exc:
@@ -137,7 +141,7 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
             rows.append((float(p), float(mu), angular_to_hz(fit.width),
                          angular_to_hz(fit.stderr["width"]), fit.depth,
                          fit.stderr["depth"], angular_to_hz(fit.center)))
-    meta: dict = {"not_converged": not_converged}
+    meta: dict = {"not_converged": not_converged, "response_threads": threads}
     if len(fitted) >= 5:
         try:
             law = analysis.fit_cit_power_laws([p for p, _ in fitted],
@@ -377,17 +381,25 @@ def _sweep_point(args: tuple) -> tuple[int, Optional[ExperimentResult], Optional
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
+def _one_response_thread() -> None:
+    """Set up a sweep's worker process: its response sums run on one
+    thread, since the workers already fill the cores."""
+    meanfield._THREADS = 1
+
+
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Ordered aggregation of per-point runs along the sweep axis.
 
     The primary (first) table of each point is concatenated with a leading
     axis column; per-point failures are recorded and the sweep continues.
+    With ``jobs`` > 1 the points run in that many worker processes, each
+    summing its responses on one thread; the rows do not depend on it.
     """
     assert cfg.sweep_axis is not None and cfg.sweep_values is not None
     tasks = [(i, cfg, cfg.sweep_axis, v) for i, v in enumerate(cfg.sweep_values)]
     results: dict[int, tuple[Optional[ExperimentResult], Optional[str]]] = {}
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_response_thread) as pool:
             for index, res, err in pool.map(_sweep_point, tasks):
                 results[index] = (res, err)
     else:

@@ -470,6 +470,30 @@ drive.mu = 3e-7
         assert all(r[1:6] == ["nan"] * 4 + ["0"] for r in (rows[129], rows[231]))
         assert all(r[4] != "nan" for k, r in enumerate(rows) if k not in (129, 231))
 
+    @pytest.mark.parametrize("experiment", ["reflection-spectrum", "cit-power-sweep"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_sidecar_records_response_threads(self, tmp_path, monkeypatch, experiment,
+                                              threads, explicit):
+        """The sidecar records the threads the response sums ran on: the
+        module's count for the 1000-quantile line on 361 points, and 1 for
+        the parametric line, whose sums never split."""
+        from cavens import meanfield
+
+        monkeypatch.setattr(meanfield, "_THREADS", threads)
+        cfg = LINE_MODEL + f"""
+experiment = {experiment}
+grid.freq.start_hz = -90e6
+grid.freq.stop_hz = 90e6
+grid.freq.num = 361
+grid.power.start_w = 1e-13
+grid.power.stop_w = 1e-12
+grid.power.num = 2
+""" + ("ensemble.explicit_quantiles = 1000\n" if explicit else "")
+        assert self._run(tmp_path, cfg, "th.cfg", "th") == 0
+        meta = json.loads((tmp_path / "th_metadata.json").read_text())
+        assert meta["response_threads"] == (threads if explicit else 1)
+
     def test_csv_cells_parse_as_floats(self, tmp_path):
         """numpy float64 values (fitted widths, bin detunings, grid points) are
         written as plain floats that float() reads back."""

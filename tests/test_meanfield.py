@@ -1,4 +1,12 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -546,7 +554,7 @@ class TestResponseReuse:
     def _fresh(ens, mu, grid, cav, dec):
         grid = np.array(grid, dtype=float)
         dc = cav.delta_c - grid
-        x, missed = meanfield._solve(_Response(ens, grid, cav, dec, dc), mu)
+        x, missed, _ = meanfield._solve(_Response(ens, grid, cav, dec, dc), mu)
         assert not missed.any()
         return reflection_from_x(x, cav, delta_c=dc)[0]
 
@@ -649,6 +657,141 @@ grid.power.scale = log
                 else:
                     assert not slope.any()
             assert np.array_equal(sub.x_weak, sub.x_of_t(0.0, np.ones(len(sub.x_weak))))
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(meanfield.__file__)))
+
+
+class TestRowSplit:
+    """An explicit ensemble's sums, split by rows across threads, give the
+    one-thread result bit for bit for any number of workers."""
+
+    @staticmethod
+    def _response(cavity, dec, delta_inh, n_emitters, n_rows):
+        ens = paper_like_ensemble(cavity, delta_inh, n=n_emitters).to_explicit()
+        grid = np.linspace(-90e6, 90e6, n_rows) * TWO_PI
+        return _Response(ens, grid, cavity, dec, cavity.delta_c - grid)
+
+    @pytest.mark.parametrize("n_rows", [1, 7, 361])
+    @pytest.mark.parametrize("n_emitters", [1, 1000])
+    @pytest.mark.parametrize("mu, gamma_s_hz", [(0.0, 600.0), (1e-5, 600.0), (1e-5, 0.0),
+                                                (1e-1, 600.0)])
+    def test_x_of_t_equals_one_thread(self, cavity, delta_inh, monkeypatch, n_rows, n_emitters,
+                                      mu, gamma_s_hz):
+        """x and (x, dx/dt), with and without lent scratch, on 1, 2 and 3
+        workers, at mu = 0, gamma_s = 0 and deep saturation (mu = 0.1); every
+        split is forced (no size floor), and a single emitter never splits."""
+        resp = self._response(cavity, DecoherenceParams.from_hz(gamma_s_hz, 6000), delta_inh,
+                              n_emitters, n_rows)
+        t = np.abs(1.0 + resp.x_weak) ** 2 * np.geomspace(1e-2, 1e2, n_rows)
+        one = resp.x_of_t(mu, t), *resp.x_of_t(mu, t, slope=True)
+        monkeypatch.setattr(meanfield, "_SPLIT_MIN", 0)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(meanfield, "_THREADS", workers)
+            threads = resp.threads()
+            assert threads == (1 if n_emitters == 1 else min(workers, n_rows))
+            with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+                for work in (None, resp.work()):
+                    split = (resp.x_of_t(mu, t, work=work, pool=pool),
+                             *resp.x_of_t(mu, t, slope=True, work=work, pool=pool))
+                    assert [a.tobytes() for a in split] == [a.tobytes() for a in one]
+
+    @pytest.mark.parametrize("mu", [3e-7, 1e-5, 1e-3])
+    def test_newton_equals_one_thread(self, cavity, decoherence, delta_inh, monkeypatch, mu):
+        """The (x, missed) pair of the 1000-quantile line on 361 points is
+        the same bits on 1, 2 and 3 workers, at the module's size floor and
+        with threads switched every microsecond; the first Newton step
+        splits, and no thread outlives the solve."""
+        resp = self._response(cavity, decoherence, delta_inh, 1000, 361)
+        by_rows, parts = meanfield._by_rows, []
+
+        def counted(task, n_rows, k, pool):
+            parts.append(k)
+            by_rows(task, n_rows, k, pool)
+
+        monkeypatch.setattr(meanfield, "_by_rows", counted)
+        pairs, alive = [], threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(meanfield, "_THREADS", workers)
+                parts.clear()
+                x, missed = meanfield._newton(resp, mu, resp.x_weak, meanfield._TOL)
+                assert parts[0] == workers and threading.active_count() == alive
+                pairs.append((x.tobytes(), missed.tobytes()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pairs[1] == pairs[0] and pairs[2] == pairs[0]
+
+    def test_callers_errstate_holds_in_the_threads(self, cavity, decoherence, delta_inh,
+                                                   monkeypatch):
+        """sat m overflows on the rows of the pool's block alone: it raises
+        under the caller's over="raise" and is silent under over="ignore"."""
+        monkeypatch.setattr(meanfield, "_THREADS", 2)
+        resp = self._response(cavity, decoherence, delta_inh, 1000, 361)
+        assert resp.threads() == 2
+        t = np.ones(361)
+        t[200:] = 1e-302  # m = mu_eff / t is finite, and sat m is not
+        with np.errstate(over="raise"):
+            resp.rows(np.arange(180)).x_of_t(1e-3, t[:180])  # the caller's block is clean
+        with ThreadPoolExecutor(1) as pool:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                resp.x_of_t(1e-3, t, pool=pool)
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = resp.x_of_t(1e-3, t, pool=pool)
+        assert np.isfinite(x).all()
+
+    def test_sweep_workers_after_a_threaded_spectrum(self):
+        """A process that has run a threaded spectrum then forks a 2-job
+        sweep: it finishes, its workers sum on one thread, and its rows are
+        the 1-job rows bit for bit.  Run in a subprocess, with a timeout."""
+        script = textwrap.dedent('''
+            from cavens import meanfield
+            from cavens.config import build_config
+            from cavens.experiments import run_experiment, run_sweep
+
+            meanfield._THREADS = 2
+            cfg = """
+            experiment = reflection-spectrum
+            cavity.kappa_hz = 44e9
+            cavity.kappa_c_hz = 8.8e9
+            decoherence.gamma_s_hz = 600
+            decoherence.gamma_d_hz = 6000
+            ensemble.kind = lorentzian
+            ensemble.n_ions = 1000
+            ensemble.delta_inh_hz = 150e6
+            ensemble.g_hz = 140.7e6
+            ensemble.explicit_quantiles = 1000
+            grid.freq.start_hz = -90e6
+            grid.freq.stop_hz = 90e6
+            grid.freq.num = 361
+            drive.power_w = 1e-12
+            """
+            assert run_experiment(build_config(cfg)).metadata["response_threads"] == 2
+            sweep = build_config(cfg + "sweep.axis = power_w\\nsweep.values = 1e-13, 1e-11\\n")
+            one, two = run_sweep(sweep, jobs=1), run_sweep(sweep, jobs=2)
+            assert repr(two.tables[0].rows) == repr(one.tables[0].rows)
+            threads = [[p["metadata"]["response_threads"] for p in r.metadata["points"]]
+                       for r in (one, two)]
+            assert threads == [[2, 2], [1, 1]], threads
+            print("ok")
+        ''')
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        # its own process group, so a hung sweep's workers are killed with it
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the sweep did not finish in 120 s")
+        assert proc.returncode == 0, stderr
+        assert stdout.splitlines()[-1] == "ok"
 
 
 class TestNonFiniteInput:
