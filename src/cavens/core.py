@@ -500,29 +500,54 @@ def _observe_times(times: Sequence[float]) -> np.ndarray:
     return t
 
 
-def propagate(matrix, vec: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
+def propagate(matrix, vec: np.ndarray, times: Sequence[float],
+              grid_end: float = 0.0) -> list[np.ndarray]:
     """exp(matrix t) vec at each of the non-decreasing ``times`` (measured
     from the present), for a sparse time-independent generator.  Dense
-    propagation runs on one BLAS thread (see ``DENSE_DIM_MAX``)."""
+    propagation runs on one BLAS thread (see ``DENSE_DIM_MAX``).
+
+    The times are known to the rounding of the grid they were cut from:
+    4 ulps of its largest absolute time, ``grid_end`` or the last of
+    ``times`` if that is larger.  A step no longer than that rounding is
+    not taken (the present vector is returned).  A dense step reuses the
+    exponential of the closest length computed so far if the two lengths
+    differ by no more than the rounding, so a ``linspace`` grid, whose
+    steps differ in their last bits, costs one exponential.  A new
+    exponential is of the mean length of the run of steps from here that
+    are within the rounding of this one, so a first step one rounding off
+    the grid's spacing (the times after a pulse end) does not set it.  Each
+    step runs from the time propagated so far, not from the last time asked
+    for, so every state is that of a time within the rounding of its own,
+    however many steps led there."""
     from scipy.linalg import expm
 
     times = _observe_times(times)
+    slack = 4 * np.finfo(float).eps * np.max(times, initial=grid_end)
     dense = matrix.shape[0] <= DENSE_DIM_MAX
     lv = matrix.toarray() if dense else None
-    steps: dict[float, np.ndarray] = {}
+    steps: list[tuple[float, np.ndarray]] = []  # (length, exponential)
     out = []
-    t_prev = 0.0
+    t_prev = lag = 0.0  # lag: the time propagated so far minus t_prev
     with one_blas_thread() if dense else nullcontext():
-        for tk in times:
-            dt = tk - t_prev
-            if dt > 0:
-                if not dense:
-                    vec = _krylov_step(matrix * dt, vec)
-                else:
-                    if dt not in steps:
-                        steps[dt] = expm(lv * dt)
-                    vec = steps[dt] @ vec
-                t_prev = tk
+        for k, tk in enumerate(times):
+            dt = (tk - t_prev) - lag  # the step that lands on tk
+            t_prev = tk
+            if dt <= slack:
+                lag = -dt
+            elif dense:
+                length, step = min(steps, key=lambda s: abs(s[0] - dt), default=(math.inf, None))
+                if abs(length - dt) > slack:
+                    j = k  # the run of steps of this length from here; take their mean
+                    while j + 1 < len(times) and abs(times[j + 1] - times[j] - dt) <= slack:
+                        j += 1
+                    length = (times[j] - tk + dt) / (j - k + 1)
+                    step = expm(lv * length)
+                    steps.append((length, step))
+                vec = step @ vec
+                lag = length - dt
+            else:
+                vec = _krylov_step(matrix * dt, vec)
+                lag = 0.0
             out.append(vec)
     return out
 
@@ -552,15 +577,24 @@ def pulse_protocol(gen_on, gen_off, vec0: np.ndarray, pulse_length: float,
     the entries ``sector``), given by the caller, or on the whole space by
     default; the sector must be one that the drive-off generator leaves
     invariant and outside which ``jpjm_row`` vanishes.  States observed
-    after switch-off stay whole."""
+    after switch-off stay whole.
+
+    Both propagations take the grid's rounding (see :func:`propagate`)
+    from max(last observe time, ``pulse_length``): the times after
+    switch-off are measured from the pulse end, and their own last one
+    would give a smaller slack than the rounding of the grid they were cut
+    from.  So an observe time within that rounding of ``pulse_length``,
+    such as linspace(1e-6, 30e-6, 30)[19] = 2e-5 - 3.4e-21 with a 20 us
+    pulse, reports ``end`` itself."""
     if not (pulse_length > 0 and math.isfinite(pulse_length)):
         raise ParameterError(f"pulse_length must be finite and positive, got {pulse_length}")
     times = _observe_times(observe_times)
     during = times <= pulse_length
-    on = propagate(gen_on, vec0, np.append(times[during], pulse_length))
+    grid_end = np.max(times, initial=pulse_length)
+    on = propagate(gen_on, vec0, np.append(times[during], pulse_length), grid_end)
     end = on[-1]
     after = times[~during] - pulse_length
-    observed = on[:-1] + (propagate(gen_off, end, after) if len(after) else [])
+    observed = on[:-1] + (propagate(gen_off, end, after, grid_end) if len(after) else [])
     peak_instant = purcell * float(np.real(jpjm_row @ end))
     peak_counts = math.nan
     if compute_counts:

@@ -313,6 +313,124 @@ class TestPropagate:
         assert pops[0] == 1.0 and pops[1] == pops[2]
         assert math.isclose(pops[3], math.exp(-1.0), rel_tol=1e-12)
 
+    @staticmethod
+    def _three_ions(cavity, decoherence, g35):
+        """Drive-on generator of 3 identical ions at 60 MHz, where ||L t||_1
+        is about 3.5e4 at 30 us (20 rows, dense by default), and its ground
+        state."""
+        space = dicke.GroupSpace(np.full(3, hz_to_angular(60e6)), np.full(3, g35))
+        return dicke.group_generator(space, 1e-3, cavity, decoherence), space.ground()
+
+    @staticmethod
+    def _count(monkeypatch, module, name: str) -> list:
+        """The calls of ``module.name`` from now on."""
+        calls, real = [], getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_exponential_per_step_length(self, cavity, decoherence, g35, monkeypatch):
+        """A linspace grid's steps differ in their last bits, but the dense
+        branch computes one exponential for the grid, also for its times
+        after a 20 us pulse end, whose first step is about one rounding
+        shorter than the rest, and one per spacing for two grids of
+        different spacing joined, or for steps that alternate between
+        lengths 2e-9 apart, relative."""
+        import scipy.linalg
+
+        matrix, vec = self._three_ions(cavity, decoherence, g35)
+        uniform = np.linspace(1e-6, 30e-6, 30)
+        after = uniform[20:] - 20e-6
+        joined = np.append(uniform, np.linspace(30.5e-6, 40e-6, 20))
+        alternating = np.cumsum(np.tile([1e-6 * (1 + 1e-9), 1e-6 * (1 - 1e-9)], 15))
+        assert len(set(np.diff(uniform))) > 1 and after[0] < np.median(np.diff(after))
+        for times, grid_end, lengths in ((uniform, 0.0, 1), (after, 30e-6, 1), (joined, 0.0, 2),
+                                         (alternating, 0.0, 2)):
+            calls = self._count(monkeypatch, scipy.linalg, "expm")
+            propagate(matrix, vec, times, grid_end)
+            assert len(calls) == lengths
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_step_below_the_rounding_not_taken(self, dense, cavity, decoherence, g35,
+                                               monkeypatch):
+        """A step no longer than 4 ulps of the grid's largest time returns
+        the present vector, bit for bit, on either branch.  ``grid_end``
+        sets that time when the call's own times end earlier."""
+        import scipy.linalg
+
+        matrix, vec = self._three_ions(cavity, decoherence, g35)
+        monkeypatch.setattr(core, "DENSE_DIM_MAX", 10**6 if dense else 0)
+        expm_calls = self._count(monkeypatch, scipy.linalg, "expm")
+        krylov_calls = self._count(monkeypatch, core, "_krylov_step")
+        t = 20e-6
+        out = propagate(matrix, vec, [t, np.nextafter(t, 1.0), t + 8e-21])
+        assert np.array_equal(out[1], out[0]) and np.array_equal(out[2], out[0])
+        assert (len(expm_calls), len(krylov_calls)) == ((1, 0) if dense else (0, 1))
+        # 1e-20 s is above the rounding of 1 us and below that of 30 us
+        taken = propagate(matrix, vec, [1e-6, 1e-6 + 1e-20])
+        assert not np.array_equal(taken[1], taken[0])
+        skipped = propagate(matrix, vec, [1e-6, 1e-6 + 1e-20], grid_end=30e-6)
+        assert np.array_equal(skipped[1], skipped[0])
+
+    def test_merged_steps_within_the_exponentials_error(self, cavity, decoherence, g35):
+        """Every state on a linspace grid agrees with exact per-step
+        propagation, one exponential of each step's own length, within
+        ||A t_k||_1 u."""
+        from scipy.linalg import expm
+
+        matrix, vec = self._three_ions(cavity, decoherence, g35)
+        lv = matrix.toarray()
+        norm, u = np.abs(lv).sum(axis=0).max(), np.finfo(float).eps / 2
+        times = np.linspace(1e-6, 30e-6, 30)
+        exact, t_prev = vec, 0.0
+        for tk, got in zip(times, propagate(matrix, vec, times), strict=True):
+            exact, t_prev = expm(lv * (tk - t_prev)) @ exact, tk
+            assert np.max(np.abs(got - exact)) <= norm * tk * u * np.max(np.abs(exact))
+
+    def test_propagated_time_does_not_drift(self):
+        """Merged steps keep every state within the grid's rounding of its
+        own time, however many steps led there: on 400 steps of 1 us, the
+        first and the last 200 of them 1.5e-19 s longer (all within the
+        rounding of each other), a rotation at omega lands each sample
+        within omega (rounding + t_k eps) of its exact angle."""
+        omega = TWO_PI * 1e6
+        rotation = csr_matrix(np.array([[0.0, -omega], [omega, 0.0]]))
+        steps = np.full(400, 1e-6)
+        steps[0] += 1.5e-19
+        steps[200:] += 1.5e-19
+        times = np.cumsum(steps)
+        eps = np.finfo(float).eps
+        for tk, got in zip(times, propagate(rotation, np.array([1.0, 0.0]), times), strict=True):
+            exact = np.array([math.cos(omega * tk), math.sin(omega * tk)])
+            assert np.max(np.abs(got - exact)) <= omega * (4 * eps * times[-1] + tk * eps)
+
+    def test_observe_time_one_rounding_below_the_pulse_end(self, cavity, decoherence, g35,
+                                                           monkeypatch):
+        """linspace(1e-6, 30e-6, 30)[19] is 2e-5 - 3.4e-21: with a 20 us
+        pulse its state is ``PulseRun.end``, bit for bit, and it costs no
+        exponential that the sample at 2e-5 exactly does not."""
+        import scipy.linalg
+
+        space = dicke.GroupSpace(np.full(3, hz_to_angular(60e6)), np.full(3, g35))
+        gen_on = dicke.group_generator(space, 1e-3, cavity, decoherence)
+        gen_off = dicke.group_generator(space, 0.0, cavity, decoherence)
+        times, pulse = np.linspace(1e-6, 30e-6, 30), 20e-6
+        assert 0.0 < pulse - times[19] <= 4 * np.finfo(float).eps * pulse
+        on_time = times.copy()
+        on_time[19] = pulse
+        counts = []
+        for grid in (times, on_time):
+            calls = self._count(monkeypatch, scipy.linalg, "expm")
+            run = core.pulse_protocol(gen_on, gen_off, space.ground(), pulse,
+                                      space.rows["jpjm"], 1.0, grid, compute_counts=False)
+            assert np.array_equal(run.observed[19], run.end)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
 
 class TestOneBlasThread:
     @staticmethod

@@ -246,6 +246,38 @@ class TestRealCoordinates:
         res = pulsed_block_emission(n, g35, mu, cavity, decoherence, pulse, detuning=det)
         assert abs(res.peak_instant - ref) <= 10 * norm * np.finfo(float).eps / 2 * ref
 
+    def test_trace_against_arbitrary_precision_expm(self, cavity, decoherence, g35):
+        """n = 3 at 60 MHz, a 20 us pulse, observed at five samples of
+        linspace(1e-6, 30e-6, 30) across the pulse end, one of them 3.4e-21 s
+        before it: their <J+J->, and that of the pulse end, lie within
+        10 ||L t_k||_1 u of a 40-digit
+        mpmath expm of the real generators, stepped from sample to sample
+        (about 2 s)."""
+        import mpmath
+
+        n, mu, det, pulse = 3, 1e-3, hz_to_angular(60e6), 20e-6
+        space = GroupSpace(np.full(n, det), np.full(n, g35))
+        times = np.linspace(1e-6, 30e-6, 30)[17:22]
+        assert times[1] < times[2] < pulse < times[3]
+        run = dicke.group_pulse(space, mu, cavity, decoherence, pulse, 1.0, times,
+                                compute_counts=False)
+        on = group_generator(space, mu, cavity, decoherence).toarray()
+        off = group_generator(space, 0.0, cavity, decoherence).toarray()
+        norm_on, norm_off = (np.abs(m).sum(axis=0).max() for m in (on, off))
+        assert norm_on * pulse >= 1e4
+        jpjm = space.rows["jpjm"]
+        samples = sorted(zip(np.append(times, pulse), run.observed + [run.end]),
+                         key=lambda sample: sample[0])
+        with mpmath.workdps(40):  # each column from the last; float differences are exact here
+            l_on, l_off = mpmath.matrix(on.tolist()), mpmath.matrix(off.tolist())
+            column, t_prev = mpmath.matrix(space.ground().tolist()), 0.0
+            for tk, state in samples:
+                step = mpmath.mpf(float(tk)) - mpmath.mpf(t_prev)
+                column, t_prev = mpmath.expm((l_on if tk <= pulse else l_off) * step) * column, tk
+                norm = norm_on * min(tk, pulse) + norm_off * max(tk - pulse, 0.0)
+                ref = float(sum(mpmath.mpf(float(x)) * c for x, c in zip(jpjm, column)))
+                assert abs(jpjm @ state - ref) <= 10 * norm * np.finfo(float).eps / 2 * ref
+
 
 class TestRateMap:
     def test_dark_states_no_collective_decay(self, cavity, g35):
