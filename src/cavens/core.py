@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -401,11 +403,13 @@ def validate_assumptions(model: SystemModel, mu: float, ratio: float = 10.0,
 # ---------------------------------------------------------------------------
 
 #: Generators up to this dimension are exponentiated densely (one expm per
-#: distinct step), on one BLAS thread (:func:`one_blas_thread`).  More
+#: step length), on one BLAS thread (:func:`one_blas_thread`).  More
 #: threads would split the sums by the core count, so the last bits would
 #: depend on the machine; and up to a few hundred rows, the binned S-curve's
 #: blocks, their start-up and synchronisation cost more than they save.
-#: Larger generators use Krylov ``expm_multiply`` per step.
+#: Independent solves use the cores instead, one BLAS thread in each
+#: :func:`fork_map` worker.  Larger generators use Krylov ``expm_multiply``
+#: per step.
 DENSE_DIM_MAX = 1000
 
 #: Detection window integrated after switch-off (one 128 ns bin).
@@ -473,6 +477,38 @@ def one_blas_thread() -> Iterator[None]:
             if _BlasPin.depth == 0:
                 for (_, put), n in zip(controls, _BlasPin.saved):
                     put(n)
+
+
+#: Usable cores: :func:`fork_map`'s workers and ``meanfield``'s row-split
+#: threads.  Every worker sets it to 1, so no pool starts inside another.
+USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+
+
+def _in_worker() -> None:
+    global USABLE_CORES
+    USABLE_CORES = 1
+
+
+def fork_map(fn, tasks: Sequence, workers: Optional[int] = None) -> list:
+    """``[fn(task) for task in tasks]``, on up to ``workers`` (default: the
+    usable cores) forked processes; here without ``fork``, in a worker or
+    with one task or worker.  Spawned workers would import scipy and set
+    the run up again.  Once ``scipy.linalg`` is loaded, the pool forks inside
+    :func:`one_blas_thread`: a worker that set a BLAS thread count itself
+    would start OpenBLAS's thread pool anew, spinning on the other workers'
+    cores.  No worker outlives the call."""
+    import multiprocessing
+
+    workers = min(USABLE_CORES if workers is None else workers, len(tasks))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with one_blas_thread() if "scipy.linalg" in sys.modules else nullcontext(), \
+            ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _in_worker) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _krylov_step(a, vec: np.ndarray) -> np.ndarray:
@@ -627,6 +663,7 @@ __all__ = [
     "DENSE_DIM_MAX",
     "PEAK_WINDOW",
     "one_blas_thread",
+    "fork_map",
     "propagate",
     "PulseRun",
     "pulse_protocol",

@@ -8,6 +8,7 @@ back-of-envelope estimators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -15,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import read_csv_columns
-from .core import CapabilityError, DerivedRates, ParameterError, SystemModel, mu_from_power
+from .core import (CapabilityError, DerivedRates, ParameterError, SystemModel, fork_map,
+                   mu_from_power)
 from .dicke import pulsed_block_emission
 from .units import hz_to_angular
 
@@ -117,6 +119,22 @@ class IncoherentSCurve:
     failures: tuple[tuple[int, int, str], ...]  # (power index, subensemble index, message)
 
 
+def _solve_key(key: tuple[int, float, float], mus: np.ndarray, model: SystemModel,
+               pulse_length: float, peak_mode: str) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The peak of the (n_ions, g, detuning) ``key`` at each of ``mus`` (NaN
+    where the solve failed), and (mu index, message) for each failure."""
+    n, g, d = key
+    peaks, failed = np.full(len(mus), np.nan), []
+    for i, mu in enumerate(mus):
+        try:
+            res = pulsed_block_emission(n, g, mu, model.cavity, model.decoherence, pulse_length,
+                                        detuning=d, compute_counts=peak_mode == "counts")
+            peaks[i] = res.peak_counts if peak_mode == "counts" else res.peak_instant
+        except (CapabilityError, ParameterError, np.linalg.LinAlgError) as exc:
+            failed.append((i, str(exc)))
+    return peaks, failed
+
+
 def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
                       pulse_length: float, model: SystemModel, *,
                       peak_mode: str = "counts", laser_detuning: float = 0.0) -> IncoherentSCurve:
@@ -129,7 +147,12 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
     exchange term that breaks the symmetry vanishes), so mirror bins at
     +-detuning share one solve at |detuning|.  A failed solve is recorded
     for every subensemble mapped to it and skipped rather than aborting the
-    sweep."""
+    sweep.
+
+    The solves run on the usable cores (:func:`core.fork_map`), largest
+    blocks first, one task per (n_ions, g, detuning) with all its powers, so
+    it reuses its drive-off generator.  A task runs the same code on one
+    BLAS thread wherever it runs: the bits do not depend on the cores."""
     if peak_mode not in ("counts", "instant"):
         raise ParameterError("peak_mode must be 'counts' or 'instant'")
     powers = np.asarray(power_grid, dtype=float)
@@ -144,16 +167,13 @@ def incoherent_scurve(subensembles: SubensembleSet, power_grid: Sequence[float],
         if sub.n_ions:
             d = sub.detuning - laser_detuning
             solves.setdefault((sub.n_ions, sub.g, abs(d) if mirror else d), []).append(j)
-    for (n, g, d), js in solves.items():
-        for i, mu in enumerate(mus):
-            try:
-                res = pulsed_block_emission(n, g, mu, model.cavity, model.decoherence,
-                                            pulse_length, detuning=d,
-                                            compute_counts=peak_mode == "counts")
-                per[i, js] = res.peak_counts if peak_mode == "counts" else res.peak_instant
-            except (CapabilityError, ParameterError, np.linalg.LinAlgError) as exc:
-                failures.extend((i, j, str(exc)) for j in js)
-                per[i, js] = np.nan
+    keys = sorted(solves, key=lambda key: -key[0])  # largest block first
+    solve = functools.partial(_solve_key, mus=mus, model=model, pulse_length=pulse_length,
+                              peak_mode=peak_mode)
+    for key, (peaks, failed) in zip(keys, fork_map(solve, keys)):
+        js = solves[key]
+        per[:, js] = peaks[:, None]
+        failures.extend((i, j, msg) for i, msg in failed for j in js)
     failures.sort(key=lambda f: (f[1], f[0]))
     # canonical summation order: the total is independent of entry order
     canon = sorted(range(len(entries)),

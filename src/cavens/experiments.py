@@ -8,7 +8,6 @@ ordered aggregation regardless of worker scheduling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -21,6 +20,7 @@ from .core import (
     EmitterEnsemble,
     ParameterError,
     derive_rates,
+    fork_map,
     mu_from_power,
     power_from_mu,
     propagate,
@@ -381,31 +381,18 @@ def _sweep_point(args: tuple) -> tuple[int, Optional[ExperimentResult], Optional
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
-def _one_response_thread() -> None:
-    """Set up a sweep's worker process: its response sums run on one
-    thread, since the workers already fill the cores."""
-    meanfield._THREADS = 1
-
-
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Ordered aggregation of per-point runs along the sweep axis.
 
     The primary (first) table of each point is concatenated with a leading
     axis column; per-point failures are recorded and the sweep continues.
-    With ``jobs`` > 1 the points run in that many worker processes, each
-    summing its responses on one thread; the rows do not depend on it.
+    With ``jobs`` > 1 the points run in up to that many forked worker
+    processes (:func:`core.fork_map`), each counting one usable core; the
+    rows do not depend on it.
     """
     assert cfg.sweep_axis is not None and cfg.sweep_values is not None
     tasks = [(i, cfg, cfg.sweep_axis, v) for i, v in enumerate(cfg.sweep_values)]
-    results: dict[int, tuple[Optional[ExperimentResult], Optional[str]]] = {}
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_response_thread) as pool:
-            for index, res, err in pool.map(_sweep_point, tasks):
-                results[index] = (res, err)
-    else:
-        for task in tasks:
-            index, res, err = _sweep_point(task)
-            results[index] = (res, err)
+    results = {index: (res, err) for index, res, err in fork_map(_sweep_point, tasks, jobs)}
 
     agg_rows: list[tuple] = []
     columns: Optional[tuple[str, ...]] = None

@@ -26,7 +26,6 @@ import contextlib
 import contextvars
 import copy
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     CavityParams,
     DecoherenceParams,
@@ -178,11 +178,6 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
 #: Tolerance on the residual of x, relative to 1 + |x|.
 _TOL = 1e-10
 
-#: Threads for the row blocks of an explicit ensemble's sums: the usable
-#: cores.  A sweep's worker processes set it to 1, since they fill the cores.
-_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
 #: The fewest row-by-emitter entries whose sums are split across threads.
 #: Waking a pool thread costs about 0.1 ms, so small arrays stay on one: on
 #: 2 cores (numpy 2.4), one slope evaluation of :meth:`_Response.x_of_t`
@@ -297,10 +292,11 @@ class _Response:
         """How many threads :meth:`x_of_t` splits these rows' sums across:
         one for a parametric line, a single coupling level (see
         :func:`_newton`) or fewer than ``_SPLIT_MIN`` row-by-emitter
-        entries, else the usable cores (at most one per row)."""
+        entries, else the usable cores (``core.USABLE_CORES``, at most one
+        per row)."""
         if self.parametric or self.sat.shape[-1] < 2 or self.sat.size < _SPLIT_MIN:
             return 1
-        return min(_THREADS, len(self.sat))
+        return min(core.USABLE_CORES, len(self.sat))
 
     def x_of_t(self, mu: float, t, slope: bool = False, work: Optional[np.ndarray] = None,
                pool: Optional[ThreadPoolExecutor] = None):

@@ -478,9 +478,9 @@ drive.mu = 3e-7
         """The sidecar records the threads the response sums ran on: the
         module's count for the 1000-quantile line on 361 points, and 1 for
         the parametric line, whose sums never split."""
-        from cavens import meanfield
+        from cavens import core
 
-        monkeypatch.setattr(meanfield, "_THREADS", threads)
+        monkeypatch.setattr(core, "USABLE_CORES", threads)
         cfg = LINE_MODEL + f"""
 experiment = {experiment}
 grid.freq.start_hz = -90e6

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -515,3 +517,103 @@ class TestOneBlasThread:
         unpinned = core.propagate(gen.matrix, vec, times)
         assert np.max(np.abs(pinned[-1] - vec)) > 1e-3
         assert all(np.array_equal(a, b) for a, b in zip(pinned, unpinned))
+
+
+def _pid(_task) -> int:
+    return os.getpid()
+
+
+def _nested(_task) -> tuple:
+    """A worker's pid, its usable cores and the pids of a pool it asks for."""
+    return os.getpid(), core.USABLE_CORES, core.fork_map(_pid, [0, 1], workers=2)
+
+
+def _threads_after_a_dense_solve(seed: int) -> int:
+    """The OS threads of this process after a dense 200-row propagation."""
+    gen = csr_matrix(np.random.default_rng(seed).standard_normal((200, 200)) * 1e-2)
+    core.propagate(gen, np.ones(200), [1.0])
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="fork_map runs serially without the fork start method")
+class TestForkMap:
+    def test_runs_in_workers_in_order(self, monkeypatch):
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        assert core.fork_map(abs, [-3, -2, -1, 0]) == [3, 2, 1, 0]
+        pids = core.fork_map(_pid, [0, 1, 2, 3])
+        assert os.getpid() not in pids and len(set(pids)) <= 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores, tasks", [(1, 4), (2, 1), (2, 0)])
+    def test_serial_on_one_core_or_task(self, monkeypatch, cores, tasks):
+        monkeypatch.setattr(core, "USABLE_CORES", cores)
+        assert core.fork_map(_pid, list(range(tasks))) == [os.getpid()] * tasks
+
+    def test_no_pool_inside_a_worker(self, monkeypatch):
+        """A worker counts one usable core, and runs a pool it is asked for,
+        of explicitly two workers, itself."""
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        for pid, cores, inner in core.fork_map(_nested, [0, 1]):
+            assert pid != os.getpid() and cores == 1 and inner == [pid, pid]
+
+    def test_worker_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        with pytest.raises(TypeError):
+            core.fork_map(abs, [1, "a", 2])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc/self/task")
+    def test_a_worker_keeps_one_thread(self, monkeypatch):
+        """A worker inherits the BLAS pin, so its dense solve sets no thread
+        count and OpenBLAS starts no thread pool in it: setting one in a
+        forked child would start that pool anew."""
+        import scipy.linalg  # noqa: F401  (loaded at set-up by a run that propagates)
+
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        assert core.fork_map(_threads_after_a_dense_solve, [0, 1, 2, 3]) == [1] * 4
+
+    def test_sweep_workers_start_no_pool(self, monkeypatch):
+        """run_sweep(jobs=2) over a binned s-curve, two solves a point: the
+        rows are those of jobs=1, and only the sweep forks (its two
+        workers), not the S-curve inside them."""
+        from cavens.config import build_config
+        from cavens.experiments import run_sweep
+
+        parent, forks, real_fork = os.getpid(), [], os.fork
+
+        def fork():
+            if os.getpid() != parent:
+                raise AssertionError("a sweep worker forked")
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        cfg = build_config("""
+experiment = s-curve
+cavity.kappa_hz = 44e9
+cavity.kappa_c_hz = 8.8e9
+decoherence.gamma_s_hz = 6000
+decoherence.gamma_d_hz = 600
+ensemble.kind = lorentzian
+ensemble.n_ions = 4
+ensemble.g_hz = 35e6
+ensemble.delta_inh_hz = 150e6
+bins.n = 3
+bins.width_hz = 50e6
+drive.pulse_length_s = 5e-6
+grid.power.start_w = 1e-13
+grid.power.stop_w = 1e-11
+grid.power.num = 2
+sweep.axis = detuning_hz
+sweep.values = 0, 10e6, 30e6
+""")
+        one = run_sweep(cfg, jobs=1)
+        assert len(forks) == 2 * 3  # the S-curve's pool, at each point
+        forks.clear()
+        two = run_sweep(cfg, jobs=2)
+        assert len(forks) == 2
+        assert repr(two.tables[0].rows) == repr(one.tables[0].rows)
+        assert two.failures == one.failures == []
+        assert multiprocessing.active_children() == []

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
 
 import cavens.ensemble as ensemble_mod
+from cavens import core
 from cavens.core import (DecoherenceParams, DerivedRates, EmitterEnsemble, ParameterError,
                          SystemModel, mu_from_power)
 from cavens.dicke import CapabilityError
@@ -143,6 +147,7 @@ class TestIncoherentSCurve:
 
         real_pulse = ensemble_mod.pulsed_block_emission
         monkeypatch.setattr(ensemble_mod, "pulsed_block_emission", pulse)
+        monkeypatch.setattr(core, "USABLE_CORES", 1)  # count the calls in this process
         det = hz_to_angular(20e6)
         cav = CavityParams.from_hz(44e9, 8.8e9, dc_hz)
         model = SystemModel(cav, DecoherenceParams.from_hz(6000, 600),
@@ -206,6 +211,44 @@ class TestIncoherentSCurve:
         assert [f[:2] for f in res.failures] == [(1, 0), (1, 1)]
         assert all(f[2].startswith("mu must be finite and >= 0") for f in res.failures)
         assert np.all(res.per_subensemble[0] > 0) and np.all(np.isnan(res.per_subensemble[1]))
+
+    @pytest.mark.parametrize("peak_mode", ["counts", "instant"])
+    def test_same_bits_on_one_and_two_workers(self, cavity, g35, monkeypatch, peak_mode):
+        """Mirror bins, four ion numbers and a NaN power: the solve forked
+        over two workers gives the one-worker peaks, totals and failures bit
+        for bit and in the same order.  It forks with Python 3.12's warning of
+        a fork while other threads run made an error, and leaves no worker
+        behind."""
+        from cavens.ensemble import Subensemble
+
+        d1, d2 = hz_to_angular(2e6), hz_to_angular(5e6)
+        subs = SubensembleSet(entries=(
+            Subensemble(-d2, 2, g35), Subensemble(-d1, 3, g35), Subensemble(0.0, 4, g35),
+            Subensemble(d1, 3, g35), Subensemble(d2, 2, g35), Subensemble(2 * d2, 1, g35)))
+        parent, forks, real_fork = os.getpid(), [], os.fork
+
+        def fork():
+            if os.getpid() == parent:
+                forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(core, "USABLE_CORES", workers)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", ".*multi-threaded", DeprecationWarning)
+                runs.append(incoherent_scurve(subs, [1e-13, math.nan, 1e-11], 5e-6,
+                                              self._model(cavity, g35), peak_mode=peak_mode))
+            assert multiprocessing.active_children() == []
+        one, two = runs
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert len(forks) == 2
+        assert two.per_subensemble.tobytes() == one.per_subensemble.tobytes()
+        assert two.total.tobytes() == one.total.tobytes()
+        assert two.failures == one.failures
+        assert [f[:2] for f in one.failures] == [(1, j) for j in range(6)]
+        assert np.all(one.per_subensemble[[0, 2]] > 0)
 
     def test_permutation_invariance_bit_identical(self, cavity, g35):
         from cavens.ensemble import Subensemble

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cavens import meanfield
+from cavens import core, meanfield
 from cavens.analysis import DipNormalization, fit_lorentzian_dip
 from cavens.config import build_config
 from cavens.core import (
@@ -687,7 +687,7 @@ class TestRowSplit:
         one = resp.x_of_t(mu, t), *resp.x_of_t(mu, t, slope=True)
         monkeypatch.setattr(meanfield, "_SPLIT_MIN", 0)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(meanfield, "_THREADS", workers)
+            monkeypatch.setattr(core, "USABLE_CORES", workers)
             threads = resp.threads()
             assert threads == (1 if n_emitters == 1 else min(workers, n_rows))
             with ThreadPoolExecutor(max(1, threads - 1)) as pool:
@@ -715,7 +715,7 @@ class TestRowSplit:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(meanfield, "_THREADS", workers)
+                monkeypatch.setattr(core, "USABLE_CORES", workers)
                 parts.clear()
                 x, missed = meanfield._newton(resp, mu, resp.x_weak, meanfield._TOL)
                 assert parts[0] == workers and threading.active_count() == alive
@@ -728,7 +728,7 @@ class TestRowSplit:
                                                    monkeypatch):
         """sat m overflows on the rows of the pool's block alone: it raises
         under the caller's over="raise" and is silent under over="ignore"."""
-        monkeypatch.setattr(meanfield, "_THREADS", 2)
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
         resp = self._response(cavity, decoherence, delta_inh, 1000, 361)
         assert resp.threads() == 2
         t = np.ones(361)
@@ -748,11 +748,11 @@ class TestRowSplit:
         sweep: it finishes, its workers sum on one thread, and its rows are
         the 1-job rows bit for bit.  Run in a subprocess, with a timeout."""
         script = textwrap.dedent('''
-            from cavens import meanfield
+            from cavens import core
             from cavens.config import build_config
             from cavens.experiments import run_experiment, run_sweep
 
-            meanfield._THREADS = 2
+            core.USABLE_CORES = 2
             cfg = """
             experiment = reflection-spectrum
             cavity.kappa_hz = 44e9
