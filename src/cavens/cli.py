@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, core
 from .config import ConfigError, load_config
 from .core import ParameterError
 from .experiments import SOLVER_ERRORS, ExperimentResult, Table, run_experiment, run_sweep
@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="experiment config file (key = value)")
     parser.add_argument("--out", default="cavens_run", help="output path prefix")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel workers for sweep points")
+    parser.add_argument("--jobs", type=int, default=core.USABLE_CORES,
+                        help="parallel workers for sweep points (default: the usable cores)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed; recorded in the metadata for "
                              "provenance only (no solver draws random numbers)")

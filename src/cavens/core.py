@@ -479,8 +479,9 @@ def one_blas_thread() -> Iterator[None]:
                     put(n)
 
 
-#: Usable cores: :func:`fork_map`'s workers and ``meanfield``'s row-split
-#: threads.  Every worker sets it to 1, so no pool starts inside another.
+#: Usable cores: the most :func:`fork_map` workers, and the default of the
+#: CLI's ``--jobs``.  Every worker sets it to 1, so no pool starts inside
+#: another.
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
 
@@ -490,20 +491,32 @@ def _in_worker() -> None:
     USABLE_CORES = 1
 
 
-def fork_map(fn, tasks: Sequence, workers: Optional[int] = None) -> list:
-    """``[fn(task) for task in tasks]``, on up to ``workers`` (default: the
-    usable cores) forked processes; here without ``fork``, in a worker or
-    with one task or worker.  Spawned workers would import scipy and set
-    the run up again.  Once ``scipy.linalg`` is loaded, the pool forks inside
-    :func:`one_blas_thread`: a worker that set a BLAS thread count itself
-    would start OpenBLAS's thread pool anew, spinning on the other workers'
-    cores.  No worker outlives the call."""
+def fork_workers(n_tasks: int, workers: Optional[int] = None) -> int:
+    """How many processes :func:`fork_map` runs ``n_tasks`` tasks on: up to
+    ``workers`` (default: the usable cores), and 1, this one, with one task
+    or worker (then importing nothing), without ``fork`` or in a worker."""
+    workers = min(USABLE_CORES if workers is None else workers, n_tasks)
+    if workers < 2:
+        return 1
     import multiprocessing
 
-    workers = min(USABLE_CORES if workers is None else workers, len(tasks))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+    if ("fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.parent_process() is not None):
+        return 1
+    return workers
+
+
+def fork_map(fn, tasks: Sequence, workers: Optional[int] = None) -> list:
+    """``[fn(task) for task in tasks]``, on :func:`fork_workers` forked
+    processes, or here if that is 1.  Spawned workers would import scipy
+    and set the run up again.  Once ``scipy.linalg`` is loaded, the pool
+    forks inside :func:`one_blas_thread`: a worker that set a BLAS thread
+    count itself would start OpenBLAS's thread pool anew, spinning on the
+    other workers' cores.  No worker outlives the call."""
+    workers = fork_workers(len(tasks), workers)
+    if workers < 2:
         return [fn(task) for task in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with one_blas_thread() if "scipy.linalg" in sys.modules else nullcontext(), \
@@ -664,6 +677,7 @@ __all__ = [
     "PEAK_WINDOW",
     "one_blas_thread",
     "fork_map",
+    "fork_workers",
     "propagate",
     "PulseRun",
     "pulse_protocol",

@@ -13,28 +13,22 @@ through :func:`_solve`.  Its input, the ensemble response on the grid
 once per (ensemble, grid, cavity, decoherence) and reuses it across drive
 powers, and an explicit ensemble's response is summed in real arithmetic.
 
-An explicit ensemble's sums over emitters run on the usable cores, split by
-rows of the grid: each thread takes a contiguous block of rows and writes
-its slices of shared scratch and output arrays.  The Newton itself stays on
-the calling thread.  Each row's sum is one ``einsum`` over that row alone,
-on the same memory whatever the split, so the bits do not depend on it.
+Every solve runs on the calling thread.  The cores serve independent
+solves: ``experiments`` runs an explicit ensemble's powers as
+:func:`core.fork_map` tasks, one spectrum each.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import copy
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import core
 from .core import (
     CavityParams,
     DecoherenceParams,
@@ -68,16 +62,13 @@ class CitThresholdError(ValueError):
 class Spectrum:
     """Reflection spectrum on a laser-detuning grid (relative to the
     ensemble center).  ``phase`` is the unwrapped argument of the
-    intracavity field <a>; ``converged`` flags per-point solver success;
-    ``response_threads`` is how many threads the solve's sums over
-    emitters ran on."""
+    intracavity field <a>; ``converged`` flags per-point solver success."""
 
     freqs: np.ndarray
     r_complex: np.ndarray
     reflectance: np.ndarray
     phase: np.ndarray
     converged: np.ndarray
-    response_threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.array(self.freqs, dtype=float))  # not the caller's grid
@@ -88,14 +79,14 @@ class Spectrum:
 
 
 def _make_spectrum(freqs: np.ndarray, r: np.ndarray, a_field: np.ndarray,
-                   converged: Optional[np.ndarray] = None, threads: int = 1) -> Spectrum:
+                   converged: Optional[np.ndarray] = None) -> Spectrum:
     if converged is None:
         converged = np.ones(len(freqs), dtype=bool)
     phase = np.angle(a_field)
     finite = np.isfinite(phase)  # a NaN point must not blank the phase after it
     phase[finite] = np.unwrap(phase[finite])
     return Spectrum(freqs=freqs, r_complex=r, reflectance=np.abs(r) ** 2,
-                    phase=phase, converged=converged, response_threads=threads)
+                    phase=phase, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -178,38 +169,6 @@ def single_ion_steady_state(delta: float, g: float, mu: float, cavity: CavityPar
 #: Tolerance on the residual of x, relative to 1 + |x|.
 _TOL = 1e-10
 
-#: The fewest row-by-emitter entries whose sums are split across threads.
-#: Waking a pool thread costs about 0.1 ms, so small arrays stay on one: on
-#: 2 cores (numpy 2.4), one slope evaluation of :meth:`_Response.x_of_t`
-#: (best of 7 x 20) on 1000 emitters took 177-187 us on one thread against
-#: 220-228 us on two at 40 rows, 217-224 against 204-225 us at 50 rows,
-#: 253-262 against 216-237 us at 60 rows and 500-506 against 324-327 us at
-#: 100 rows; on 200 emitters and 361 rows, 307-314 against 249-262 us.
-_SPLIT_MIN = 60_000
-
-
-def _by_rows(task, n_rows: int, parts: int, pool: Optional[ThreadPoolExecutor]) -> None:
-    """Run ``task(rows)`` on ``parts`` contiguous blocks of ``n_rows`` rows.
-
-    The calling thread takes the first block and ``pool`` the others, each
-    in its own copy of the caller's context (one per task, as a context
-    cannot be entered by two threads at once), so the caller's
-    ``np.errstate`` holds there too.  It returns, or raises a block's
-    exception, once every block has finished."""
-    if parts < 2:
-        task(slice(None))
-        return
-    edges = [n_rows * k // parts for k in range(parts + 1)]
-    futures = [pool.submit(contextvars.copy_context().run, task, slice(a, b))
-               for a, b in zip(edges[1:-1], edges[2:])]
-    try:
-        task(slice(0, edges[1]))
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
-
-
 class _Response:
     """Ensemble response x at every point of a laser-detuning grid.
 
@@ -288,27 +247,11 @@ class _Response:
         """Scratch for :meth:`x_of_t` on these rows; a parametric line needs none."""
         return None if self.parametric else np.empty((2,) + self.sat.shape)
 
-    def threads(self) -> int:
-        """How many threads :meth:`x_of_t` splits these rows' sums across:
-        one for a parametric line, a single coupling level (see
-        :func:`_newton`) or fewer than ``_SPLIT_MIN`` row-by-emitter
-        entries, else the usable cores (``core.USABLE_CORES``, at most one
-        per row)."""
-        if self.parametric or self.sat.shape[-1] < 2 or self.sat.size < _SPLIT_MIN:
-            return 1
-        return min(core.USABLE_CORES, len(self.sat))
-
-    def x_of_t(self, mu: float, t, slope: bool = False, work: Optional[np.ndarray] = None,
-               pool: Optional[ThreadPoolExecutor] = None):
+    def x_of_t(self, mu: float, t, slope: bool = False, work: Optional[np.ndarray] = None):
         """x at each row's t; with ``slope``, the pair (x, dx/dt).
 
         An explicit ensemble's sums take two row-by-emitter arrays; ``work``
-        (from :meth:`work`) lends them instead of fresh ones.  Given a
-        ``pool`` (of :meth:`threads` - 1 workers), they run on
-        :meth:`threads` contiguous row blocks at once, each writing its
-        rows of ``work`` and of the output.  Every row's sum over emitters
-        is one ``einsum`` over that row alone, on the same memory whatever
-        the blocks, so the result is the one-thread result bit for bit."""
+        (from :meth:`work`) lends them instead of fresh ones."""
         m = (mu * self.mu_scale / t)[:, None]  # mu_eff / t
         if self.parametric:
             gamma, h, d = self.gamma, self.half_width, self.offset
@@ -329,27 +272,17 @@ class _Response:
         # one complex number
         if work is None:
             work = np.empty((2 if slope else 1,) + self.sat.shape)
-        y, u = work[0], work[-1 if slope else 0]
-        x = np.empty((len(m), 2))
-        dx = np.empty((len(m), 2)) if slope else None
-
-        def sums(rows: slice) -> None:
-            yr = np.multiply(self.sat[rows], m[rows], out=y[rows])
-            ur = np.add(yr, 1.0, out=u[rows])
-            np.reciprocal(ur, out=ur)
-            coef = self.coef[rows]
-            np.einsum("rkj,rj->rk", coef, ur, out=x[rows])
-            if slope:
-                # dx/dt = sum coef y u^2 / t, which is u (1 - u) without the cancellation
-                yr *= ur
-                yr *= ur
-                np.einsum("rkj,rj->rk", coef, yr, out=dx[rows])
-
-        _by_rows(sums, len(m), 1 if pool is None else self.threads(), pool)
-        x = x.view(complex)[:, 0]
+        y = np.multiply(self.sat, m, out=work[0])
+        u = np.add(y, 1.0, out=work[-1 if slope else 0])
+        np.reciprocal(u, out=u)
+        x = np.einsum("rkj,rj->rk", self.coef, u, out=np.empty((len(m), 2))).view(complex)
         if not slope:
-            return x
-        return x, dx.view(complex)[:, 0] / t
+            return x[:, 0]
+        # dx/dt = sum coef y u^2 / t, which is u (1 - u) without the cancellation
+        y *= u
+        y *= u
+        dx = np.einsum("rkj,rj->rk", self.coef, y, out=np.empty((len(m), 2))).view(complex)
+        return x[:, 0], dx[:, 0] / t
 
 
 def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
@@ -380,11 +313,6 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     single numbers, and the copy would cost more than the rows it drops.
     Points still open after 100 iterations are left to the residual check.
 
-    The sums of an explicit ensemble run on :meth:`_Response.threads`
-    threads, of a pool that lives for this call alone, so no thread
-    outlives the solve (a process may fork after it); the steps, the
-    brackets and the cut-down stay on the calling thread.
-
     Returns x and a flag for each point whose residual on x misses tol."""
     t = np.abs(1.0 + x_weak) ** 2
     rows = np.arange(len(t))  # grid indices of the rows of ``sub``
@@ -392,45 +320,42 @@ def _newton(resp: _Response, mu: float, x_weak: np.ndarray,
     lo, hi = np.zeros_like(t), np.full_like(t, np.nan)  # hi: NaN until some h > 0
     cut_down = resp.coef.shape[-1] > 1
     work = resp.work()
-    threads = resp.threads()
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
-        for _ in range(100):
-            x, dx = sub.x_of_t(mu, tv, slope=True, work=work, pool=pool)
-            x += 1.0
-            h = tv - np.abs(x) ** 2
-            hp = 1.0 - 2.0 * np.real(np.conj(x) * dx)
-            np.copyto(lo, tv, where=h < 0)
-            np.copyto(hi, tv, where=h > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dt = h / hp  # hp = 0 gives a step that fails the bracket test
-            eps = 1e-13 * (1.0 + tv)
-            done = np.abs(dt) <= eps
-            step = tv - dt
-            out = ~(done | ((step > lo) & (step < hi)))
-            if out.any():  # bisect, or raise t while no h > 0 has been seen
-                mid = 0.5 * (lo[out] + hi[out])
-                step[out] = np.where(np.isnan(mid), 4.0 * tv[out], mid)
-                done[out] = np.abs(step[out] - tv[out]) <= eps[out]
-            tv = step
-            n_open = len(tv) - np.count_nonzero(done)
-            if n_open == 0 or (cut_down and 2 * n_open <= len(tv)):
-                t[rows] = tv
-                if n_open == 0:
-                    break
-                keep = np.flatnonzero(~done)
-                work = None  # freed before the copy, so the two are never held at once
-                sub, rows, tv, lo, hi = sub.rows(keep), rows[keep], tv[keep], lo[keep], hi[keep]
-                work = sub.work()
-        else:
+    for _ in range(100):
+        x, dx = sub.x_of_t(mu, tv, slope=True, work=work)
+        x += 1.0
+        h = tv - np.abs(x) ** 2
+        hp = 1.0 - 2.0 * np.real(np.conj(x) * dx)
+        np.copyto(lo, tv, where=h < 0)
+        np.copyto(hi, tv, where=h > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = h / hp  # hp = 0 gives a step that fails the bracket test
+        eps = 1e-13 * (1.0 + tv)
+        done = np.abs(dt) <= eps
+        step = tv - dt
+        out = ~(done | ((step > lo) & (step < hi)))
+        if out.any():  # bisect, or raise t while no h > 0 has been seen
+            mid = 0.5 * (lo[out] + hi[out])
+            step[out] = np.where(np.isnan(mid), 4.0 * tv[out], mid)
+            done[out] = np.abs(step[out] - tv[out]) <= eps[out]
+        tv = step
+        n_open = len(tv) - np.count_nonzero(done)
+        if n_open == 0 or (cut_down and 2 * n_open <= len(tv)):
             t[rows] = tv
-        x = resp.x_of_t(mu, t, pool=pool)
-        resid = np.abs(x - resp.x_of_t(mu, np.abs(1.0 + x) ** 2, pool=pool))
+            if n_open == 0:
+                break
+            keep = np.flatnonzero(~done)
+            work = None  # freed before the copy, so the two are never held at once
+            sub, rows, tv, lo, hi = sub.rows(keep), rows[keep], tv[keep], lo[keep], hi[keep]
+            work = sub.work()
+    else:
+        t[rows] = tv
+    x = resp.x_of_t(mu, t)
+    resid = np.abs(x - resp.x_of_t(mu, np.abs(1.0 + x) ** 2))
     return x, ~(resid < tol * (1.0 + np.abs(x)))
 
 
-def _solve(resp: _Response, mu: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """x at every row of ``resp``, a flag for each row Newton missed, and
-    the number of threads the solve's sums ran on (1 without a Newton).
+def _solve(resp: _Response, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """x at every row of ``resp`` and a flag for each row Newton missed.
 
     mu = 0 gives the weak-excitation x; without relaxation (gamma_s = 0)
     any finite drive fully saturates the ensemble, so x = 0."""
@@ -438,8 +363,8 @@ def _solve(resp: _Response, mu: float) -> tuple[np.ndarray, np.ndarray, int]:
     if mu > 0 and resp.gamma_s == 0:
         x = np.zeros(len(x), dtype=complex)
     elif mu > 0:
-        return *_newton(resp, mu, x, _TOL), resp.threads()
-    return x, np.zeros(len(x), dtype=bool), 1
+        return _newton(resp, mu, x, _TOL)
+    return x, np.zeros(len(x), dtype=bool)
 
 
 def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
@@ -457,7 +382,7 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
     if not (math.isfinite(omega_l) and math.isfinite(dc)):
         raise ParameterError(f"omega_l and delta_c must be finite (got {omega_l!r}, {dc!r})")
     resp = _Response(ens, np.array([omega_l - ens.center]), cavity, dec, np.array([dc]))
-    x, missed, _ = _solve(resp, mu)
+    x, missed = _solve(resp, mu)
     if missed[0]:
         residual = abs(x[0] - resp.x_of_t(mu, np.abs(1.0 + x) ** 2)[0])
         raise SelfConsistencyError(f"no convergence at mu={mu:.3e}", offset=resp.offset.item(),
@@ -501,12 +426,12 @@ def reflection_spectrum(ens: EmitterEnsemble, mu: float, grid: Sequence[float],
     freqs = np.asarray(grid, dtype=float)
     if not np.isfinite(freqs).all():
         raise ParameterError("grid frequencies must be finite")
-    x, missed, threads = _solve(_spectrum_response(ens, freqs.tobytes(), cavity, dec), mu)
+    x, missed = _solve(_spectrum_response(ens, freqs.tobytes(), cavity, dec), mu)
     dc = cavity.delta_c - freqs
     r, a = reflection_from_x(x, cavity, delta_c=dc)
     r[missed] = complex(np.nan, np.nan)
     a = np.where(missed, np.nan, a)
-    return _make_spectrum(freqs, r, a, ~missed, threads)
+    return _make_spectrum(freqs, r, a, ~missed)
 
 
 # One entry: power sweeps ask for one key many times in a row, and an

@@ -170,6 +170,21 @@ ensemble.file = does_not_exist.csv
                                             "grid.power.stop_w = 1e-16"))
 
 
+def test_jobs_default_is_the_usable_cores(monkeypatch):
+    """--jobs defaults to the package's core count, which follows the
+    affinity mask rather than the machine's CPU count."""
+    from cavens import core
+    from cavens.cli import build_parser
+
+    def jobs():
+        return build_parser().parse_args(["--config", "run.cfg"]).jobs
+
+    if hasattr(os, "sched_getaffinity"):
+        assert jobs() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(core, "USABLE_CORES", 3)
+    assert jobs() == 3
+
+
 class TestCliRuns:
     def _run(self, tmp_path, text, name, out, extra_args=()):
         path = tmp_path / name
@@ -471,16 +486,16 @@ drive.mu = 3e-7
         assert all(r[4] != "nan" for k, r in enumerate(rows) if k not in (129, 231))
 
     @pytest.mark.parametrize("experiment", ["reflection-spectrum", "cit-power-sweep"])
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("explicit", [True, False])
-    def test_sidecar_records_response_threads(self, tmp_path, monkeypatch, experiment,
-                                              threads, explicit):
-        """The sidecar records the threads the response sums ran on: the
-        module's count for the 1000-quantile line on 361 points, and 1 for
-        the parametric line, whose sums never split."""
+    def test_sidecar_records_spectrum_workers(self, tmp_path, monkeypatch, experiment,
+                                              cores, explicit):
+        """The sidecar records the processes the spectra ran on: the usable
+        cores for the two powers of the 1000-quantile line, and 1 for the
+        parametric line, which is solved in process."""
         from cavens import core
 
-        monkeypatch.setattr(core, "USABLE_CORES", threads)
+        monkeypatch.setattr(core, "USABLE_CORES", cores)
         cfg = LINE_MODEL + f"""
 experiment = {experiment}
 grid.freq.start_hz = -90e6
@@ -492,7 +507,38 @@ grid.power.num = 2
 """ + ("ensemble.explicit_quantiles = 1000\n" if explicit else "")
         assert self._run(tmp_path, cfg, "th.cfg", "th") == 0
         meta = json.loads((tmp_path / "th_metadata.json").read_text())
-        assert meta["response_threads"] == (threads if explicit else 1)
+        assert meta["spectrum_workers"] == (cores if explicit else 1)
+
+    def test_forked_spectra_call_a_replaced_solver(self, tmp_path, monkeypatch):
+        """With meanfield.reflection_spectrum replaced by a local closure,
+        which cannot be pickled (a tracer does this), a two-power explicit
+        spectrum still forks on two cores and writes the same CSV bytes."""
+        from cavens import core, meanfield
+
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        cfg = LINE_MODEL + """
+experiment = reflection-spectrum
+ensemble.explicit_quantiles = 1000
+grid.freq.start_hz = -90e6
+grid.freq.stop_hz = 90e6
+grid.freq.num = 361
+grid.power.start_w = 1e-13
+grid.power.stop_w = 1e-12
+grid.power.num = 2
+"""
+        assert self._run(tmp_path, cfg, "cl.cfg", "plain") == 0
+        solve = meanfield.reflection_spectrum
+
+        def reflection_spectrum(*args, **kwargs):
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "reflection_spectrum", reflection_spectrum)
+        assert self._run(tmp_path, cfg, "cl.cfg", "wrapped") == 0
+        meta = json.loads((tmp_path / "wrapped_metadata.json").read_text())
+        assert meta["spectrum_workers"] == 2
+        for table in ("spectrum_000", "spectrum_001"):
+            assert ((tmp_path / f"wrapped_{table}.csv").read_bytes()
+                    == (tmp_path / f"plain_{table}.csv").read_bytes())
 
     def test_csv_cells_parse_as_floats(self, tmp_path):
         """numpy float64 values (fitted widths, bin detunings, grid points) are

@@ -4,14 +4,11 @@ import signal
 import subprocess
 import sys
 import textwrap
-import threading
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from cavens import core, meanfield
+from cavens import core, experiments, meanfield
 from cavens.analysis import DipNormalization, fit_lorentzian_dip
 from cavens.config import build_config
 from cavens.core import (
@@ -20,6 +17,7 @@ from cavens.core import (
     EmitterEnsemble,
     ParameterError,
     SystemModel,
+    mu_from_power,
 )
 from cavens.experiments import run_reflection_spectrum
 from cavens.meanfield import (
@@ -554,11 +552,13 @@ class TestResponseReuse:
     def _fresh(ens, mu, grid, cav, dec):
         grid = np.array(grid, dtype=float)
         dc = cav.delta_c - grid
-        x, missed, _ = meanfield._solve(_Response(ens, grid, cav, dec, dc), mu)
+        x, missed = meanfield._solve(_Response(ens, grid, cav, dec, dc), mu)
         assert not missed.any()
         return reflection_from_x(x, cav, delta_c=dc)[0]
 
-    def test_one_response_per_power_sweep(self):
+    def test_one_response_per_power_sweep(self, monkeypatch):
+        """On one core the 20 powers are solved here: one build, 19 reuses."""
+        monkeypatch.setattr(core, "USABLE_CORES", 1)
         cfg = build_config("""
 experiment = reflection-spectrum
 cavity.kappa_hz = 44e9
@@ -582,6 +582,29 @@ grid.power.scale = log
         result = run_reflection_spectrum(cfg)
         info = meanfield._spectrum_response.cache_info()
         assert (info.misses, info.hits) == (1, 19)
+        assert len(result.tables) == 20 and result.metadata["not_converged"] == [0] * 20
+
+    def test_no_worker_rebuilds_the_response(self, monkeypatch):
+        """On two cores the parent builds the response before it forks, and
+        the workers share it: a second build raises, in whichever process."""
+
+        class BuiltOnce(_Response):
+            builds = 0
+
+            def __init__(self, *args):
+                assert BuiltOnce.builds == 0, "the response was built again"
+                BuiltOnce.builds += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(meanfield, "_Response", BuiltOnce)
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        meanfield._spectrum_response.cache_clear()
+        cfg = build_config(SPECTRUM_CFG + "grid.power.start_w = 1e-14\n"
+                           "grid.power.stop_w = 1e-10\ngrid.power.num = 20\n"
+                           "grid.power.scale = log\n")
+        result = run_reflection_spectrum(cfg)
+        assert BuiltOnce.builds == 1 and result.metadata["spectrum_workers"] == 2
+        assert meanfield._spectrum_response.cache_info().misses == 1
         assert len(result.tables) == 20 and result.metadata["not_converged"] == [0] * 20
 
     def test_interleaved_inputs_match_fresh_responses(self, decoherence, delta_inh):
@@ -662,91 +685,103 @@ grid.power.scale = log
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(meanfield.__file__)))
 
 
-class TestRowSplit:
-    """An explicit ensemble's sums, split by rows across threads, give the
-    one-thread result bit for bit for any number of workers."""
+SPECTRUM_CFG = """
+experiment = reflection-spectrum
+cavity.kappa_hz = 44e9
+cavity.kappa_c_hz = 8.8e9
+decoherence.gamma_s_hz = 600
+decoherence.gamma_d_hz = 6000
+ensemble.kind = lorentzian
+ensemble.n_ions = 1000
+ensemble.delta_inh_hz = 150e6
+ensemble.g_hz = 140.7e6
+ensemble.explicit_quantiles = 1000
+grid.freq.start_hz = -90e6
+grid.freq.stop_hz = 90e6
+grid.freq.num = 361
+"""
+
+
+class TestForkedSpectra:
+    """An explicit ensemble's powers run as fork_map tasks, one spectrum
+    each: every spectrum is the in-process one bit for bit, whatever the
+    number of usable cores."""
 
     @staticmethod
-    def _response(cavity, dec, delta_inh, n_emitters, n_rows):
-        ens = paper_like_ensemble(cavity, delta_inh, n=n_emitters).to_explicit()
-        grid = np.linspace(-90e6, 90e6, n_rows) * TWO_PI
-        return _Response(ens, grid, cavity, dec, cavity.delta_c - grid)
+    def _count_forks(monkeypatch) -> list:
+        forks, fork = [], os.fork
 
-    @pytest.mark.parametrize("n_rows", [1, 7, 361])
-    @pytest.mark.parametrize("n_emitters", [1, 1000])
-    @pytest.mark.parametrize("mu, gamma_s_hz", [(0.0, 600.0), (1e-5, 600.0), (1e-5, 0.0),
-                                                (1e-1, 600.0)])
-    def test_x_of_t_equals_one_thread(self, cavity, delta_inh, monkeypatch, n_rows, n_emitters,
-                                      mu, gamma_s_hz):
-        """x and (x, dx/dt), with and without lent scratch, on 1, 2 and 3
-        workers, at mu = 0, gamma_s = 0 and deep saturation (mu = 0.1); every
-        split is forced (no size floor), and a single emitter never splits."""
-        resp = self._response(cavity, DecoherenceParams.from_hz(gamma_s_hz, 6000), delta_inh,
-                              n_emitters, n_rows)
-        t = np.abs(1.0 + resp.x_weak) ** 2 * np.geomspace(1e-2, 1e2, n_rows)
-        one = resp.x_of_t(mu, t), *resp.x_of_t(mu, t, slope=True)
-        monkeypatch.setattr(meanfield, "_SPLIT_MIN", 0)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(core, "USABLE_CORES", workers)
-            threads = resp.threads()
-            assert threads == (1 if n_emitters == 1 else min(workers, n_rows))
-            with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-                for work in (None, resp.work()):
-                    split = (resp.x_of_t(mu, t, work=work, pool=pool),
-                             *resp.x_of_t(mu, t, slope=True, work=work, pool=pool))
-                    assert [a.tobytes() for a in split] == [a.tobytes() for a in one]
+        def counted():
+            forks.append(1)
+            return fork()
 
-    @pytest.mark.parametrize("mu", [3e-7, 1e-5, 1e-3])
-    def test_newton_equals_one_thread(self, cavity, decoherence, delta_inh, monkeypatch, mu):
-        """The (x, missed) pair of the 1000-quantile line on 361 points is
-        the same bits on 1, 2 and 3 workers, at the module's size floor and
-        with threads switched every microsecond; the first Newton step
-        splits, and no thread outlives the solve."""
-        resp = self._response(cavity, decoherence, delta_inh, 1000, 361)
-        by_rows, parts = meanfield._by_rows, []
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
 
-        def counted(task, n_rows, k, pool):
-            parts.append(k)
-            by_rows(task, n_rows, k, pool)
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_same_bits_as_in_process(self, monkeypatch, cores):
+        """Five powers, from the bistable weak end (mu = 1.4e-7) to deep
+        saturation (mu = 1.4e-2): the spectra come back in order, equal to
+        reflection_spectrum called here power by power, on min(cores, 5)
+        forked workers, and none on one core."""
+        cfg = build_config(SPECTRUM_CFG + "grid.power.start_w = 1e-14\n"
+                           "grid.power.stop_w = 1e-9\ngrid.power.num = 5\n"
+                           "grid.power.scale = log\n")
+        ens = cfg.model.ensemble.to_explicit(cfg.quantiles)
+        grid = cfg.freq_grid.values() * TWO_PI
+        cav, dec = cfg.model.cavity, cfg.model.decoherence
+        mus = [mu_from_power(p, cav) for p in cfg.power_grid.values()]
+        here = [reflection_spectrum(ens, mu, grid, cav, dec) for mu in mus]
+        monkeypatch.setattr(core, "USABLE_CORES", cores)
+        forks = self._count_forks(monkeypatch)
+        spectra, workers = experiments._spectra(cfg, grid, mus)
+        assert workers == min(cores, 5) and len(forks) == (workers if workers > 1 else 0)
+        fields = ("freqs", "r_complex", "reflectance", "phase", "converged")
+        assert ([[getattr(s, f).tobytes() for f in fields] for s in spectra]
+                == [[getattr(s, f).tobytes() for f in fields] for s in here])
+        assert all(s.converged.all() for s in spectra)
 
-        monkeypatch.setattr(meanfield, "_by_rows", counted)
-        pairs, alive = [], threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(core, "USABLE_CORES", workers)
-                parts.clear()
-                x, missed = meanfield._newton(resp, mu, resp.x_weak, meanfield._TOL)
-                assert parts[0] == workers and threading.active_count() == alive
-                pairs.append((x.tobytes(), missed.tobytes()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert pairs[1] == pairs[0] and pairs[2] == pairs[0]
+    @pytest.mark.parametrize("experiment", ["reflection-spectrum", "cit-power-sweep"])
+    def test_runs_equal_on_one_and_two_cores(self, monkeypatch, experiment):
+        """Both spectrum runners write the same rows on one core (in
+        process) and on two (forked), and record the workers they used."""
+        cfg = build_config(SPECTRUM_CFG.replace("reflection-spectrum", experiment)
+                           + "grid.power.start_w = 2e-14\ngrid.power.stop_w = 3e-13\n"
+                             "grid.power.num = 5\ngrid.power.scale = log\n")
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(core, "USABLE_CORES", cores)
+            result = experiments.run_experiment(cfg)
+            assert result.metadata["spectrum_workers"] == cores
+            runs.append([repr(t.rows) for t in result.tables])
+        assert runs[1] == runs[0]
 
-    def test_callers_errstate_holds_in_the_threads(self, cavity, decoherence, delta_inh,
-                                                   monkeypatch):
-        """sat m overflows on the rows of the pool's block alone: it raises
-        under the caller's over="raise" and is silent under over="ignore"."""
+    def test_parametric_line_small_ensemble_and_single_power_stay_here(self, monkeypatch):
+        """A closed-form line, an explicit ensemble one emitter short of
+        the size floor on 361 points, or one power of a large one, is solved
+        in this process; one emitter more forks."""
         monkeypatch.setattr(core, "USABLE_CORES", 2)
-        resp = self._response(cavity, decoherence, delta_inh, 1000, 361)
-        assert resp.threads() == 2
-        t = np.ones(361)
-        t[200:] = 1e-302  # m = mu_eff / t is finite, and sat m is not
-        with np.errstate(over="raise"):
-            resp.rows(np.arange(180)).x_of_t(1e-3, t[:180])  # the caller's block is clean
-        with ThreadPoolExecutor(1) as pool:
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                resp.x_of_t(1e-3, t, pool=pool)
-            with np.errstate(over="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("error")
-                x = resp.x_of_t(1e-3, t, pool=pool)
-        assert np.isfinite(x).all()
+        forks = self._count_forks(monkeypatch)
+        powers = "grid.power.start_w = 1e-13\ngrid.power.stop_w = 1e-12\ngrid.power.num = 2\n"
+        below = -(-experiments._FORK_MIN // 361) - 1  # the most emitters below the floor
 
-    def test_sweep_workers_after_a_threaded_spectrum(self):
-        """A process that has run a threaded spectrum then forks a 2-job
-        sweep: it finishes, its workers sum on one thread, and its rows are
-        the 1-job rows bit for bit.  Run in a subprocess, with a timeout."""
+        def quantiles(n):
+            return build_config(SPECTRUM_CFG.replace("quantiles = 1000", f"quantiles = {n}")
+                                + powers)
+
+        line = build_config(SPECTRUM_CFG.replace("ensemble.explicit_quantiles = 1000\n", "")
+                            + powers)
+        one = build_config(SPECTRUM_CFG + "drive.power_w = 1e-12\n")
+        for cfg in (line, quantiles(below), one):
+            assert experiments.run_experiment(cfg).metadata["spectrum_workers"] == 1
+        assert forks == []
+        assert experiments.run_experiment(quantiles(below + 1)).metadata["spectrum_workers"] == 2
+        assert len(forks) == 2
+
+    def test_sweep_workers_after_forked_spectra(self):
+        """A process that has run forked spectra then forks a 2-job sweep:
+        it finishes, its workers solve their powers themselves, and its rows
+        are the 1-job rows bit for bit.  Run in a subprocess, with a timeout."""
         script = textwrap.dedent('''
             from cavens import core
             from cavens.config import build_config
@@ -767,15 +802,17 @@ class TestRowSplit:
             grid.freq.start_hz = -90e6
             grid.freq.stop_hz = 90e6
             grid.freq.num = 361
-            drive.power_w = 1e-12
+            grid.power.start_w = 1e-13
+            grid.power.stop_w = 1e-12
+            grid.power.num = 2
             """
-            assert run_experiment(build_config(cfg)).metadata["response_threads"] == 2
-            sweep = build_config(cfg + "sweep.axis = power_w\\nsweep.values = 1e-13, 1e-11\\n")
+            assert run_experiment(build_config(cfg)).metadata["spectrum_workers"] == 2
+            sweep = build_config(cfg + "sweep.axis = n_ions\\nsweep.values = 500, 1000\\n")
             one, two = run_sweep(sweep, jobs=1), run_sweep(sweep, jobs=2)
             assert repr(two.tables[0].rows) == repr(one.tables[0].rows)
-            threads = [[p["metadata"]["response_threads"] for p in r.metadata["points"]]
+            workers = [[p["metadata"]["spectrum_workers"] for p in r.metadata["points"]]
                        for r in (one, two)]
-            assert threads == [[2, 2], [1, 1]], threads
+            assert workers == [[2, 2], [1, 1]], workers
             print("ok")
         ''')
         env = dict(os.environ,
