@@ -8,6 +8,8 @@ Jacobians, the stretched-exponential fits use central differences.  Each
 fitter imports it when called, so importing this module loads no scipy;
 the experiments that fit list ``scipy.optimize`` in
 :data:`cavens.config.EXPERIMENTS`, which imports it at set-up.
+A failed fit raises :class:`~cavens.core.SolverError`, naming the data
+it ran on, the method (``lm`` or ``trf``) and the cost it reached.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ParameterError
+from .core import ParameterError, SolverError
 from .meanfield import Spectrum
-from .units import TWO_PI
+from .units import TWO_PI, angular_to_hz
 
 
-class FitError(RuntimeError):
-    """A fit failed to converge from every starting point."""
+def _span(freqs: np.ndarray) -> str:
+    """A fit's frequency grid (rad/s) as a failure names it."""
+    return (f"the {len(freqs)}-point grid from {angular_to_hz(freqs[0]):.6g} to "
+            f"{angular_to_hz(freqs[-1]):.6g} Hz")
 
 
 def _stderr(jac: np.ndarray, residuals: np.ndarray, n_params: int) -> np.ndarray:
@@ -122,7 +126,8 @@ def fit_lorentzian_dip(spectrum: Spectrum | tuple, normalization: DipNormalizati
     res = least_squares(lambda p: _lorentzian_dip_model(p, freqs) - y, p0,
                         jac=lambda p: _lorentzian_dip_jac(p, freqs), method="lm")
     if not res.success:
-        raise FitError(f"dip fit failed: {res.message}")
+        raise SolverError(f"dip fit failed: {res.message}", point=_span(freqs), method="lm",
+                          residual=res.cost)
     b, d, c, w = res.x
     err = _stderr(res.jac, res.fun, 4)
     return DipFit(width=abs(w), depth=float(d), center=float(c), baseline=float(b),
@@ -165,7 +170,7 @@ def fit_cit_power_laws(powers: Sequence[float], widths: Sequence[float],
     if len(p_arr) < 5:
         raise ParameterError("need at least 5 power points")
     if np.ptp(p_arr) == 0:
-        raise FitError("degenerate design: all powers equal")
+        raise ParameterError("degenerate design: all powers equal")
     w_scale = float(np.sqrt(np.mean(w_arr**2)))
     d_scale = float(np.sqrt(np.mean(d_arr**2))) or 1.0
 
@@ -181,7 +186,9 @@ def fit_cit_power_laws(powers: Sequence[float], widths: Sequence[float],
     p0 = np.array([float(np.min(w_arr)), 0.1 * sqrt_pmin, 0.2, max(float(np.max(d_arr)), 0.1)])
     res = least_squares(residuals, p0, method="lm", max_nfev=20000)
     if not res.success:
-        raise FitError(f"power-law fit failed: {res.message}")
+        point = f"{len(p_arr)} powers from {np.min(p_arr):.6g} to {np.max(p_arr):.6g}"
+        raise SolverError(f"power-law fit failed: {res.message}", point=point, method="lm",
+                          residual=res.cost)
     err = _stderr(res.jac, res.fun, 4)
     names = ("p1", "p2", "p3", "p4")
     return CitPowerLawFit(*[float(v) for v in res.x],
@@ -278,7 +285,9 @@ def fit_emission_trace(times: Sequence[float], values: Sequence[float],
                 abs(res.cost - best[0]) <= 1e-12 * abs(best[0]) and tau1_fit < best[2]):
             best = (res.cost, res, tau1_fit)
     if best is None:
-        raise FitError("all stretched bi-exponential starts failed")
+        raise SolverError("all stretched bi-exponential starts failed",
+                          point=f"{len(pairs)} starts over t = {t[0]:.6g} to {t[-1]:.6g} s",
+                          method="trf", residual=math.nan)
     res = best[1]
     err = _stderr(res.jac, res.fun, len(res.x))
     if force_x1:
@@ -366,7 +375,8 @@ def beat_spectrum(times: Sequence[float], coherent_amp: Sequence[complex],
     p0 = np.array([floor, peak0, f[i_pk], width0])
     res = least_squares(lambda p: model(p, f) - y, p0, method="lm", max_nfev=10000)
     if not res.success:
-        raise FitError(f"beat-note fit failed: {res.message}")
+        raise SolverError(f"beat-note fit failed: {res.message}", point=_span(f), method="lm",
+                          residual=res.cost)
     b0, a, c, w = res.x
     w = abs(w)
     err = _stderr(res.jac, res.fun, 4)
@@ -423,7 +433,6 @@ def extract_scurve_features(powers: Sequence[float], peaks: Sequence[float]) -> 
 
 
 __all__ = [
-    "FitError",
     "DipFit",
     "DipNormalization",
     "fit_lorentzian_dip",

@@ -128,11 +128,7 @@ class KeyView:
         return sorted(set(self._kv) - self.used)
 
 
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)

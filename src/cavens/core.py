@@ -44,6 +44,15 @@ class CapabilityError(ValueError):
     """Requested system size exceeds a solver's capability limit."""
 
 
+class SolverError(RuntimeError):
+    """A solve or fit failed: names the ``point`` it was at, the ``method``
+    and the ``residual`` it reached (NaN where the method reports none)."""
+
+    def __init__(self, message: str, *, point: str, method: str, residual: float):
+        super().__init__(f"{method} solve at {point}: {message} (residual {residual:.3e})")
+        self.point, self.method, self.residual = point, method, residual
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """One-sided cavity: total decay ``kappa``, input coupling ``kappa_c``,
@@ -423,7 +432,6 @@ def _openblas_thread_controls() -> tuple:
     is found.  Looked up once per process."""
     import ctypes
     import glob
-    import os
 
     import scipy
     import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
@@ -661,6 +669,7 @@ __all__ = [
     "ParameterError",
     "check_drive",
     "CapabilityError",
+    "SolverError",
     "CavityParams",
     "DecoherenceParams",
     "EmitterEnsemble",

@@ -3,6 +3,9 @@
 Each experiment returns CSV-ready tables plus metadata extras; the CLI
 writes them.  Sweeps re-run an experiment along one axis with deterministic
 ordered aggregation regardless of worker scheduling.
+A failed dip fit of a power sweep, or a failed sweep point, is recorded
+in ``failures`` and the run goes on; any other of :data:`SOLVER_ERRORS`
+ends it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .core import (
     CapabilityError,
     EmitterEnsemble,
     ParameterError,
+    SolverError,
     derive_rates,
     fork_map,
     fork_workers,
@@ -30,13 +34,9 @@ from .core import (
 from .units import TWO_PI, angular_to_hz
 
 
-class SolverFailure(RuntimeError):
-    """An experiment's solver failed outright."""
-
-
-#: The failures a run reports as a solver failure rather than a bug.
-SOLVER_ERRORS = (SolverFailure, meanfield.SelfConsistencyError, CapabilityError, ParameterError,
-                 analysis.FitError)
+#: The failures a run reports as a solver failure rather than a bug: a failed
+#: solve or fit, bad input, and input beyond the solvers' limits.
+SOLVER_ERRORS = (SolverError, CapabilityError, ParameterError)
 
 
 @dataclass
@@ -78,10 +78,11 @@ def _need(value, key: str):
     return value
 
 
-#: The fewest grid-by-emitter entries of a response whose powers are forked.
-#: A pool costs 10-35 ms: on 2 cores 20 powers took 125 ms in process and 130
-#: ms forked on 200 emitters x 361 points, and 610 against 354 ms on 1000 x 361.
-_FORK_MIN = 100_000
+#: The fewest grid-by-emitter-by-power entries of a spectrum run whose powers
+#: are forked.  A pool costs 10-35 ms: on 2 cores forking lost at 0.72-1.44
+#: million (2 powers on 1000 emitters x 361 points, 5 on 500 x 361, 20 on
+#: 200 x 361) and won from 1.8 million (5 on 1000 x 361, 20 on 1000 x 121).
+_FORK_MIN = 1_500_000
 
 
 def _spectrum(task: tuple) -> meanfield.Spectrum:
@@ -97,14 +98,15 @@ def _spectra(cfg: ExperimentConfig, grid: np.ndarray,
     they ran on; the ensemble is the configured one, or its quantiles.
 
     An explicit ensemble's drives run as :func:`core.fork_map` tasks, one
-    each, once its response has ``_FORK_MIN`` entries; it is built here
-    first, so the workers share it and none builds it again.  Anything else
-    is solved here.  A spectrum has the same bits wherever it runs."""
+    each, once its response's entries times the drives reach ``_FORK_MIN``;
+    the response is built here first, so the workers share it and none
+    builds it again.  Anything else is solved here.  A spectrum has the same
+    bits wherever it runs."""
     ens, cav, dec = cfg.model.ensemble, cfg.model.cavity, cfg.model.decoherence
     if cfg.quantiles is not None:
         ens = ens.to_explicit(cfg.quantiles)
     tasks = [(ens, mu, grid, cav, dec) for mu in mus]
-    forked = not ens.is_parametric and len(grid) * ens.n >= _FORK_MIN
+    forked = not ens.is_parametric and len(grid) * ens.n * len(mus) >= _FORK_MIN
     workers = fork_workers(len(tasks)) if forked else 1
     if workers > 1:
         meanfield._spectrum_response(ens, grid.tobytes(), cav, dec)
@@ -151,7 +153,7 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         not_converged.append(int(np.count_nonzero(~spec.converged)))
         try:
             fit = analysis.fit_lorentzian_dip(spec, norm)
-        except analysis.FitError as exc:
+        except SolverError as exc:
             failures.append({"power_index": i, "error": str(exc)})
             fit = None
         if fit is None:
@@ -168,7 +170,7 @@ def run_cit_power_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                                               [f.width for _, f in fitted],
                                               [f.depth for _, f in fitted])
             meta["power_law"] = law.as_dict()
-        except analysis.FitError as exc:
+        except SolverError as exc:
             meta["power_law_error"] = str(exc)
     table = Table(name="cit_power_sweep",
                   columns=("power_w", "mu", "width_hz", "width_stderr_hz",
@@ -431,7 +433,8 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
         meta_points.append({"axis_value": float(value), "metadata": res.metadata})
         failures.extend({"axis_value": float(value), **f} for f in res.failures)
     if columns is None:
-        raise SolverFailure("every sweep point failed")
+        raise SolverError("every sweep point failed", method=cfg.experiment, residual=math.nan,
+                          point=f"{len(cfg.sweep_values)} values of {cfg.sweep_axis}")
     table = Table(name=f"sweep_{cfg.experiment}", columns=columns, rows=agg_rows)
     return ExperimentResult(tables=[table],
                             metadata={"sweep_axis": cfg.sweep_axis,
@@ -441,7 +444,6 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 
 __all__ = [
-    "SolverFailure",
     "SOLVER_ERRORS",
     "Table",
     "ExperimentResult",

@@ -37,6 +37,7 @@ from .core import (
     DecoherenceParams,
     EmitterEnsemble,
     ParameterError,
+    SolverError,
     SystemModel,
     check_drive,
     propagate,
@@ -50,10 +51,6 @@ DEPHASING_LINDBLAD_SCALE = 0.5
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-
-
-class IntegrationError(RuntimeError):
-    """An ODE oracle's integrator failed (e.g. step-size underflow)."""
 
 
 @dataclass(frozen=True)
@@ -260,7 +257,8 @@ def build_generator(ens: EmitterEnsemble, mu: float, cavity: CavityParams,
 def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float]) -> list[DensityState]:
     """ODE trajectory (DOP853 at rtol 1e-10, atol 1e-13) at the requested
     times (strictly increasing from 0).  Test oracle for
-    :func:`evolve_expm`; no production path calls it."""
+    :func:`evolve_expm`; no production path calls it.  An integrator failure
+    raises :class:`~cavens.core.SolverError` at the last time reached."""
     from scipy.integrate import solve_ivp
 
     t = np.asarray(times, dtype=float)
@@ -274,7 +272,8 @@ def evolve(state0: DensityState, gen: Liouvillian, times: Sequence[float]) -> li
     sol = solve_ivp(lambda _t, y: gen.matvec(y), (0.0, float(t[-1])), y0,
                     t_eval=t_eval, method="DOP853", rtol=1e-10, atol=1e-13)
     if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
+        raise SolverError(f"integrator failed: {sol.message}", point=f"t = {sol.t[-1]:.6g} s",
+                          method="DOP853", residual=math.nan)
     states = [DensityState(gen.dim, sol.y[:, k].reshape(gen.dim, gen.dim))
               for k in range(int(prepend_zero), sol.y.shape[1])]
     return states
@@ -330,7 +329,6 @@ __all__ = [
     "DEPHASING_LINDBLAD_SCALE",
     "DIM_MAX",
     "CapabilityError",
-    "IntegrationError",
     "DensityState",
     "EmissionTrace",
     "site_operator",

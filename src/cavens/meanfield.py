@@ -12,6 +12,8 @@ through :func:`_solve`.  Its input, the ensemble response on the grid
 (:class:`_Response`), does not depend on the drive: a spectrum builds it
 once per (ensemble, grid, cavity, decoherence) and reuses it across drive
 powers, and an explicit ensemble's response is summed in real arithmetic.
+Where Newton misses, a spectrum flags the point ``converged = False`` and
+the one-point solve raises :class:`~cavens.core.SolverError`.
 
 Every solve runs on the calling thread.  The cores serve independent
 solves: ``experiments`` runs an explicit ensemble's powers as
@@ -34,28 +36,13 @@ from .core import (
     DecoherenceParams,
     EmitterEnsemble,
     ParameterError,
+    SolverError,
     SystemModel,
     check_drive,
     ensemble_cooperativity,
     validate_assumptions,
 )
 from .units import angular_to_hz
-
-
-class SelfConsistencyError(RuntimeError):
-    """The self-consistent solve for the ensemble response did not converge.
-
-    Names the point (``offset``, the laser detuning from the ensemble
-    center in rad/s), the ``method`` and the ``residual`` on x."""
-
-    def __init__(self, message: str, *, offset: float, method: str, residual: float):
-        super().__init__(f"{method} solve at laser offset {angular_to_hz(offset):.6g} Hz "
-                         f"from the ensemble center: {message} (residual {residual:.3e})")
-        self.offset, self.method, self.residual = offset, method, residual
-
-
-class CitThresholdError(ValueError):
-    """Drive power below the transparency threshold of the analytic formula."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +66,7 @@ class Spectrum:
 
 
 def _make_spectrum(freqs: np.ndarray, r: np.ndarray, a_field: np.ndarray,
-                   converged: Optional[np.ndarray] = None) -> Spectrum:
-    if converged is None:
-        converged = np.ones(len(freqs), dtype=bool)
+                   converged: np.ndarray) -> Spectrum:
     phase = np.angle(a_field)
     finite = np.isfinite(phase)  # a NaN point must not blank the phase after it
     phase[finite] = np.unwrap(phase[finite])
@@ -127,7 +112,7 @@ def reflection_weak_excitation(grid: Sequence[float], transitions: Sequence[Tran
     r = 1.0 - 1j * cavity.kappa_c / denom
     # <a> recovered from r = 1 + (2 kappa_c / kappa sqrt(mu)) <a>, mu-independent shape
     a_field = (r - 1.0) * cavity.kappa / (2.0 * cavity.kappa_c)
-    return _make_spectrum(w, r, a_field)
+    return _make_spectrum(w, r, a_field, np.ones(len(w), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -374,8 +359,8 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
 
     The one-row case of :func:`reflection_spectrum`'s solve, at the cavity
     detuning ``delta_c`` (default ``cavity.delta_c``).  Raises
-    :class:`SelfConsistencyError` (with the residual) where Newton misses
-    the tolerance.
+    :class:`~cavens.core.SolverError` where Newton misses the tolerance,
+    naming the laser offset from the ensemble center and the residual on x.
     """
     check_drive(mu)
     dc = cavity.delta_c if delta_c is None else delta_c
@@ -385,8 +370,9 @@ def solve_selfconsistent_x(ens: EmitterEnsemble, mu: float, omega_l: float,
     x, missed = _solve(resp, mu)
     if missed[0]:
         residual = abs(x[0] - resp.x_of_t(mu, np.abs(1.0 + x) ** 2)[0])
-        raise SelfConsistencyError(f"no convergence at mu={mu:.3e}", offset=resp.offset.item(),
-                                   method="newton", residual=residual)
+        point = f"laser offset {angular_to_hz(resp.offset.item()):.6g} Hz from the ensemble center"
+        raise SolverError(f"no convergence at mu={mu:.3e}", point=point, method="newton",
+                          residual=residual)
     return complex(x[0])
 
 
@@ -491,8 +477,8 @@ def cit_center(omega0: float, omega_cav: float, cooperativity: float,
 def cit_analytics(model: SystemModel, mu: float, *, check: bool = True) -> CitAnalytics:
     """Analytic width/depth/center of the transparency dip at drive mu.
 
-    Raises :class:`CitThresholdError` when mu is at or below the pole of the
-    width formula.  Warns (never aborts) when the validity conditions fail
+    Raises :class:`~cavens.core.ParameterError` when mu is at or below the
+    pole of the width formula (below the transparency threshold).  Warns (never aborts) when the validity conditions fail
     at the default ratio of :func:`cavens.core.validate_assumptions`.
     """
     ens, cav = model.ensemble, model.cavity
@@ -506,7 +492,7 @@ def cit_analytics(model: SystemModel, mu: float, *, check: bool = True) -> CitAn
                           stacklevel=2)
     b = cit_power_factor(model, mu)
     if 1.0 - b <= 0.0:
-        raise CitThresholdError(
+        raise ParameterError(
             f"below CIT threshold power: 1 - C sqrt(gamma_s gamma / 4 g^2 mu) = {1.0 - b:.3e}")
     width_min = ens.delta_inh / c
     width = width_min / (1.0 - b)
@@ -530,8 +516,6 @@ def pair_contribution(delta: float, g: float, sigma_z: float, dec: DecoherencePa
 
 
 __all__ = [
-    "SelfConsistencyError",
-    "CitThresholdError",
     "Spectrum",
     "TransitionLine",
     "reflection_weak_excitation",

@@ -29,16 +29,16 @@ from scipy.linalg import expm
 from scipy.optimize import root
 
 from cavens import meanfield
-from cavens.core import PEAK_WINDOW, ParameterError, pulse_protocol
+from cavens.core import PEAK_WINDOW, ParameterError, SolverError, pulse_protocol
 from cavens.dicke import (DickeBlockState, GroupSpace, _observable_rows, block_ladder, block_parts,
                           dicke_basis, real_generator, spin_block, to_complex)
 from cavens.lindblad import (
     DensityState,
-    IntegrationError,
     build_generator,
     collective_operators,
     evolve_expm,
 )
+from cavens.units import angular_to_hz
 
 
 def _saturation_scale(resp):
@@ -49,6 +49,11 @@ def _saturation_scale(resp):
     if resp.parametric:
         peak /= resp.gamma**2  # the explicit kind's sat for an emitter at zero detuning
     return peak * resp.mu_scale.item()
+
+
+def _laser_offset(offset):
+    """A laser detuning from the ensemble center (rad/s) as a failure names it."""
+    return f"laser offset {angular_to_hz(offset):.6g} Hz from the ensemble center"
 
 
 def picard_x(resp, mu, *, tol=1e-10, max_iter=10_000, relaxation=0.5, steps_per_decade=10):
@@ -75,9 +80,9 @@ def picard_x(resp, mu, *, tol=1e-10, max_iter=10_000, relaxation=0.5, steps_per_
             if residual < tol * (1.0 + abs(x)):
                 break
         else:
-            raise meanfield.SelfConsistencyError(
-                f"no convergence after {max_iter} iterations at mu={mu_k:.3e}",
-                offset=resp.offset.item(), method="picard", residual=residual)
+            raise SolverError(f"no convergence after {max_iter} iterations at mu={mu_k:.3e}",
+                              point=_laser_offset(resp.offset.item()), method="picard",
+                              residual=residual)
     return x
 
 
@@ -142,12 +147,14 @@ def mean_field_ode_steady_state(ens, mu, omega_l, cavity, dec):
     first_step = 0.1 / fastest
     scale = max(1.0, math.sqrt(mu))
     threshold = 1e-9 * rate * scale
-    resid = math.inf
+    resid = math.nan
+    point = _laser_offset(omega_l - expl.center)
     for _ in range(64):
         sol = solve_ivp(rhs, (0.0, chunk), y, method="DOP853", rtol=1e-10, atol=1e-12,
                         first_step=first_step)
         if not sol.success:
-            raise IntegrationError(sol.message)
+            raise SolverError(f"integrator failed: {sol.message}", point=point,
+                              method="DOP853", residual=resid)
         y = sol.y[:, -1]
         resid = float(np.max(np.abs(rhs(0.0, y))))
         if resid <= threshold:
@@ -159,8 +166,8 @@ def mean_field_ode_steady_state(ens, mu, omega_l, cavity, dec):
                 y = y_pol
                 break
     else:
-        raise IntegrationError(
-            f"mean-field ODE not stationary after 64 chunks (residual {resid:.3e})")
+        raise SolverError("mean-field ODE not stationary after 64 chunks", point=point,
+                          method="DOP853", residual=resid)
     sm = y[:n] + 1j * y[n:2 * n]
     sz = y[2 * n:]
     a = a_of(sm)

@@ -6,14 +6,13 @@ import pytest
 from cavens.analysis import (
     BiexpFit,
     DipNormalization,
-    FitError,
     beat_spectrum,
     extract_scurve_features,
     fit_cit_power_laws,
     fit_emission_trace,
     fit_lorentzian_dip,
 )
-from cavens.core import ParameterError
+from cavens.core import ParameterError, SolverError
 from cavens.units import TWO_PI
 
 
@@ -104,7 +103,7 @@ class TestCitPowerLaws:
             assert count >= 0.95 * n_draws, f"{key}: only {count}/{n_draws} within 3 sigma"
 
     def test_degenerate_design(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ParameterError, match="all powers equal"):
             fit_cit_power_laws([1.0] * 6, [1.0] * 6, [0.5] * 6)
         with pytest.raises(ParameterError):
             fit_cit_power_laws([1, 2, 3], [1, 1, 1], [1, 1, 1])
@@ -134,7 +133,7 @@ class TestEmissionFit:
 
     def test_rejected_start_skipped(self, monkeypatch):
         """A start that least_squares rejects is skipped; when every start is
-        rejected the fit fails with FitError."""
+        rejected the fit fails with SolverError."""
         import scipy.optimize
 
         t = np.linspace(1e-9, 80e-6, 400)
@@ -157,7 +156,7 @@ class TestEmissionFit:
             raise np.linalg.LinAlgError("singular")
 
         monkeypatch.setattr(scipy.optimize, "least_squares", singular)
-        with pytest.raises(FitError):
+        with pytest.raises(SolverError):
             fit_emission_trace(t, y)
 
     def test_other_errors_propagate(self, monkeypatch):

@@ -261,11 +261,14 @@ grid.power.start_w = 2e-14
 grid.power.num = 1
 """
 
+    FORCED = "lm solve at a forced point: dip fit failed: forced (residual nan)"
+
     @staticmethod
     def _fail_fit(monkeypatch, which: int) -> list:
-        """Make the ``which``-th dip fit (1-based) raise FitError; returns
+        """Make the ``which``-th dip fit (1-based) raise SolverError; returns
         the call log, which a caller clears to start counting again."""
         from cavens import analysis
+        from cavens.core import SolverError
 
         real_fit = analysis.fit_lorentzian_dip
         calls = []
@@ -273,7 +276,8 @@ grid.power.num = 1
         def fit(*args, **kwargs):
             calls.append(1)
             if len(calls) == which:
-                raise analysis.FitError("dip fit failed: forced")
+                raise SolverError("dip fit failed: forced", point="a forced point", method="lm",
+                                  residual=math.nan)
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "fit_lorentzian_dip", fit)
@@ -286,13 +290,12 @@ grid.power.num = 1
         assert self._run(tmp_path, self.CIT_CFG, "cit.cfg", "cit") == 4
         assert "1 point(s) failed" in capsys.readouterr().err
         meta = json.loads((tmp_path / "cit_metadata.json").read_text())
-        assert meta["failures"] == [{"power_index": 0, "error": "dip fit failed: forced"}]
+        assert meta["failures"] == [{"power_index": 0, "error": self.FORCED}]
         calls.clear()
         sweep = self.CIT_CFG + "sweep.axis = detuning_hz\nsweep.values = 0, 1e6\n"
         assert self._run(tmp_path, sweep, "sw.cfg", "sw") == 4
         meta = json.loads((tmp_path / "sw_metadata.json").read_text())
-        assert meta["failures"] == [{"axis_value": 0.0, "power_index": 0,
-                                     "error": "dip fit failed: forced"}]
+        assert meta["failures"] == [{"axis_value": 0.0, "power_index": 0, "error": self.FORCED}]
 
     def test_fit_failure_keeps_other_powers(self, tmp_path, monkeypatch):
         """One failed dip fit in a power grid writes a NaN row for that
@@ -306,7 +309,7 @@ grid.power.num = 1
         assert len(rows) == 3 and math.isnan(widths[1])
         assert math.isfinite(widths[0]) and math.isfinite(widths[2])
         meta = json.loads((tmp_path / "cit3_metadata.json").read_text())
-        assert meta["failures"] == [{"power_index": 1, "error": "dip fit failed: forced"}]
+        assert meta["failures"] == [{"power_index": 1, "error": self.FORCED}]
 
     @pytest.mark.parametrize("binned, key, value", [
         (True, "bins.n", "4"),  # even: no bin on resonance
@@ -491,7 +494,7 @@ drive.mu = 3e-7
     def test_sidecar_records_spectrum_workers(self, tmp_path, monkeypatch, experiment,
                                               cores, explicit):
         """The sidecar records the processes the spectra ran on: the usable
-        cores for the two powers of the 1000-quantile line, and 1 for the
+        cores for the five powers of the 1000-quantile line, and 1 for the
         parametric line, which is solved in process."""
         from cavens import core
 
@@ -503,7 +506,7 @@ grid.freq.stop_hz = 90e6
 grid.freq.num = 361
 grid.power.start_w = 1e-13
 grid.power.stop_w = 1e-12
-grid.power.num = 2
+grid.power.num = 5
 """ + ("ensemble.explicit_quantiles = 1000\n" if explicit else "")
         assert self._run(tmp_path, cfg, "th.cfg", "th") == 0
         meta = json.loads((tmp_path / "th_metadata.json").read_text())
@@ -511,7 +514,7 @@ grid.power.num = 2
 
     def test_forked_spectra_call_a_replaced_solver(self, tmp_path, monkeypatch):
         """With meanfield.reflection_spectrum replaced by a local closure,
-        which cannot be pickled (a tracer does this), a two-power explicit
+        which cannot be pickled (a tracer does this), a five-power explicit
         spectrum still forks on two cores and writes the same CSV bytes."""
         from cavens import core, meanfield
 
@@ -524,7 +527,7 @@ grid.freq.stop_hz = 90e6
 grid.freq.num = 361
 grid.power.start_w = 1e-13
 grid.power.stop_w = 1e-12
-grid.power.num = 2
+grid.power.num = 5
 """
         assert self._run(tmp_path, cfg, "cl.cfg", "plain") == 0
         solve = meanfield.reflection_spectrum
@@ -536,7 +539,7 @@ grid.power.num = 2
         assert self._run(tmp_path, cfg, "cl.cfg", "wrapped") == 0
         meta = json.loads((tmp_path / "wrapped_metadata.json").read_text())
         assert meta["spectrum_workers"] == 2
-        for table in ("spectrum_000", "spectrum_001"):
+        for table in (f"spectrum_{i:03d}" for i in range(5)):
             assert ((tmp_path / f"wrapped_{table}.csv").read_bytes()
                     == (tmp_path / f"plain_{table}.csv").read_bytes())
 

@@ -16,13 +16,12 @@ from cavens.core import (
     DecoherenceParams,
     EmitterEnsemble,
     ParameterError,
+    SolverError,
     SystemModel,
     mu_from_power,
 )
 from cavens.experiments import run_reflection_spectrum
 from cavens.meanfield import (
-    CitThresholdError,
-    SelfConsistencyError,
     _Response,
     TransitionLine,
     cit_analytics,
@@ -147,10 +146,11 @@ class TestSelfConsistentX:
         weak = solve_selfconsistent_x(ens, 0.0, offset, cavity, decoherence)
         monkeypatch.setattr(meanfield, "_newton",
                             lambda resp, mu, x_weak, tol: (x_weak, np.ones(len(x_weak), bool)))
-        with pytest.raises(SelfConsistencyError) as err:
+        with pytest.raises(SolverError) as err:
             solve_selfconsistent_x(ens, 1e-5, offset, cavity, decoherence)
         e = err.value
-        assert (e.method, e.offset) == ("newton", offset)
+        assert e.method == "newton"
+        assert e.point == "laser offset 2.5e+06 Hz from the ensemble center"
         resp = _Response(ens, np.array([offset]), cavity, decoherence,
                          np.array([cavity.delta_c]))
         residual = abs(weak - resp.x_of_t(1e-5, abs(1.0 + weak) ** 2)[0])
@@ -757,13 +757,14 @@ class TestForkedSpectra:
         assert runs[1] == runs[0]
 
     def test_parametric_line_small_ensemble_and_single_power_stay_here(self, monkeypatch):
-        """A closed-form line, an explicit ensemble one emitter short of
-        the size floor on 361 points, or one power of a large one, is solved
-        in this process; one emitter more forks."""
+        """A closed-form line, five powers of an explicit ensemble one
+        emitter short of the floor on 361 points, or one or two powers of
+        the 1000-quantile line, are solved in this process; one emitter
+        more forks."""
         monkeypatch.setattr(core, "USABLE_CORES", 2)
         forks = self._count_forks(monkeypatch)
-        powers = "grid.power.start_w = 1e-13\ngrid.power.stop_w = 1e-12\ngrid.power.num = 2\n"
-        below = -(-experiments._FORK_MIN // 361) - 1  # the most emitters below the floor
+        powers = "grid.power.start_w = 1e-13\ngrid.power.stop_w = 1e-12\ngrid.power.num = 5\n"
+        below = -(-experiments._FORK_MIN // (361 * 5)) - 1  # the most emitters below the floor
 
         def quantiles(n):
             return build_config(SPECTRUM_CFG.replace("quantiles = 1000", f"quantiles = {n}")
@@ -772,7 +773,8 @@ class TestForkedSpectra:
         line = build_config(SPECTRUM_CFG.replace("ensemble.explicit_quantiles = 1000\n", "")
                             + powers)
         one = build_config(SPECTRUM_CFG + "drive.power_w = 1e-12\n")
-        for cfg in (line, quantiles(below), one):
+        two = build_config(SPECTRUM_CFG + powers.replace("num = 5", "num = 2"))
+        for cfg in (line, quantiles(below), one, two):
             assert experiments.run_experiment(cfg).metadata["spectrum_workers"] == 1
         assert forks == []
         assert experiments.run_experiment(quantiles(below + 1)).metadata["spectrum_workers"] == 2
@@ -804,7 +806,7 @@ class TestForkedSpectra:
             grid.freq.num = 361
             grid.power.start_w = 1e-13
             grid.power.stop_w = 1e-12
-            grid.power.num = 2
+            grid.power.num = 5
             """
             assert run_experiment(build_config(cfg)).metadata["spectrum_workers"] == 2
             sweep = build_config(cfg + "sweep.axis = n_ions\\nsweep.values = 500, 1000\\n")
@@ -880,7 +882,7 @@ class TestCitAnalytics:
 
     def test_below_threshold_raises(self, cavity, decoherence, delta_inh):
         model = self._model(cavity, decoherence, delta_inh)
-        with pytest.raises(CitThresholdError):
+        with pytest.raises(ParameterError, match="below CIT threshold"):
             cit_analytics(model, mu=1e-30, check=False)
 
     def test_out_of_regime_warns(self, cavity, decoherence, delta_inh):
