@@ -130,7 +130,7 @@ def fit_lorentzian_dip(spectrum: Spectrum | tuple, normalization: DipNormalizati
                           residual=res.cost)
     b, d, c, w = res.x
     err = _stderr(res.jac, res.fun, 4)
-    return DipFit(width=abs(w), depth=float(d), center=float(c), baseline=float(b),
+    return DipFit(width=float(abs(w)), depth=float(d), center=float(c), baseline=float(b),
                   stderr={"width": float(err[3]), "depth": float(err[1]),
                           "center": float(err[2]), "baseline": float(err[0])})
 

@@ -3,10 +3,14 @@
 Reads a flat key-value config, executes the named experiment (or a sweep
 when the config carries a sweep axis), and writes versioned CSV tables plus
 a JSON metadata sidecar.  Repeated runs with the same config and seed are
-byte-identical in the CSV bodies; only the sidecar carries timestamps.
+byte-identical in the CSV bodies; only the sidecar carries timestamps.  The
+process's affinity mask sets the cores a run forks on (``core.USABLE_CORES``):
+``taskset -c 0 cavens ...`` runs on one.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 partial failure
-(failed sweep points, powers or bins; the others are written).
+Exit codes: 0 success, 2 config error (also a sweep its experiment cannot
+run, and an ``--out`` whose directory cannot be made, found before the
+solve), 3 solver failure, 4 partial failure (failed sweep points, powers or
+bins; the others are written).
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import __version__, core
+from . import __version__
 from .config import ConfigError, load_config
 from .core import ParameterError
 from .experiments import SOLVER_ERRORS, ExperimentResult, Table, run_experiment, run_sweep
@@ -33,19 +35,13 @@ EXIT_SOLVER = 3
 EXIT_PARTIAL = 4
 
 
-def _format_cell(value) -> str:
-    # repr of a numpy float64 is "np.float64(...)"; write the plain float
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_table(table: Table, path: str) -> None:
+    """The table as CSV; its cells are ints, floats and strs (``str`` of a float is its repr)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema={CSV_SCHEMA}\n")
         fh.write(",".join(table.columns) + "\n")
         for row in table.rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_outputs(result: ExperimentResult, prefix: str, extra_meta: dict) -> list[str]:
@@ -74,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="experiment config file (key = value)")
     parser.add_argument("--out", default="cavens_run", help="output path prefix")
-    parser.add_argument("--jobs", type=int, default=core.USABLE_CORES,
-                        help="parallel workers for sweep points (default: the usable cores)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed; recorded in the metadata for "
                              "provenance only (no solver draws random numbers)")
@@ -89,15 +83,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
     try:
         cfg = load_config(args.config, experiment_override=args.experiment)
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     except (ConfigError, ParameterError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     seed = args.seed if args.seed is not None else cfg.seed
     try:
-        if cfg.sweep_axis is not None:
-            result = run_sweep(cfg, jobs=max(1, args.jobs))
-        else:
-            result = run_experiment(cfg)
+        result = run_sweep(cfg) if cfg.sweep_axis is not None else run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -297,6 +297,9 @@ def build_config(text: str, base_dir: str = ".",
                               line=view.line("sweep.axis"))
         if not sweep_values:
             raise ConfigError("sweep.values required with sweep.axis", key="sweep.values")
+    if sweep_axis == "power_w" and experiment in ("s-curve", "cit-power-sweep"):
+        raise ConfigError(f"{experiment} takes its powers from grid.power, not a power_w sweep",
+                          line=view.line("sweep.axis"), key="sweep.axis")
     if sweep_axis == "n_ions":
         if any(v < 1 or v != int(v) for v in sweep_values):
             raise ConfigError("n_ions sweep values must be positive integers",

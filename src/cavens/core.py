@@ -8,6 +8,7 @@ safe to share between concurrent tasks.
 
 from __future__ import annotations
 
+import copyreg
 import functools
 import math
 import os
@@ -51,6 +52,10 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, *, point: str, method: str, residual: float):
         super().__init__(f"{method} solve at {point}: {message} (residual {residual:.3e})")
         self.point, self.method, self.residual = point, method, residual
+
+    def __reduce__(self):
+        # without __init__, whose keyword-only fields unpickling cannot pass
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -487,23 +492,18 @@ def one_blas_thread() -> Iterator[None]:
                     put(n)
 
 
-#: Usable cores: the most :func:`fork_map` workers, and the default of the
-#: CLI's ``--jobs``.  Every worker sets it to 1, so no pool starts inside
-#: another.
+#: Usable cores, from the process's affinity mask: how many processes
+#: :func:`fork_map` runs its tasks on.  A one-core run is ``taskset -c 0``.
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
 
 
-def _in_worker() -> None:
-    global USABLE_CORES
-    USABLE_CORES = 1
-
-
-def fork_workers(n_tasks: int, workers: Optional[int] = None) -> int:
-    """How many processes :func:`fork_map` runs ``n_tasks`` tasks on: up to
-    ``workers`` (default: the usable cores), and 1, this one, with one task
-    or worker (then importing nothing), without ``fork`` or in a worker."""
-    workers = min(USABLE_CORES if workers is None else workers, n_tasks)
+def fork_workers(n_tasks: int) -> int:
+    """How many processes :func:`fork_map` runs ``n_tasks`` tasks on: the
+    usable cores, at most one per task; 1, this one, with one task or core
+    (then importing nothing), without ``fork``, or in a worker, so no pool
+    starts inside another."""
+    workers = min(USABLE_CORES, n_tasks)
     if workers < 2:
         return 1
     import multiprocessing
@@ -514,21 +514,21 @@ def fork_workers(n_tasks: int, workers: Optional[int] = None) -> int:
     return workers
 
 
-def fork_map(fn, tasks: Sequence, workers: Optional[int] = None) -> list:
+def fork_map(fn, tasks: Sequence) -> list:
     """``[fn(task) for task in tasks]``, on :func:`fork_workers` forked
     processes, or here if that is 1.  Spawned workers would import scipy
     and set the run up again.  Once ``scipy.linalg`` is loaded, the pool
     forks inside :func:`one_blas_thread`: a worker that set a BLAS thread
     count itself would start OpenBLAS's thread pool anew, spinning on the
     other workers' cores.  No worker outlives the call."""
-    workers = fork_workers(len(tasks), workers)
+    workers = fork_workers(len(tasks))
     if workers < 2:
         return [fn(task) for task in tasks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with one_blas_thread() if "scipy.linalg" in sys.modules else nullcontext(), \
-            ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _in_worker) as pool:
+            ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
         return list(pool.map(fn, tasks))
 
 

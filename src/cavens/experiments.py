@@ -1,8 +1,8 @@
 """Named experiments binding the solver modules to tabular outputs.
 
 Each experiment returns CSV-ready tables plus metadata extras; the CLI
-writes them.  Sweeps re-run an experiment along one axis with deterministic
-ordered aggregation regardless of worker scheduling.
+writes them.  Sweeps re-run an experiment along one axis on the usable
+cores, aggregated in order regardless of worker scheduling.
 A failed dip fit of a power sweep, or a failed sweep point, is recorded
 in ``failures`` and the run goes on; any other of :data:`SOLVER_ERRORS`
 ends it.
@@ -106,11 +106,12 @@ def _spectra(cfg: ExperimentConfig, grid: np.ndarray,
     if cfg.quantiles is not None:
         ens = ens.to_explicit(cfg.quantiles)
     tasks = [(ens, mu, grid, cav, dec) for mu in mus]
-    forked = not ens.is_parametric and len(grid) * ens.n * len(mus) >= _FORK_MIN
-    workers = fork_workers(len(tasks)) if forked else 1
+    if ens.is_parametric or len(grid) * ens.n * len(mus) < _FORK_MIN:
+        return [_spectrum(task) for task in tasks], 1
+    workers = fork_workers(len(tasks))
     if workers > 1:
         meanfield._spectrum_response(ens, grid.tobytes(), cav, dec)
-    return fork_map(_spectrum, tasks, workers), workers
+    return fork_map(_spectrum, tasks), workers
 
 
 def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
@@ -123,9 +124,9 @@ def run_reflection_spectrum(cfg: ExperimentConfig) -> ExperimentResult:
     not_converged = []
     for i, spec in enumerate(spectra):
         not_converged.append(int(np.count_nonzero(~spec.converged)))
-        rows = [(f, float(r.real), float(r.imag), float(refl), float(ph), int(ok))
-                for f, r, refl, ph, ok in zip(grid_hz, spec.r_complex, spec.reflectance,
-                                              spec.phase, spec.converged)]
+        rows = list(zip(grid_hz.tolist(), spec.r_complex.real.tolist(),
+                        spec.r_complex.imag.tolist(), spec.reflectance.tolist(),
+                        spec.phase.tolist(), spec.converged.astype(int).tolist()))
         tables.append(Table(name=f"spectrum_{i:03d}",
                             columns=("freq_hz", "r_real", "r_imag", "reflectance",
                                      "phase_rad", "converged"),
@@ -249,7 +250,7 @@ def run_s_curve(cfg: ExperimentConfig) -> ExperimentResult:
         sub_rows = []
         for j, sub in enumerate(subs.entries):
             for i, p in enumerate(powers):
-                sub_rows.append((float(p), angular_to_hz(sub.detuning), sub.n_ions,
+                sub_rows.append((float(p), float(angular_to_hz(sub.detuning)), sub.n_ions,
                                  float(res.per_subensemble[i, j])))
         tables.append(Table("s_curve_subensembles",
                             ("power_w", "detuning_hz", "n_ions", "peak"), sub_rows))
@@ -399,22 +400,23 @@ def _sweep_point(args: tuple) -> tuple[int, Optional[ExperimentResult], Optional
     index, cfg, axis, value = args
     try:
         return index, run_experiment(_apply_axis(cfg, axis, value)), None
-    except (ConfigError,) + SOLVER_ERRORS as exc:
+    except SOLVER_ERRORS as exc:
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Ordered aggregation of per-point runs along the sweep axis.
 
     The primary (first) table of each point is concatenated with a leading
-    axis column; per-point failures are recorded and the sweep continues.
-    With ``jobs`` > 1 the points run in up to that many forked worker
-    processes (:func:`core.fork_map`), each counting one usable core; the
-    rows do not depend on it.
+    axis column; per-point solver failures are recorded and the sweep
+    continues.  A :class:`ConfigError` ends it: every point has the same
+    config shape, so it fails them all.  The points run on the usable cores
+    (:func:`core.fork_map`), and a point's own spectra or bins then run in
+    its worker; the rows do not depend on it.
     """
     assert cfg.sweep_axis is not None and cfg.sweep_values is not None
     tasks = [(i, cfg, cfg.sweep_axis, v) for i, v in enumerate(cfg.sweep_values)]
-    results = {index: (res, err) for index, res, err in fork_map(_sweep_point, tasks, jobs)}
+    results = {index: (res, err) for index, res, err in fork_map(_sweep_point, tasks)}
 
     agg_rows: list[tuple] = []
     columns: Optional[tuple[str, ...]] = None

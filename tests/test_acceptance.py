@@ -376,19 +376,21 @@ sweep.values = 3, 4
 """
 
 
-def test_c15_determinism(tmp_path):
+def test_c15_determinism(tmp_path, monkeypatch):
+    from cavens import core
     from cavens.cli import main
 
     cfg = tmp_path / "det.cfg"
     cfg.write_text(DETERMINISM_CFG)
     payloads = []
-    for jobs in ("1", "8"):
+    for cores in (1, 2):
+        monkeypatch.setattr(core, "USABLE_CORES", cores)
         for rep in range(3):
-            out = tmp_path / f"d{jobs}_{rep}"
-            code = main(["--config", str(cfg), "--out", str(out), "--jobs", jobs])
+            out = tmp_path / f"d{cores}_{rep}"
+            code = main(["--config", str(cfg), "--out", str(out)])
             assert code == 0
-            payloads.append((tmp_path / f"d{jobs}_{rep}_sweep_s-curve.csv").read_bytes())
+            payloads.append((tmp_path / f"d{cores}_{rep}_sweep_s-curve.csv").read_bytes())
     ok = len(set(payloads)) == 1
     report(15, "determinism", ok,
-           f"{len(payloads)} runs (3x jobs=1, 3x jobs=8), "
+           f"{len(payloads)} runs (3x on 1 usable core, 3x on 2), "
            f"{len(set(payloads))} distinct CSV payload(s)")

@@ -170,27 +170,11 @@ ensemble.file = does_not_exist.csv
                                             "grid.power.stop_w = 1e-16"))
 
 
-def test_jobs_default_is_the_usable_cores(monkeypatch):
-    """--jobs defaults to the package's core count, which follows the
-    affinity mask rather than the machine's CPU count."""
-    from cavens import core
-    from cavens.cli import build_parser
-
-    def jobs():
-        return build_parser().parse_args(["--config", "run.cfg"]).jobs
-
-    if hasattr(os, "sched_getaffinity"):
-        assert jobs() == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(core, "USABLE_CORES", 3)
-    assert jobs() == 3
-
-
 class TestCliRuns:
     def _run(self, tmp_path, text, name, out, extra_args=()):
         path = tmp_path / name
         path.write_text(text)
-        return main(["--config", str(path), "--out", str(tmp_path / out),
-                     "--jobs", "1", *extra_args])
+        return main(["--config", str(path), "--out", str(tmp_path / out), *extra_args])
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         assert self._run(tmp_path, "nonsense\n", "bad.cfg", "x") == 2
@@ -232,6 +216,40 @@ sweep.values = {values}
         assert self._run(tmp_path, cfg, "nbins.cfg", "nbins") == 2
         assert "key 'sweep.values'" in capsys.readouterr().err
         assert not list(tmp_path.glob("nbins_*"))
+
+    @pytest.mark.parametrize("cfg, message", [
+        (SCURVE_CFG.replace("drive.pulse_length_s = 20e-6\n", "")
+         + "sweep.axis = n_ions\nsweep.values = 3, 4\n", "key 'drive.pulse_length_s'"),
+        (SCURVE_CFG + "sweep.axis = power_w\nsweep.values = 1e-13, 1e-12\n", "key 'sweep.axis'"),
+        (LINE_MODEL + "experiment = cit-power-sweep\ngrid.freq.start_hz = -90e6\n"
+         "grid.freq.stop_hz = 90e6\ngrid.freq.num = 61\n"
+         "sweep.axis = power_w\nsweep.values = 1e-13, 1e-12\n", "key 'sweep.axis'"),
+        (SCURVE_CFG.replace("grid.power.num = 5", "grid.power.num = 0")
+         + "sweep.axis = n_ions\nsweep.values = 3, 4\n", "grid num must be >= 1"),
+    ], ids=["n-ions-without-pulse", "power-sweep-of-s-curve", "power-sweep-of-cit",
+            "empty-power-grid"])
+    def test_sweep_config_error_exits_2(self, tmp_path, capsys, cfg, message):
+        """A config its experiment cannot run is a config error, swept or
+        not: every point has the same config shape, so it fails them all."""
+        assert self._run(tmp_path, cfg, "sw.cfg", "sw") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not list(tmp_path.glob("sw_*"))
+
+    def test_unwritable_out_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        """An --out under a regular file exits 2 with one line that names
+        it, and nothing is solved."""
+        from cavens import cli
+
+        def solve(_cfg):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_experiment", solve)
+        (tmp_path / "file").write_text("")
+        assert self._run(tmp_path, SCURVE_CFG, "sc.cfg", "file/run") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
+        assert str(tmp_path / "file") in err
 
     def test_exit_code_solver_failure(self, tmp_path, capsys):
         """Nine distinct emitters span 4^9 operator-space dimensions, above
@@ -286,12 +304,15 @@ grid.power.num = 1
     def test_fit_failure_is_solver_failure(self, tmp_path, capsys, monkeypatch):
         """A failed dip fit fails only its power (exit 4), and in a sweep
         its failure carries the sweep point."""
+        from cavens import core
+
         calls = self._fail_fit(monkeypatch, 1)
         assert self._run(tmp_path, self.CIT_CFG, "cit.cfg", "cit") == 4
         assert "1 point(s) failed" in capsys.readouterr().err
         meta = json.loads((tmp_path / "cit_metadata.json").read_text())
         assert meta["failures"] == [{"power_index": 0, "error": self.FORCED}]
         calls.clear()
+        monkeypatch.setattr(core, "USABLE_CORES", 1)  # the call log counts in this process
         sweep = self.CIT_CFG + "sweep.axis = detuning_hz\nsweep.values = 0, 1e6\n"
         assert self._run(tmp_path, sweep, "sw.cfg", "sw") == 4
         meta = json.loads((tmp_path / "sw_metadata.json").read_text())
@@ -421,7 +442,7 @@ grid.power.scale = log
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
             subprocess.run([sys.executable, "-m", "cavens.cli", "--config", "bins.cfg",
-                            "--out", f"t{threads}", "--jobs", "1"],
+                            "--out", f"t{threads}"],
                            cwd=tmp_path, env=env, check=True, timeout=300,
                            stdout=subprocess.DEVNULL)
             bodies.append([(tmp_path / f"t{threads}_{table}.csv").read_bytes()
@@ -643,16 +664,18 @@ grid.freq.num = 21
         _h2, rows_sweep = read_csv(tmp_path / "swept_sweep_s-curve.csv")
         assert [r[1:] for r in rows_sweep] == rows_run
 
-    def test_determinism_across_jobs(self, tmp_path):
+    def test_determinism_across_usable_cores(self, tmp_path, monkeypatch):
+        from cavens import core
+
         cfg = SCURVE_CFG + "sweep.axis = n_ions\nsweep.values = 3, 4\n"
         path = tmp_path / "det.cfg"
         path.write_text(cfg)
         payloads = []
-        for jobs in ("1", "4"):
+        for cores in (1, 2):
+            monkeypatch.setattr(core, "USABLE_CORES", cores)
             for rep in range(2):
-                out = tmp_path / f"det_{jobs}_{rep}"
-                assert main(["--config", str(path), "--out", str(out),
-                             "--jobs", jobs]) == 0
+                out = tmp_path / f"det_{cores}_{rep}"
+                assert main(["--config", str(path), "--out", str(out)]) == 0
                 payloads.append((out.parent / f"{out.name}_sweep_s-curve.csv").read_bytes())
         assert len(set(payloads)) == 1
 
@@ -667,7 +690,7 @@ grid.freq.num = 21
         monkeypatch.setattr(experiments, "run_experiment", broken)
         cfg = build_config(SCURVE_CFG + "sweep.axis = n_ions\nsweep.values = 3, 4\n")
         with pytest.raises(TypeError, match="bug in a sweep point"):
-            experiments.run_sweep(cfg, jobs=1)
+            experiments.run_sweep(cfg)
 
     def test_sweep_point_solver_error_recorded(self, monkeypatch):
         from cavens import experiments
@@ -682,7 +705,7 @@ grid.freq.num = 21
 
         monkeypatch.setattr(experiments, "run_experiment", capped)
         cfg = build_config(SCURVE_CFG + "sweep.axis = n_ions\nsweep.values = 3, 4\n")
-        res = experiments.run_sweep(cfg, jobs=1)
+        res = experiments.run_sweep(cfg)
         assert res.failures == [{"axis_value": 3.0,
                                  "error": "CapabilityError: too many emitters"}]
         assert len(res.tables[0].rows) == 5

@@ -16,6 +16,7 @@ from cavens.core import (
     DecoherenceParams,
     EmitterEnsemble,
     ParameterError,
+    SolverError,
     SystemModel,
     derive_rates,
     ensemble_cooperativity,
@@ -525,7 +526,13 @@ def _pid(_task) -> int:
 
 def _nested(_task) -> tuple:
     """A worker's pid, its usable cores and the pids of a pool it asks for."""
-    return os.getpid(), core.USABLE_CORES, core.fork_map(_pid, [0, 1], workers=2)
+    return os.getpid(), core.USABLE_CORES, core.fork_map(_pid, [0, 1])
+
+
+def _fails(task: int) -> int:
+    if task == 1:
+        raise SolverError("no root", point=f"task {task}", method="newton", residual=0.25)
+    return task
 
 
 def _threads_after_a_dense_solve(seed: int) -> int:
@@ -551,16 +558,27 @@ class TestForkMap:
         assert core.fork_map(_pid, list(range(tasks))) == [os.getpid()] * tasks
 
     def test_no_pool_inside_a_worker(self, monkeypatch):
-        """A worker counts one usable core, and runs a pool it is asked for,
-        of explicitly two workers, itself."""
+        """A worker sees the parent's two usable cores, and runs a pool it
+        is asked for itself."""
         monkeypatch.setattr(core, "USABLE_CORES", 2)
         for pid, cores, inner in core.fork_map(_nested, [0, 1]):
-            assert pid != os.getpid() and cores == 1 and inner == [pid, pid]
+            assert pid != os.getpid() and cores == 2 and inner == [pid, pid]
 
     def test_worker_error_propagates(self, monkeypatch):
         monkeypatch.setattr(core, "USABLE_CORES", 2)
         with pytest.raises(TypeError):
             core.fork_map(abs, [1, "a", 2])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_solver_error_keeps_its_fields(self, monkeypatch):
+        """A task's SolverError reaches the caller as itself, with its point,
+        method and residual, not as a broken pool."""
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        with pytest.raises(SolverError) as err:
+            core.fork_map(_fails, [0, 1, 2])
+        e = err.value
+        assert (e.point, e.method, e.residual) == ("task 1", "newton", 0.25)
+        assert str(e) == "newton solve at task 1: no root (residual 2.500e-01)"
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc/self/task")
@@ -574,9 +592,9 @@ class TestForkMap:
         assert core.fork_map(_threads_after_a_dense_solve, [0, 1, 2, 3]) == [1] * 4
 
     def test_sweep_workers_start_no_pool(self, monkeypatch):
-        """run_sweep(jobs=2) over a binned s-curve, two solves a point: the
-        rows are those of jobs=1, and only the sweep forks (its two
-        workers), not the S-curve inside them."""
+        """A 5-point sweep of a binned s-curve, two solves a point: on two
+        usable cores only the sweep forks (its two workers), not the S-curve
+        inside them; on one nothing forks; the rows are the same."""
         from cavens.config import build_config
         from cavens.experiments import run_sweep
 
@@ -589,7 +607,6 @@ class TestForkMap:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(core, "USABLE_CORES", 2)
         cfg = build_config("""
 experiment = s-curve
 cavity.kappa_hz = 44e9
@@ -607,12 +624,13 @@ grid.power.start_w = 1e-13
 grid.power.stop_w = 1e-11
 grid.power.num = 2
 sweep.axis = detuning_hz
-sweep.values = 0, 10e6, 30e6
+sweep.values = 0, 10e6, 20e6, 30e6, 40e6
 """)
-        one = run_sweep(cfg, jobs=1)
-        assert len(forks) == 2 * 3  # the S-curve's pool, at each point
-        forks.clear()
-        two = run_sweep(cfg, jobs=2)
+        monkeypatch.setattr(core, "USABLE_CORES", 1)
+        one = run_sweep(cfg)
+        assert forks == []
+        monkeypatch.setattr(core, "USABLE_CORES", 2)
+        two = run_sweep(cfg)
         assert len(forks) == 2
         assert repr(two.tables[0].rows) == repr(one.tables[0].rows)
         assert two.failures == one.failures == []

@@ -210,8 +210,7 @@ def test_solver_error_names_point_method_and_residual(tmp_path, capsys, monkeypa
     capsys.readouterr()
     with monkeypatch.context() as mp:
         force_cli(mp)
-        assert main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run"),
-                     "--jobs", "1"]) == code
+        assert main(["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run")]) == code
     if where == "stderr":
         assert f"solver failure: {e}" in capsys.readouterr().err
     else:

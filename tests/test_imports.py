@@ -12,8 +12,8 @@ import sys
 import pytest
 
 import cavens
-from cavens.config import EXPERIMENTS
-from cavens.experiments import _RUNNERS
+from cavens.config import EXPERIMENTS, build_config
+from cavens.experiments import _RUNNERS, run_experiment
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cavens.__file__)))
 PACKAGE = os.path.join(SRC, "cavens")
@@ -165,6 +165,16 @@ def test_solve_imports_no_scipy(tmp_path, case):
     assert sorted(set(seen["run"]) - set(seen["config"])) == []
     if case in NUMPY_ONLY:
         assert seen["run"] == []
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_table_cells_are_python_scalars(tmp_path, case):
+    """Every cell is a Python int, float or str, so the CSV writer's ``str``
+    is ``repr`` for a float (a numpy float's depends on the numpy version)."""
+    (tmp_path / "em.csv").write_text(EMITTERS)
+    result = run_experiment(build_config(CASES[case], base_dir=str(tmp_path)))
+    cells = {type(v) for table in result.tables for row in table.rows for v in row}
+    assert cells and cells <= {int, float, str}
 
 
 def _imports_at_import_time(tree: ast.Module):
